@@ -4,7 +4,8 @@ One offer round, step by step
 
 The scheduler advertises free windows as offers; waiting jobs answer with
 interest or a decline after a pure dry-run plan; a policy picks one
-winner; materialization re-plans under the grant and mints the subjobs.
+winner; materialization re-validates the memoized plan under the grant
+and mints the subjobs.
 No job state exists until that last step.
 """
 import numpy as np

@@ -140,6 +140,10 @@ class FunctionalProfile:
     runtime_samples: np.ndarray
     support: np.ndarray
     source: TrajectoryEnsemble | None = None
+    # Dry-run plans memoized by segmentation.plan_segments. It lives here so
+    # that a refreshed profile (a new object) starts empty and the old
+    # entries are freed together with the old profile.
+    plan_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_points(self) -> int:

@@ -8,11 +8,11 @@ No subjob state is created until a grant is issued.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import policies as _policies
 from .cluster import ExecutionWindow, SliceCatalog
-from .profiles import RiskParams
+from .profiles import RiskParams, memory_admissible
 from .segmentation import FragmentPlan, PlanRefusal, SegmentationConfig, plan_segments
 from .workload import PLANNED, Checkpoint, JobRuntime, SubJob
 
@@ -168,13 +168,16 @@ def materialize(
 ) -> tuple[list[SubJob], list[FragmentPlan]] | MaterializeRefusal:
     """Re-validate the plan under the grant and mint SubJob records.
 
-    Planning runs again here because the profile may have been refreshed
-    since interest was signaled; a refusal returns the offer to the pool.
-    Fragments that would start at or past the job's actual completion are
-    not materialized (the job side knows its remaining iteration count).
-    The first subjob resumes from the parent's latest checkpoint, unless
-    the grant pipelines work beyond already planned subjobs (that
-    checkpoint does not exist yet).
+    The plan is looked up again with plan_segments. When nothing changed
+    since interest was signaled this is a cache hit on the job's profile;
+    when the profile was refreshed or the demand floor moved, the plan is
+    recomputed, and a refusal returns the offer to the pool. Fragments that
+    would start at or past the job's actual completion are not materialized
+    (the job side knows its remaining iteration count). Each kept fragment
+    already passed joint admission; it is flagged methods_disagree when
+    envelope admission rejects it. The first subjob resumes from the
+    parent's latest checkpoint, unless the grant pipelines work beyond
+    already planned subjobs (that checkpoint does not exist yet).
     """
     if granted.job_id != job.spec.job_id:
         raise ValueError("grant addressed to a different job")
@@ -217,7 +220,14 @@ def materialize(
                 pos_to_s=plan.pos_to_s,
             )
         )
-        kept.append(plan)
+        envelope = memory_admissible(
+            job.profile,
+            plan.capacity_mb,
+            (plan.pos_from_s, plan.pos_to_s - job.profile.grid_step),
+            risk.eps,
+            "envelope",
+        )
+        kept.append(replace(plan, methods_disagree=not envelope.admissible))
     if not subjobs:
         return MaterializeRefusal("no materializable fragment before job end")
     return subjobs, kept

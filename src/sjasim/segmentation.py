@@ -10,7 +10,7 @@ keeps plans from chasing short-lived dips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
@@ -53,6 +53,9 @@ class SegmentationConfig:
     eps: float = 0.05
 
     def __post_init__(self) -> None:
+        for name in ("tau_min_s", "tau_max_s", "smoothing_window_s", "hysteresis_delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.tau_min_s <= 0 or self.tau_max_s < self.tau_min_s:
             raise ValueError("need 0 < tau_min <= tau_max")
         if self.smoothing_window_s < 0:
@@ -235,7 +238,11 @@ def _chop(a: int, b: int, tmin: int, tmax: int) -> list[tuple[int, int]] | None:
 
 @dataclass(frozen=True)
 class FragmentPlan:
-    """One plannable subjob: wall window plus job-relative work positions."""
+    """One plannable subjob: wall window plus job-relative work positions.
+
+    methods_disagree is False from the dry run; materialize sets it on kept
+    fragments that pass joint admission but fail envelope admission.
+    """
 
     wall_start_s: float
     duration_s: float
@@ -260,7 +267,6 @@ def plan_segments(
     risk: RiskParams,
     seg: SegmentationConfig,
     online_correction: bool = True,
-    admission_method: str = "joint",
     start_position_s: float | None = None,
 ) -> list[FragmentPlan] | PlanRefusal:
     """Map an offered window onto the job's remaining work and segment it.
@@ -269,9 +275,16 @@ def plan_segments(
     (or at start_position_s, when a caller pipelines grants beyond already
     planned subjobs) and runs for the window's duration. Fragments keep
     contiguous work positions; planning stops at the first fragment that
-    fails admission at its assigned capacity (later work is unreachable
-    anyway). Jobs flagged non-atomizable are refused so a conventional
-    scheduler path can take them.
+    fails joint admission at its assigned capacity (later work is
+    unreachable anyway). Jobs flagged non-atomizable are refused so a
+    conventional scheduler path can take them.
+
+    Each distinct plan is computed once and memoized in the job's
+    `profile.plan_cache`. The key is everything the plan reads besides the
+    profile: job id, the demand-floor version (only with online_correction),
+    start grid index, whole window steps, offered capacity, seg, risk.eps,
+    online_correction and the catalog. Cached fragments are relative to the
+    window; wall start times are rebuilt from window.start on every call.
     """
     if not job.spec.atomizable:
         return PlanRefusal("non-atomizable job, conventional placement only")
@@ -286,6 +299,39 @@ def plan_segments(
         return PlanRefusal("window shorter than one grid step")
     base_pos = job.position_s if start_position_s is None else start_position_s
     i0 = int(round(base_pos / h))
+    key = (
+        job.spec.job_id,
+        job.demand_floor_version if online_correction else None,
+        i0,
+        n_steps,
+        window.capacity_mb,
+        seg,
+        risk.eps,
+        online_correction,
+        catalog,
+    )
+    planned = profile.plan_cache.get(key)
+    if planned is None:
+        planned = _plan(job, i0, n_steps, window.capacity_mb, catalog, risk, seg, online_correction)
+        profile.plan_cache[key] = planned
+    if isinstance(planned, PlanRefusal):
+        return planned
+    return [replace(p, wall_start_s=window.start + p.wall_start_s) for p in planned]
+
+
+def _plan(
+    job: JobRuntime,
+    i0: int,
+    n_steps: int,
+    capacity_mb: int,
+    catalog: SliceCatalog,
+    risk: RiskParams,
+    seg: SegmentationConfig,
+    online_correction: bool,
+) -> tuple[FragmentPlan, ...] | PlanRefusal:
+    """Uncached body of plan_segments; wall_start_s is window-relative."""
+    profile = job.profile
+    h = profile.grid_step
     curve = profile.envelope(seg.eps)
     u = curve[i0 : i0 + n_steps]
     if len(u) < n_steps:
@@ -298,7 +344,7 @@ def plan_segments(
             floor = np.concatenate([floor, np.zeros(n_steps - len(floor))])
         u = np.maximum(u, floor)
     try:
-        fragments = segment_window(u, h, catalog, window.capacity_mb, seg)
+        fragments = segment_window(u, h, catalog, capacity_mb, seg)
     except InfeasiblePlan as exc:
         return PlanRefusal(str(exc))
 
@@ -309,21 +355,12 @@ def plan_segments(
         peak = float(u[f.start_idx : f.end_idx].max())
         # Fragment samples are [start, end): query the inclusive grid window
         # [pos_from, pos_to - h] so admission sees exactly those samples.
-        decision = memory_admissible(
-            profile, f.capacity_mb, (pos_from, pos_to - h), risk.eps, admission_method
-        )
-        other = memory_admissible(
-            profile,
-            f.capacity_mb,
-            (pos_from, pos_to - h),
-            risk.eps,
-            "envelope" if admission_method == "joint" else "joint",
-        )
+        decision = memory_admissible(profile, f.capacity_mb, (pos_from, pos_to - h), risk.eps)
         if not decision.admissible:
             break
         plans.append(
             FragmentPlan(
-                wall_start_s=window.start + f.start_idx * h,
+                wall_start_s=f.start_idx * h,
                 duration_s=f.n_steps * h,
                 capacity_mb=f.capacity_mb,
                 pos_from_s=pos_from,
@@ -331,9 +368,8 @@ def plan_segments(
                 predicted_peak_mb=peak,
                 admission_probability=decision.probability,
                 admission_truncated=decision.truncated,
-                methods_disagree=decision.admissible != other.admissible,
             )
         )
     if not plans:
         return PlanRefusal("no admissible fragment at the offered capacity")
-    return plans
+    return tuple(plans)

@@ -155,6 +155,10 @@ class SimConfig:
     baseline: BaselineParams = field(default_factory=BaselineParams)
 
     def __post_init__(self) -> None:
+        # max_wait_s may be inf (never give up); these three may not.
+        for name in ("lookahead_s", "round_cadence_s", "offer_ttl_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.round_cadence_s <= 0 or self.offer_ttl_s <= 0:
             raise ValueError("round cadence and offer ttl must be positive")
         if self.lookahead_s <= 0:

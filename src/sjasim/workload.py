@@ -250,6 +250,7 @@ class JobRuntime:
     placement_seq: int = 0
     earliest_resume_s: float = 0.0  # migration delay gate (preempt baseline)
     demand_floor: np.ndarray | None = None  # observed-demand lower bound (online correction)
+    demand_floor_version: int = 0  # bumped by note_demand; part of the plan-cache key
 
     @property
     def actual_duration_s(self) -> float:
@@ -291,6 +292,7 @@ class JobRuntime:
         self.demand_floor[start_idx:end] = np.maximum(
             self.demand_floor[start_idx:end], samples
         )
+        self.demand_floor_version += 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from sjasim.cluster import ExecutionWindow, SliceCatalog
 from sjasim.policies import GrantPolicy, SelectionContext, TenantLedger
-from sjasim.profiles import RiskParams, TrajectoryEnsemble, build_profile
+from sjasim.profiles import RiskParams, TrajectoryEnsemble, build_profile, memory_admissible
 from sjasim.protocol import (
     Grant,
     MaterializeRefusal,
@@ -13,7 +13,7 @@ from sjasim.protocol import (
     grant_offer,
     materialize,
 )
-from sjasim.segmentation import SegmentationConfig
+from sjasim.segmentation import SegmentationConfig, plan_segments
 from sjasim.workload import Checkpoint, JobRuntime, JobSpec
 
 CAT = SliceCatalog()
@@ -185,6 +185,37 @@ class TestMaterialize:
         win = ExecutionWindow("g0s0", 20480, 0.0, 600.0)
         out = materialize(job, self._grant_for(job, win), win, CAT, RISK, SEG)
         assert isinstance(out, MaterializeRefusal)
+
+    def test_methods_disagree_marks_kept_fragments_failing_envelope(self):
+        # Eight runs end at 300 s; of the two that go on, one climbs to 12 GB
+        # at 600 s. Past 300 s only those two are alive, so the 80% envelope
+        # reads 12 GB, while jointly 9 of 10 runs stay under 10 GB (finished
+        # runs count as successes). Segmenting on the 50% envelope assigns
+        # 10 GB everywhere, so the later fragments pass joint admission but
+        # fail envelope admission.
+        runs = [np.full(6, 8000.0) for _ in range(8)]
+        runs += [np.full(31, 8000.0), np.array([8000.0] * 10 + [12000.0] * 21)]
+        prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(0.05,))
+        spec = JobSpec("j1", "t0", 0.0, 1800.0, 13000.0)
+        # The actual run ends at 900 s, so the 900-1200 s fragment is dropped.
+        job = JobRuntime(spec=spec, profile=prof, actual=np.full(16, 8000.0), grid_step=H)
+        risk = RiskParams(eps=0.2)
+        seg = SegmentationConfig(tau_min_s=300.0, tau_max_s=300.0, smoothing_window_s=0.0,
+                                 eps=0.5)
+        win = ExecutionWindow("g0s0", 10240, 0.0, 1200.0)
+        subjobs, kept = materialize(job, self._grant_for(job, win), win, CAT, risk, seg)
+        assert [(p.pos_from_s, p.capacity_mb) for p in kept] == [
+            (0.0, 10240), (300.0, 10240), (600.0, 10240)
+        ]
+        for p in kept:
+            window = (p.pos_from_s, p.pos_to_s - H)
+            assert memory_admissible(prof, p.capacity_mb, window, risk.eps, "joint").admissible
+            envelope = memory_admissible(prof, p.capacity_mb, window, risk.eps, "envelope")
+            assert p.methods_disagree == (not envelope.admissible)
+        assert [p.methods_disagree for p in kept] == [False, False, True]
+        # The dry run leaves the flag to materialize.
+        dry = plan_segments(job, win, CAT, risk, seg)
+        assert len(dry) == 4 and not any(p.methods_disagree for p in dry)
 
     def test_grant_for_other_job_rejected(self):
         job = make_job()

@@ -4,13 +4,17 @@ The step-envelope expectations are frozen from the area-integration
 arithmetic done inline here (GB*minute bookkeeping), independent of the
 implementation's internals.
 """
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjasim.cluster import ExecutionWindow, SliceCatalog
-from sjasim.profiles import RiskParams, TrajectoryEnsemble, build_profile
+from sjasim.profiles import RiskParams, TrajectoryEnsemble, build_profile, refresh_profile
 from sjasim.segmentation import (
     Fragment,
     InfeasiblePlan,
@@ -161,6 +165,14 @@ class TestConfigBounds:
         with pytest.raises(ValueError):
             SegmentationConfig(eps=0.0)
 
+    @pytest.mark.parametrize(
+        "name", ["tau_min_s", "tau_max_s", "smoothing_window_s", "hysteresis_delta"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SegmentationConfig(**{name: value})
+
 
 def random_instance(rng):
     """One randomized (envelope, offer, config) draw; mirrors desk scale."""
@@ -306,3 +318,115 @@ class TestPlanSegments:
         assert plans[-1].pos_to_s <= 960.0
         for p in plans:
             assert p.admission_probability >= 1.0 - 0.05
+
+
+def cold_copy(job):
+    """Deep copy of job and profile whose plan cache starts empty."""
+    fresh = copy.deepcopy(job)
+    fresh.profile.plan_cache.clear()
+    return fresh
+
+
+# One step of a job's life: plan a window, observe demand, move, or refresh.
+plan_step = st.tuples(
+    st.just("plan"),
+    st.sampled_from([0.0, 90.0, 600.0]),  # window start
+    st.sampled_from([240.0, 600.0, 1000.0, 2400.0]),  # window duration
+    st.sampled_from([10240, 20480]),
+    st.booleans(),  # online_correction
+    st.sampled_from([None, 300.0]),  # start_position_s
+    st.sampled_from([0.2, 0.6]),  # hysteresis_delta
+)
+demand_step = st.tuples(
+    st.just("demand"), st.integers(0, 40), st.sampled_from([9000.0, 12000.0, 16000.0])
+)
+move_step = st.tuples(st.just("move"), st.sampled_from([0.0, 300.0, 660.0, 1500.0]))
+refresh_step = st.tuples(st.just("refresh"), st.sampled_from([6000.0, 11000.0]))
+
+
+# Segmenting on the 70% envelope ignores the two high runs, so joint
+# admission at risk.eps decides how far a 10 GB plan may reach.
+SEG_EPS30 = SegmentationConfig(tau_min_s=120.0, tau_max_s=900.0, smoothing_window_s=0.0,
+                               hysteresis_delta=0.2, eps=0.3)
+
+
+class TestPlanCache:
+    risk = RiskParams(eps=0.1)
+
+    def job(self):
+        lo = [[7000.0] * 41 for _ in range(6)]
+        hi = [[7000.0] * 20 + [15000.0] * 21 for _ in range(2)]
+        return make_job(lo + hi, work=2400.0)
+
+    def test_hit_rebuilds_wall_times_from_the_window(self):
+        job = self.job()
+        first = plan_segments(job, ExecutionWindow("g0s0", 20480, 0.0, 900.0), CAT,
+                              self.risk, cfg(0.2, tau_min=60.0))
+        assert len(job.profile.plan_cache) == 1
+        shifted = plan_segments(job, ExecutionWindow("g0s1", 20480, 123.5, 900.0), CAT,
+                                self.risk, cfg(0.2, tau_min=60.0))
+        assert len(job.profile.plan_cache) == 1
+        assert [p.wall_start_s - 123.5 for p in shifted] == [p.wall_start_s for p in first]
+        assert [p.pos_from_s for p in shifted] == [p.pos_from_s for p in first]
+
+    def test_note_demand_and_refresh_invalidate(self):
+        job = self.job()
+        win = ExecutionWindow("g0s0", 20480, 0.0, 900.0)
+        plan_segments(job, win, CAT, self.risk, cfg(0.2))
+        job.note_demand(0, np.full(20, 12000.0))
+        plan_segments(job, win, CAT, self.risk, cfg(0.2))
+        assert len(job.profile.plan_cache) == 2
+        old = job.profile
+        job.profile = refresh_profile(old, np.full(41, 7000.0))
+        assert job.profile.plan_cache == {}
+        plan_segments(job, win, CAT, self.risk, cfg(0.2))
+        assert len(job.profile.plan_cache) == 1 and len(old.plan_cache) == 2
+
+    BASE = dict(window=ExecutionWindow("g0s0", 20480, 0.0, 2400.0), risk=RiskParams(eps=0.1),
+                seg=SEG_EPS30, online_correction=True,
+                start_position_s=None, catalog=CAT)
+
+    @pytest.mark.parametrize("change", [
+        dict(window=ExecutionWindow("g0s0", 10240, 0.0, 2400.0)),
+        dict(window=ExecutionWindow("g0s0", 20480, 0.0, 1000.0)),
+        dict(risk=RiskParams(eps=0.3)),
+        dict(seg=replace(SEG_EPS30, tau_max_s=600.0)),
+        dict(online_correction=False),
+        dict(start_position_s=300.0),
+        dict(catalog=SliceCatalog((5120, 10240, 16384, 40960))),
+    ], ids=["capacity", "steps", "risk_eps", "seg", "online_correction", "start", "catalog"])
+    def test_each_key_input_separates_plans(self, change):
+        job = self.job()
+        job.note_demand(0, np.full(10, 12000.0))
+
+        def plan(j, args):
+            return plan_segments(j, args["window"], args["catalog"], args["risk"], args["seg"],
+                                 online_correction=args["online_correction"],
+                                 start_position_s=args["start_position_s"])
+
+        varied = {**self.BASE, **change}
+        base_plan = plan(job, self.BASE)
+        fresh = cold_copy(job)
+        assert plan(fresh, varied) != base_plan  # the input matters
+        assert plan(job, varied) == plan(fresh, varied)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.one_of(plan_step, demand_step, move_step, refresh_step),
+                    min_size=1, max_size=25))
+    def test_every_result_equals_a_cold_plan(self, steps):
+        job = self.job()
+        for step in steps:
+            kind = step[0]
+            if kind == "plan":
+                _, start, duration, cap, correct, pos, delta = step
+                seg = cfg(delta, tau_min=120.0, tau_max=900.0, smooth=120.0)
+                win = ExecutionWindow("g0s0", cap, start, duration)
+                kw = dict(online_correction=correct, start_position_s=pos)
+                got = plan_segments(job, win, CAT, self.risk, seg, **kw)
+                assert got == plan_segments(cold_copy(job), win, CAT, self.risk, seg, **kw)
+            elif kind == "demand":
+                job.note_demand(step[1], np.full(5, step[2]))
+            elif kind == "move":
+                job.position_s = step[1]
+            else:
+                job.profile = refresh_profile(job.profile, np.full(41, step[1]))

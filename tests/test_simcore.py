@@ -1,6 +1,7 @@
 """Event-engine behavior: determinism, accounting, shared workload draws."""
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,22 @@ class TestEmptyAndDegenerate:
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):
             run(tiny_scenario(), "galaxy_brain", SimConfig(), seed=0)
+
+    @pytest.mark.parametrize("name", ["lookahead_s", "round_cadence_s", "offer_ttl_s"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_config_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name", ["tau_min_s", "tau_max_s", "smoothing_window_s", "hysteresis_delta"]
+    )
+    def test_non_finite_segmentation_config_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{name: math.inf})
+
+    def test_infinite_max_wait_allowed(self):
+        assert SimConfig(max_wait_s=math.inf).max_wait_s == math.inf
 
     def test_time_cap_raises(self):
         scn = tiny_scenario()
