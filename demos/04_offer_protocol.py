@@ -5,7 +5,7 @@ One offer round, step by step
 The scheduler advertises free windows as offers; waiting jobs answer with
 interest or a decline after a pure dry-run plan; a policy picks one
 winner; materialization re-validates the memoized plan under the grant
-and mints the subjobs.
+and mints the subjobs, the records the engine then runs to their end.
 No job state exists until that last step.
 """
 import numpy as np
@@ -63,10 +63,10 @@ print(f"granted to {grant.job_id}")
 
 # 4. Materialize: plan again under the grant, mint bounded subjobs.
 winner = next(j for j in jobs if j.spec.job_id == grant.job_id)
-subjobs, plans = materialize(winner, grant, offer.window, catalog, risk, seg)
+subjobs = materialize(winner, grant, offer.window, catalog, risk, seg)
 for sj in subjobs:
     print(f"  {sj.subjob_id}: wall [{sj.window_start_s:.0f} s, "
-          f"{sj.window_start_s + sj.window_duration_s:.0f} s), "
+          f"{sj.reserved_end_s:.0f} s), "
           f"work [{sj.pos_from_s:.0f} s, {sj.pos_to_s:.0f} s) "
           f"at {sj.slice_capacity_mb / 1024:.0f} GB, "
           f"p(fit)={sj.admission_probability:.2f}")

@@ -2,7 +2,7 @@
 
 Library layout:
 
-- profiles: quantile envelopes, admission checks, continuation forecasts
+- profiles: quantile envelopes, admission checks, runtime distributions
 - workload: phase-model trajectory generation, jobs, scenario files
 - cluster: sliced GPUs, reservation timelines, gap discovery
 - segmentation: slack-minimizing window splitting with hysteresis
@@ -36,7 +36,6 @@ from .profiles import (
     deadline_admissible,
     envelope_peak,
     memory_admissible,
-    predict_continuation,
     refresh_profile,
 )
 from .scenarios import SCENARIO_BUILDERS, export_scenario

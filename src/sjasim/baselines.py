@@ -42,12 +42,19 @@ BASELINE_KINDS = (FIRST_FIT, BEST_FIT, MOLDABLE, PREEMPT_MIGRATE)
 
 @dataclass(frozen=True)
 class BaselineParams:
-    kind: str = FIRST_FIT
-    migrate_bandwidth_mb_s: float = 1024.0
-    migrate_fixed_overhead_s: float = 5.0
-    ckpt_interval_s: float = 600.0
-    # capacity_mb -> runtime multiplier; classes not listed run at 1.0
-    speedup_table: dict[int, float] = field(default_factory=dict)
+    kind: str = FIRST_FIT  # set per run from the scheduler, so it has no config key
+    migrate_bandwidth_mb_s: float = field(
+        default=1024.0, metadata={"key": "baseline.migrate_bandwidth_mb_s"}
+    )
+    migrate_fixed_overhead_s: float = field(
+        default=5.0, metadata={"key": "baseline.migrate_fixed_overhead_s"}
+    )
+    ckpt_interval_s: float = field(default=600.0, metadata={"key": "baseline.ckpt_interval_s"})
+    # capacity_mb -> runtime multiplier, one key per class: baseline.speedup.<capacity>;
+    # classes not listed run at 1.0
+    speedup_table: dict[int, float] = field(
+        default_factory=dict, metadata={"key": "baseline.speedup."}
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in BASELINE_KINDS:

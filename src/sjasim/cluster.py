@@ -40,7 +40,9 @@ class ReservationNotFound(KeyError):
 class SliceCatalog:
     """Ascending menu of slice capacities the hardware can be carved into."""
 
-    capacities_mb: tuple[int, ...] = (5120, 10240, 20480, 40960)
+    capacities_mb: tuple[int, ...] = field(
+        default=(5120, 10240, 20480, 40960), metadata={"key": "cluster.catalog"}
+    )
 
     def __post_init__(self) -> None:
         caps = tuple(self.capacities_mb)

@@ -5,19 +5,24 @@ comments and blank lines ignored. Keys carry a section prefix
 (`risk.eps`, `cluster.gpus`, `policy.budget.<tenant>`, ...); unknown keys
 are rejected. Precedence is defaults < file < explicit overrides.
 
+The keys are not listed here. Each leaf field of SimConfig, nested ones
+included, names its key in field metadata, and the field's type picks the
+parser and formatter; a dict field is a key family with one key per entry
+(`baseline.speedup.<capacity>`). The `run.*` keys are RunConfig's own
+fields, declared the same way.
+
 resolve() renders the fully resolved state, one sorted key per line.
 Loading that text back yields an identical configuration, so the echo
 written next to a run's artifacts is sufficient to reproduce the run.
 """
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
-from .baselines import BaselineParams
-from .cluster import SliceCatalog
-from .policies import POLICY_KINDS, GrantPolicy
 from .simcore import SCHEDULERS, SimConfig
 
 __all__ = [
@@ -57,96 +62,6 @@ def normalize_scheduler(name: str) -> str:
             f"unknown scheduler {name!r}; choose from sja, first-fit, best-fit, "
             "moldable, preempt"
         ) from None
-
-
-@dataclass
-class RunConfig:
-    """Everything a run needs beyond the scenario file's own content."""
-
-    scenario_path: str = ""
-    scheduler: str = "sja"
-    seeds: tuple[int, ...] = (0,)
-    output_dir: str = ""
-    eps: float = 0.05
-    alpha_t: float = 0.05
-    tau_min_s: float = 300.0
-    tau_max_s: float = 3600.0
-    smoothing_window_s: float = 120.0
-    hysteresis_delta: float = 0.15
-    lookahead_s: float = 1800.0
-    round_cadence_s: float = 60.0
-    offer_ttl_s: float = 60.0
-    max_concurrent_subjobs_per_job: int = 1
-    policy_kind: str = "fifo"
-    cost_rate: float = 1.0
-    token_budgets: dict[str, float] = field(default_factory=dict)
-    gpus: int = 1
-    slices_per_gpu: tuple[int, ...] = (20480, 10240, 5120, 5120)
-    catalog: tuple[int, ...] = (5120, 10240, 20480, 40960)
-    failure_rate_per_hour: float = 0.0
-    online_correction: bool = True
-    max_oom_retries: int = 3
-    n_historical_runs: int | None = None
-    single_run_inflation: float = 1.10
-    max_wait_s: float = math.inf
-    sim_time_cap_s: float = 7 * 86400.0
-    ckpt_interval_s: float = 600.0
-    migrate_bandwidth_mb_s: float = 1024.0
-    migrate_fixed_overhead_s: float = 5.0
-    speedup_table: dict[int, float] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        self.scheduler = normalize_scheduler(self.scheduler)
-        assert self.scheduler in SCHEDULERS
-        if not self.seeds:
-            raise ConfigError("run.seeds must name at least one seed")
-        if not 0.0 < self.eps < 1.0:
-            raise ConfigError("risk.eps must lie in (0, 1)")
-        if not 0.0 < self.alpha_t < 1.0:
-            raise ConfigError("risk.alpha_t must lie in (0, 1)")
-        if self.policy_kind not in POLICY_KINDS:
-            raise ConfigError(
-                f"unknown policy.kind {self.policy_kind!r}; choose from {POLICY_KINDS}"
-            )
-        try:
-            self.to_sim_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def to_sim_config(self) -> SimConfig:
-        return SimConfig(
-            eps=self.eps,
-            alpha_t=self.alpha_t,
-            tau_min_s=self.tau_min_s,
-            tau_max_s=self.tau_max_s,
-            smoothing_window_s=self.smoothing_window_s,
-            hysteresis_delta=self.hysteresis_delta,
-            lookahead_s=self.lookahead_s,
-            round_cadence_s=self.round_cadence_s,
-            offer_ttl_s=self.offer_ttl_s,
-            max_concurrent_subjobs_per_job=self.max_concurrent_subjobs_per_job,
-            policy=GrantPolicy(
-                kind=self.policy_kind,
-                cost_rate=self.cost_rate,
-                token_budgets=dict(self.token_budgets),
-            ),
-            gpus=self.gpus,
-            slices_per_gpu=tuple(self.slices_per_gpu),
-            catalog=SliceCatalog(tuple(self.catalog)),
-            failure_rate_per_hour=self.failure_rate_per_hour,
-            online_correction=self.online_correction,
-            max_oom_retries=self.max_oom_retries,
-            n_historical_runs=self.n_historical_runs,
-            single_run_inflation=self.single_run_inflation,
-            max_wait_s=self.max_wait_s,
-            sim_time_cap_s=self.sim_time_cap_s,
-            baseline=BaselineParams(
-                migrate_bandwidth_mb_s=self.migrate_bandwidth_mb_s,
-                migrate_fixed_overhead_s=self.migrate_fixed_overhead_s,
-                ckpt_interval_s=self.ckpt_interval_s,
-                speedup_table=dict(self.speedup_table),
-            ),
-        )
 
 
 # --- value codecs -----------------------------------------------------------
@@ -189,81 +104,108 @@ def _parse_opt_int(raw: str) -> int | None:
     return None if raw.strip().lower() == "none" else _parse_int(raw)
 
 
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
-def _fmt_bool(v: bool) -> str:
-    return "true" if v else "false"
-
-
-def _fmt_int_tuple(v: tuple[int, ...]) -> str:
-    return ",".join(str(x) for x in v)
-
-
-# key -> (attribute, parse, format)
-_KEYS: dict[str, tuple[str, object, object]] = {
-    "run.scenario": ("scenario_path", str.strip, str),
-    "run.scheduler": ("scheduler", lambda r: normalize_scheduler(r), str),
-    "run.seeds": ("seeds", _parse_int_tuple, _fmt_int_tuple),
-    "run.output_dir": ("output_dir", str.strip, str),
-    "risk.eps": ("eps", _parse_float, _fmt_float),
-    "risk.alpha_t": ("alpha_t", _parse_float, _fmt_float),
-    "segmentation.tau_min_s": ("tau_min_s", _parse_float, _fmt_float),
-    "segmentation.tau_max_s": ("tau_max_s", _parse_float, _fmt_float),
-    "segmentation.smoothing_window_s": ("smoothing_window_s", _parse_float, _fmt_float),
-    "segmentation.hysteresis_delta": ("hysteresis_delta", _parse_float, _fmt_float),
-    "protocol.lookahead_s": ("lookahead_s", _parse_float, _fmt_float),
-    "protocol.round_cadence_s": ("round_cadence_s", _parse_float, _fmt_float),
-    "protocol.offer_ttl_s": ("offer_ttl_s", _parse_float, _fmt_float),
-    "protocol.max_concurrent_subjobs_per_job": (
-        "max_concurrent_subjobs_per_job", _parse_int, str,
-    ),
-    "policy.kind": ("policy_kind", str.strip, str),
-    "policy.cost_rate": ("cost_rate", _parse_float, _fmt_float),
-    "cluster.gpus": ("gpus", _parse_int, str),
-    "cluster.slices_per_gpu": ("slices_per_gpu", _parse_int_tuple, _fmt_int_tuple),
-    "cluster.catalog": ("catalog", _parse_int_tuple, _fmt_int_tuple),
-    "engine.failure_rate_per_hour": ("failure_rate_per_hour", _parse_float, _fmt_float),
-    "engine.online_correction": ("online_correction", _parse_bool, _fmt_bool),
-    "engine.max_oom_retries": ("max_oom_retries", _parse_int, str),
-    "engine.n_historical_runs": (
-        "n_historical_runs", _parse_opt_int, lambda v: "none" if v is None else str(v),
-    ),
-    "engine.single_run_inflation": ("single_run_inflation", _parse_float, _fmt_float),
-    "engine.max_wait_s": ("max_wait_s", _parse_float, _fmt_float),
-    "engine.sim_time_cap_s": ("sim_time_cap_s", _parse_float, _fmt_float),
-    "baseline.ckpt_interval_s": ("ckpt_interval_s", _parse_float, _fmt_float),
-    "baseline.migrate_bandwidth_mb_s": (
-        "migrate_bandwidth_mb_s", _parse_float, _fmt_float,
-    ),
-    "baseline.migrate_fixed_overhead_s": (
-        "migrate_fixed_overhead_s", _parse_float, _fmt_float,
-    ),
+# field type -> (parse, format)
+_CODECS = {
+    str: (str.strip, str),
+    float: (_parse_float, lambda v: repr(float(v))),
+    int: (_parse_int, str),
+    bool: (_parse_bool, lambda v: "true" if v else "false"),
+    int | None: (_parse_opt_int, lambda v: "none" if v is None else str(v)),
+    tuple[int, ...]: (_parse_int_tuple, lambda v: ",".join(str(x) for x in v)),
 }
 
-_BUDGET_PREFIX = "policy.budget."
-_SPEEDUP_PREFIX = "baseline.speedup."
+
+def _keyed_fields(obj):
+    """(key, field, type, value) of each keyed field of a dataclass, nested ones included."""
+    types = get_type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if "key" in f.metadata:
+            yield f.metadata["key"], f, types[f.name], value
+        elif is_dataclass(value):
+            yield from _keyed_fields(value)
+
+
+_SIM_DEFAULTS = SimConfig()
+_DEFAULTS = {key: value for key, _f, _t, value in _keyed_fields(_SIM_DEFAULTS)}
+_ENGINE_TYPES = {key: t for key, _f, t, _v in _keyed_fields(_SIM_DEFAULTS)}
+# Key families (policy.budget.<tenant>): family prefix -> (entry-name type, value type).
+_FAMILIES = {key: get_args(t) for key, t in _ENGINE_TYPES.items() if get_origin(t) is dict}
+
+
+@dataclass
+class RunConfig:
+    """Everything a run needs beyond the scenario file's own content.
+
+    `engine` holds the SimConfig values by dotted key, starting at
+    SimConfig's defaults. Only to_sim_config() assembles them, so the order
+    of keys in a file never matters.
+    """
+
+    scenario_path: str = field(default="", metadata={"key": "run.scenario"})
+    scheduler: str = field(
+        default="sja", metadata={"key": "run.scheduler", "parse": normalize_scheduler}
+    )
+    seeds: tuple[int, ...] = field(default=(0,), metadata={"key": "run.seeds"})
+    output_dir: str = field(default="", metadata={"key": "run.output_dir"})
+    # Dict values are replaced, never mutated, so defaults stay shared safely.
+    engine: dict[str, object] = field(default_factory=lambda: dict(_DEFAULTS))
+
+    def validate(self) -> None:
+        self.scheduler = normalize_scheduler(self.scheduler)
+        assert self.scheduler in SCHEDULERS
+        if not self.seeds:
+            raise ConfigError("run.seeds must name at least one seed")
+        for key in ("risk.eps", "risk.alpha_t"):
+            if not 0.0 < self.engine[key] < 1.0:
+                raise ConfigError(f"{key} must lie in (0, 1)")
+        try:
+            self.to_sim_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def to_sim_config(self) -> SimConfig:
+        return _build(_SIM_DEFAULTS, self.engine)
+
+
+def _build(template, values: dict[str, object]):
+    """Copy of dataclass `template` with every keyed field taken from values.
+
+    Dict values are copied, so the built config shares no mutable state.
+    """
+    changes = {}
+    for f in fields(template):
+        value = getattr(template, f.name)
+        if "key" in f.metadata:
+            changes[f.name] = copy.copy(values[f.metadata["key"]])
+        elif is_dataclass(value):
+            changes[f.name] = _build(value, values)
+    return replace(template, **changes)
+
+
+_RUN_FIELDS = {key: (f, t) for key, f, t, _v in _keyed_fields(RunConfig())}
 
 
 def set_key(cfg: RunConfig, key: str, raw: str) -> None:
     """Assign one dotted key; raises ConfigError for unknown keys/values."""
     key = key.strip()
-    if key.startswith(_BUDGET_PREFIX):
-        tenant = key[len(_BUDGET_PREFIX):]
-        if not tenant:
-            raise ConfigError("policy.budget. needs a tenant name")
-        cfg.token_budgets[tenant] = _parse_float(raw)
+    if key in _RUN_FIELDS:
+        f, t = _RUN_FIELDS[key]
+        setattr(cfg, f.name, f.metadata.get("parse", _CODECS[t][0])(raw))
         return
-    if key.startswith(_SPEEDUP_PREFIX):
-        cap = _parse_int(key[len(_SPEEDUP_PREFIX):])
-        cfg.speedup_table[cap] = _parse_float(raw)
+    if key in _ENGINE_TYPES and key not in _FAMILIES:
+        cfg.engine[key] = _CODECS[_ENGINE_TYPES[key]][0](raw)
         return
-    try:
-        attr, parse, _fmt = _KEYS[key]
-    except KeyError:
-        raise ConfigError(f"unknown config key {key!r}") from None
-    setattr(cfg, attr, parse(raw))
+    family = next((p for p in _FAMILIES if key.startswith(p)), None)
+    if family is None:
+        raise ConfigError(f"unknown config key {key!r}")
+    name_type, value_type = _FAMILIES[family]
+    name = key[len(family):]
+    if not name:
+        raise ConfigError(f"{family} needs an entry name")
+    entries = dict(cfg.engine[family])
+    entries[_CODECS[name_type][0](name)] = _CODECS[value_type][0](raw)
+    cfg.engine[family] = entries
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -295,23 +237,14 @@ def resolve(cfg: RunConfig) -> str:
     Parsing the result back produces an equal RunConfig, so the echo file
     alone pins down a run.
     """
-    entries: dict[str, str] = {}
-    for key, (attr, _parse, fmt) in _KEYS.items():
-        entries[key] = fmt(getattr(cfg, attr))
-    for tenant, budget in cfg.token_budgets.items():
-        entries[f"{_BUDGET_PREFIX}{tenant}"] = _fmt_float(budget)
-    for cap, mult in cfg.speedup_table.items():
-        entries[f"{_SPEEDUP_PREFIX}{cap}"] = _fmt_float(mult)
+    entries = {
+        key: _CODECS[t][1](getattr(cfg, f.name)) for key, (f, t) in _RUN_FIELDS.items()
+    }
+    for key, value in cfg.engine.items():
+        if key in _FAMILIES:
+            fmt = _CODECS[_FAMILIES[key][1]][1]
+            entries.update((f"{key}{name}", fmt(v)) for name, v in value.items())
+        else:
+            entries[key] = _CODECS[_ENGINE_TYPES[key]][1](value)
     lines = [f"{key} = {entries[key]}" for key in sorted(entries)]
     return "\n".join(lines) + "\n"
-
-
-def _unused_field_check() -> None:
-    # Every RunConfig field must be reachable from some config key, so the
-    # resolved echo really does pin the whole run.
-    mapped = {attr for attr, _p, _f in _KEYS.values()} | {"token_budgets", "speedup_table"}
-    missing = [f.name for f in fields(RunConfig) if f.name not in mapped]
-    assert not missing, f"config keys missing for: {missing}"
-
-
-_unused_field_check()

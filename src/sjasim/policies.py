@@ -28,13 +28,17 @@ POLICY_KINDS = ("fifo", "priority", "edf", "fair_tokens")
 
 @dataclass(frozen=True)
 class GrantPolicy:
-    kind: str = "fifo"
-    cost_rate: float = 1.0  # tokens per GB-minute of offered window
-    token_budgets: dict[str, float] = field(default_factory=dict)
+    kind: str = field(default="fifo", metadata={"key": "policy.kind"})
+    # tokens per GB-minute of offered window
+    cost_rate: float = field(default=1.0, metadata={"key": "policy.cost_rate"})
+    # one key per tenant: policy.budget.<tenant>
+    token_budgets: dict[str, float] = field(
+        default_factory=dict, metadata={"key": "policy.budget."}
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
+            raise ValueError(f"unknown policy.kind {self.kind!r}; choose from {POLICY_KINDS}")
         if self.cost_rate < 0:
             raise ValueError("cost_rate must be >= 0")
 

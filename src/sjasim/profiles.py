@@ -3,8 +3,7 @@
 A job's memory demand is modeled as a function of job-relative time on a
 uniform grid. From an ensemble of recorded runs we build pointwise upper
 quantile envelopes, admission checks (pointwise-envelope and joint-window),
-runtime distributions for deadline screening, and nearest-neighbor
-continuation forecasts for partially observed runs.
+and runtime distributions for deadline screening.
 
 Quantile rule used throughout: nearest-rank, i.e. the ceil(q * n)-th order
 statistic of the n values supported at a grid point. No interpolation. Runs
@@ -27,13 +26,11 @@ __all__ = [
     "RiskParams",
     "EnvelopePeak",
     "AdmissionDecision",
-    "Continuation",
     "build_profile",
     "single_run_profile",
     "envelope_peak",
     "memory_admissible",
     "deadline_admissible",
-    "predict_continuation",
     "refresh_profile",
     "write_trajectory",
     "read_trajectory",
@@ -364,65 +361,6 @@ def deadline_admissible(
     scaled = profile.runtime_samples * remaining_work_fraction
     prob = float(np.mean(scaled <= deadline_from_now))
     return AdmissionDecision(prob >= 1.0 - alpha_t, prob, "deadline")
-
-
-@dataclass(frozen=True)
-class Continuation:
-    """Forecast for the remainder of a partially observed run."""
-
-    grid_step: float
-    start_index: int          # first forecast sample = this grid index
-    median: np.ndarray
-    band_low: np.ndarray      # pointwise 25th percentile of neighbor suffixes
-    band_high: np.ndarray     # pointwise 75th percentile
-    neighbor_indices: tuple[int, ...]
-
-    @property
-    def empty(self) -> bool:
-        return self.median.size == 0
-
-
-def predict_continuation(
-    profile: FunctionalProfile, observed_prefix: np.ndarray, k: int = 5
-) -> Continuation:
-    """Forecast the suffix from the k historical runs nearest the prefix.
-
-    Distance is RMS over the overlapping grid (runs shorter than the prefix
-    compare over their own full length). The forecast is the pointwise
-    median of the k neighbor suffixes with a 25th-75th percentile band.
-    """
-    if profile.source is None:
-        raise UnsupportedQuery("continuation needs the source ensemble")
-    prefix = np.asarray(observed_prefix, dtype=float)
-    if prefix.ndim != 1 or prefix.size == 0:
-        raise ProfileError("observed_prefix must be a non-empty 1-d array")
-    runs = profile.source.runs
-    if not 1 <= k <= len(runs):
-        raise ProfileError(f"k must lie in [1, {len(runs)}]")
-    p = len(prefix)
-    dists = []
-    for idx, run in enumerate(runs):
-        overlap = min(p, len(run))
-        d = float(np.sqrt(np.mean((run[:overlap] - prefix[:overlap]) ** 2)))
-        dists.append((d, idx))
-    dists.sort()
-    chosen = tuple(idx for _, idx in dists[:k])
-    suffixes = [runs[i][p:] for i in chosen]
-    max_len = max((len(s) for s in suffixes), default=0)
-    if max_len == 0:
-        empty = np.array([])
-        return Continuation(profile.grid_step, p, empty, empty.copy(), empty.copy(), chosen)
-    padded = np.full((len(suffixes), max_len), np.nan)
-    for i, s in enumerate(suffixes):
-        padded[i, : len(s)] = s
-    return Continuation(
-        grid_step=profile.grid_step,
-        start_index=p,
-        median=_column_quantiles(padded, 0.5),
-        band_low=_column_quantiles(padded, 0.25),
-        band_high=_column_quantiles(padded, 0.75),
-        neighbor_indices=chosen,
-    )
 
 
 def refresh_profile(

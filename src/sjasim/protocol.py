@@ -8,18 +8,17 @@ No subjob state is created until a grant is issued.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import policies as _policies
 from .cluster import ExecutionWindow, SliceCatalog
 from .profiles import RiskParams, memory_admissible
-from .segmentation import FragmentPlan, PlanRefusal, SegmentationConfig, plan_segments
-from .workload import PLANNED, Checkpoint, JobRuntime, SubJob
+from .segmentation import PlanRefusal, SegmentationConfig, plan_segments
+from .workload import JobRuntime, SubJob
 
 __all__ = [
     "Offer",
     "InterestSignal",
-    "Preference",
     "Grant",
     "advertise",
     "collect_interest",
@@ -30,7 +29,6 @@ __all__ = [
 
 INTEREST = "interest"
 DECLINE = "decline"
-PREFERENCE = "preference"
 
 
 @dataclass(frozen=True)
@@ -48,20 +46,10 @@ class Offer:
 
 
 @dataclass(frozen=True)
-class Preference:
-    """Optional urgency hints attached to an interest signal."""
-
-    deadline_s: float | None
-    checkpoint_size_mb: float
-    priority: int
-
-
-@dataclass(frozen=True)
 class InterestSignal:
     offer_id: str
     job_id: str
     kind: str  # interest | decline
-    preference: Preference | None = None
     reason: str = ""
 
 
@@ -103,7 +91,7 @@ def collect_interest(
 
     A job signals interest iff segmentation yields at least one admissible
     fragment. Non-atomizable jobs always decline (they take the
-    conventional placement path). Jobs with deadlines attach a preference.
+    conventional placement path).
     resume_positions lets the caller pipeline a job that already holds
     planned subjobs: its plan starts where the pending work ends.
     """
@@ -131,14 +119,7 @@ def collect_interest(
                 InterestSignal(offer.offer_id, job.spec.job_id, DECLINE, reason=result.reason)
             )
             continue
-        pref = None
-        if job.spec.deadline_s is not None:
-            pref = Preference(
-                deadline_s=job.spec.deadline_s,
-                checkpoint_size_mb=job.spec.checkpoint_size_mb,
-                priority=job.spec.priority,
-            )
-        signals.append(InterestSignal(offer.offer_id, job.spec.job_id, INTEREST, pref))
+        signals.append(InterestSignal(offer.offer_id, job.spec.job_id, INTEREST))
     return signals
 
 
@@ -165,8 +146,8 @@ def materialize(
     seg: SegmentationConfig,
     online_correction: bool = True,
     start_position_s: float | None = None,
-) -> tuple[list[SubJob], list[FragmentPlan]] | MaterializeRefusal:
-    """Re-validate the plan under the grant and mint SubJob records.
+) -> tuple[SubJob, ...] | MaterializeRefusal:
+    """Re-validate the plan under the grant and mint its SubJob records.
 
     The plan is looked up again with plan_segments. When nothing changed
     since interest was signaled this is a cache hit on the job's profile;
@@ -197,29 +178,9 @@ def materialize(
     )
     span = job.actual_duration_s
     subjobs: list[SubJob] = []
-    kept: list[FragmentPlan] = []
     for i, plan in enumerate(result):
         if plan.pos_from_s >= span - 1e-9:
             break
-        subjobs.append(
-            SubJob(
-                subjob_id=job.next_subjob_id(),
-                parent=job.spec.job_id,
-                window_start_s=plan.wall_start_s,
-                window_duration_s=plan.duration_s,
-                slice_id=window.slice_id,
-                slice_capacity_mb=plan.capacity_mb,
-                work_from=job.fraction_at(plan.pos_from_s),
-                work_to=job.fraction_at(plan.pos_to_s),
-                predicted_peak_mb=plan.predicted_peak_mb,
-                status=PLANNED,
-                resume_from=job.last_checkpoint if i == 0 and not chained else None,
-                offer_id=granted.offer_id,
-                admission_probability=plan.admission_probability,
-                pos_from_s=plan.pos_from_s,
-                pos_to_s=plan.pos_to_s,
-            )
-        )
         envelope = memory_admissible(
             job.profile,
             plan.capacity_mb,
@@ -227,7 +188,26 @@ def materialize(
             risk.eps,
             "envelope",
         )
-        kept.append(replace(plan, methods_disagree=not envelope.admissible))
+        subjobs.append(
+            SubJob(
+                subjob_id=job.next_subjob_id(),
+                job_id=job.spec.job_id,
+                slice_id=window.slice_id,
+                physical_capacity_mb=window.capacity_mb,
+                slice_capacity_mb=plan.capacity_mb,
+                window_start_s=plan.wall_start_s,
+                window_duration_s=plan.duration_s,
+                pos_from_s=plan.pos_from_s,
+                pos_to_s=plan.pos_to_s,
+                offer_id=granted.offer_id,
+                work_from=job.fraction_at(plan.pos_from_s),
+                work_to=job.fraction_at(plan.pos_to_s),
+                predicted_peak_mb=plan.predicted_peak_mb,
+                admission_probability=plan.admission_probability,
+                methods_disagree=not envelope.admissible,
+                resume_from=job.last_checkpoint if i == 0 and not chained else None,
+            )
+        )
     if not subjobs:
         return MaterializeRefusal("no materializable fragment before job end")
-    return subjobs, kept
+    return tuple(subjobs)

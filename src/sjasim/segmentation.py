@@ -238,11 +238,7 @@ def _chop(a: int, b: int, tmin: int, tmax: int) -> list[tuple[int, int]] | None:
 
 @dataclass(frozen=True)
 class FragmentPlan:
-    """One plannable subjob: wall window plus job-relative work positions.
-
-    methods_disagree is False from the dry run; materialize sets it on kept
-    fragments that pass joint admission but fail envelope admission.
-    """
+    """One plannable subjob: wall window plus job-relative work positions."""
 
     wall_start_s: float
     duration_s: float
@@ -251,8 +247,6 @@ class FragmentPlan:
     pos_to_s: float
     predicted_peak_mb: float
     admission_probability: float
-    admission_truncated: bool = False
-    methods_disagree: bool = False
 
 
 @dataclass(frozen=True)
@@ -367,7 +361,6 @@ def _plan(
                 pos_to_s=pos_to,
                 predicted_peak_mb=peak,
                 admission_probability=decision.probability,
-                admission_truncated=decision.truncated,
             )
         )
     if not plans:

@@ -66,7 +66,7 @@ from .protocol import (
     materialize,
 )
 from .segmentation import SegmentationConfig
-from .workload import Checkpoint, JobRuntime, JobSpec, generate_trajectory
+from .workload import Checkpoint, JobRuntime, JobSpec, SubJob, generate_trajectory
 
 __all__ = [
     "SCHEDULERS",
@@ -129,29 +129,47 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Engine knobs. The scheduler itself is chosen per run, not here."""
+    """Engine knobs. The scheduler itself is chosen per run, not here.
 
-    eps: float = 0.05
-    alpha_t: float = 0.05
-    tau_min_s: float = 300.0
-    tau_max_s: float = 3600.0
-    smoothing_window_s: float = 120.0
-    hysteresis_delta: float = 0.15
-    lookahead_s: float = 1800.0
-    round_cadence_s: float = 60.0
-    offer_ttl_s: float = 60.0
-    max_concurrent_subjobs_per_job: int = 1
+    Every leaf field, nested ones included, names its config-file key in
+    its metadata; sjasim.config derives parsing and the echo from those.
+    """
+
+    eps: float = field(default=0.05, metadata={"key": "risk.eps"})
+    alpha_t: float = field(default=0.05, metadata={"key": "risk.alpha_t"})
+    tau_min_s: float = field(default=300.0, metadata={"key": "segmentation.tau_min_s"})
+    tau_max_s: float = field(default=3600.0, metadata={"key": "segmentation.tau_max_s"})
+    smoothing_window_s: float = field(
+        default=120.0, metadata={"key": "segmentation.smoothing_window_s"}
+    )
+    hysteresis_delta: float = field(
+        default=0.15, metadata={"key": "segmentation.hysteresis_delta"}
+    )
+    lookahead_s: float = field(default=1800.0, metadata={"key": "protocol.lookahead_s"})
+    round_cadence_s: float = field(default=60.0, metadata={"key": "protocol.round_cadence_s"})
+    offer_ttl_s: float = field(default=60.0, metadata={"key": "protocol.offer_ttl_s"})
+    max_concurrent_subjobs_per_job: int = field(
+        default=1, metadata={"key": "protocol.max_concurrent_subjobs_per_job"}
+    )
     policy: GrantPolicy = field(default_factory=GrantPolicy)
-    gpus: int = 1
-    slices_per_gpu: tuple[int, ...] = (20480, 10240, 5120, 5120)
+    gpus: int = field(default=1, metadata={"key": "cluster.gpus"})
+    slices_per_gpu: tuple[int, ...] = field(
+        default=(20480, 10240, 5120, 5120), metadata={"key": "cluster.slices_per_gpu"}
+    )
     catalog: SliceCatalog = DEFAULT_CATALOG
-    failure_rate_per_hour: float = 0.0
-    online_correction: bool = True
-    max_oom_retries: int = 3
-    n_historical_runs: int | None = None
-    single_run_inflation: float = 1.10
-    max_wait_s: float = math.inf
-    sim_time_cap_s: float = 7 * 86400.0
+    failure_rate_per_hour: float = field(
+        default=0.0, metadata={"key": "engine.failure_rate_per_hour"}
+    )
+    online_correction: bool = field(default=True, metadata={"key": "engine.online_correction"})
+    max_oom_retries: int = field(default=3, metadata={"key": "engine.max_oom_retries"})
+    n_historical_runs: int | None = field(
+        default=None, metadata={"key": "engine.n_historical_runs"}
+    )
+    single_run_inflation: float = field(
+        default=1.10, metadata={"key": "engine.single_run_inflation"}
+    )
+    max_wait_s: float = field(default=math.inf, metadata={"key": "engine.max_wait_s"})
+    sim_time_cap_s: float = field(default=7 * 86400.0, metadata={"key": "engine.sim_time_cap_s"})
     baseline: BaselineParams = field(default_factory=BaselineParams)
 
     def __post_init__(self) -> None:
@@ -163,6 +181,15 @@ class SimConfig:
             raise ValueError("round cadence and offer ttl must be positive")
         if self.lookahead_s <= 0:
             raise ValueError("lookahead must be positive")
+        # An infinite rate re-arms failures at zero delay, so the clock never
+        # reaches the cap; a nan cap would switch the cap off.
+        rate = self.failure_rate_per_hour
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ValueError("failure_rate_per_hour must be finite and >= 0")
+        if not self.sim_time_cap_s > 0:
+            raise ValueError("sim_time_cap_s must be positive")
+        if math.isnan(self.max_wait_s):
+            raise ValueError("max_wait_s must not be nan")
         if self.n_historical_runs is not None and self.n_historical_runs < 1:
             raise ValueError("n_historical_runs must be >= 1")
         if self.max_oom_retries < 0:
@@ -215,26 +242,6 @@ def draw_actual_runs(
             pick = int(rng.integers(len(ens.runs)))
             out[spec.job_id] = ens.runs[pick].copy()
     return out
-
-
-@dataclass
-class _Unit:
-    """One running or planned occupancy of a slice (subjob or whole job)."""
-
-    unit_id: str
-    job_id: str
-    kind: str  # "subjob" | "monolithic"
-    slice_id: str
-    physical_capacity_mb: int
-    enforce_capacity_mb: float  # assigned class (subjob) or physical (monolithic)
-    start_s: float
-    pos_from_s: float
-    pos_to_planned_s: float
-    reserved_end_s: float
-    res_owner: str
-    multiplier: float = 1.0
-    offer_id: str | None = None
-    started: bool = False
 
 
 @dataclass(frozen=True)
@@ -359,7 +366,7 @@ class _Engine:
         self._granted_offers: set[str] = set()
         self._arrivals_pending = len(self._order)
         self._n_terminal = 0
-        self.units: dict[str, _Unit] = {}
+        self.units: dict[str, SubJob] = {}
 
         self.event_log: list[dict] = []
         self.archive: list[tuple[str, int, float, float, str, str]] = []
@@ -388,12 +395,7 @@ class _Engine:
         n = self.cfg.n_historical_runs
         levels = (self.cfg.eps,)
         if n is not None and n < len(ens.runs):
-            if n == 1:
-                return single_run_profile(
-                    ens.runs[0], ens.grid_step, self.cfg.single_run_inflation, levels
-                )
-            subset = TrajectoryEnsemble(grid_step=ens.grid_step, runs=ens.runs[:n])
-            return build_profile(subset, levels)
+            ens = TrajectoryEnsemble(grid_step=ens.grid_step, runs=ens.runs[:n])
         if len(ens.runs) == 1:
             return single_run_profile(
                 ens.runs[0], ens.grid_step, self.cfg.single_run_inflation, levels
@@ -499,20 +501,32 @@ class _Engine:
                     if other.spec.ensemble_key == key:
                         other.profile = fresh
 
-    def _archive_span(self, unit: _Unit, end: float) -> None:
-        if end <= unit.start_s + _EPS:
-            return
+    def _reached_idx(self, unit: SubJob) -> int:
+        """Grid index of job progress a running unit has reached by now."""
+        steps = int((self.now - unit.window_start_s) / (self.h * unit.multiplier) + _EPS)
+        return int(round(unit.pos_from_s / self.h)) + steps
+
+    def _close(self, unit: SubJob, end_idx: int) -> None:
+        """Account a unit that stops now at grid index end_idx: memory used,
+        the unused tail of its reservation, and its busy span on the slice."""
         job = self.jobs[unit.job_id]
-        self.archive.append(
-            (
-                unit.slice_id,
-                unit.physical_capacity_mb,
-                unit.start_s,
-                end,
-                unit.job_id,
-                job.spec.tenant_id,
-            )
+        i0 = int(round(unit.pos_from_s / self.h))
+        self.used_mem_time += (
+            float(np.sum(job.actual[i0:end_idx])) * self.h * unit.multiplier
         )
+        if self.now < unit.reserved_end_s - _EPS:
+            release_tail(self.cluster, unit.res_owner, self.now)
+        if self.now > unit.window_start_s + _EPS:
+            self.archive.append(
+                (
+                    unit.slice_id,
+                    unit.physical_capacity_mb,
+                    unit.window_start_s,
+                    self.now,
+                    unit.job_id,
+                    job.spec.tenant_id,
+                )
+            )
 
     def _cancel_planned(self, job_id: str, reason: str) -> None:
         doomed = [
@@ -522,7 +536,7 @@ class _Engine:
         ]
         for uid in doomed:
             u = self.units.pop(uid)
-            release_tail(self.cluster, u.res_owner, u.start_s)
+            release_tail(self.cluster, u.res_owner, u.window_start_s)
             self._log("subjob_cancelled", unit=uid, job=job_id, reason=reason)
 
     # ------------------------------------------------------------------
@@ -557,17 +571,17 @@ class _Engine:
             job.first_start_s = self.now
         self._queue_note()
         i0 = int(round(unit.pos_from_s / self.h))
-        end_pos = min(unit.pos_to_planned_s, job.actual_duration_s)
+        end_pos = min(unit.pos_to_s, job.actual_duration_s)
         i1 = int(round(end_pos / self.h))
         self._log(
             "subjob_start",
             unit=unit_id,
             job=unit.job_id,
             slice=unit.slice_id,
-            capacity_mb=unit.enforce_capacity_mb,
+            capacity_mb=unit.slice_capacity_mb,
             pos_from_s=round(unit.pos_from_s, 6),
         )
-        over = np.nonzero(job.actual[i0:i1] > unit.enforce_capacity_mb + 1e-6)[0]
+        over = np.nonzero(job.actual[i0:i1] > unit.slice_capacity_mb + 1e-6)[0]
         if over.size:
             k = i0 + int(over[0])
             t_kill = self.now + (k - i0) * self.h * unit.multiplier
@@ -581,15 +595,9 @@ class _Engine:
         if unit is None:
             return
         job = self.jobs[unit.job_id]
-        i0 = int(round(unit.pos_from_s / self.h))
         end_pos = end_idx * self.h
-        self.used_mem_time += (
-            float(np.sum(job.actual[i0:end_idx])) * self.h * unit.multiplier
-        )
         job.position_s = max(job.position_s, end_pos)
-        if self.now < unit.reserved_end_s - _EPS:
-            release_tail(self.cluster, unit.res_owner, self.now)
-        self._archive_span(unit, self.now)
+        self._close(unit, end_idx)
         done = end_pos >= job.actual_duration_s - _EPS
         self._log(
             "subjob_end",
@@ -618,15 +626,11 @@ class _Engine:
         self._round_due = True
 
     def _kill_unit(
-        self, unit: _Unit, kill_idx: int, status_kind: str, reason_fields: dict
+        self, unit: SubJob, kill_idx: int, status_kind: str, reason_fields: dict
     ) -> None:
         """Shared teardown for OOM and injected kills; unit already popped."""
         job = self.jobs[unit.job_id]
-        i0 = int(round(unit.pos_from_s / self.h))
         kill_pos = kill_idx * self.h
-        self.used_mem_time += (
-            float(np.sum(job.actual[i0:kill_idx])) * self.h * unit.multiplier
-        )
         revert_pos = unit.pos_from_s
         if unit.kind == "monolithic" and self.scheduler == PREEMPT_MIGRATE:
             revert_pos = unit.pos_from_s + checkpointed_progress_s(
@@ -635,16 +639,14 @@ class _Engine:
         job.position_s = revert_pos
         lost = kill_pos - revert_pos
         job.reexecuted_s += lost
-        if self.now < unit.reserved_end_s - _EPS:
-            release_tail(self.cluster, unit.res_owner, self.now)
-        self._archive_span(unit, self.now)
+        self._close(unit, kill_idx)
         self._cancel_planned(unit.job_id, f"sibling {status_kind}")
         self._log(
             status_kind,
-            unit=unit.unit_id,
+            unit=unit.subjob_id,
             job=unit.job_id,
             kill_pos_s=round(kill_pos, 6),
-            planned_s=round(unit.pos_to_planned_s - unit.pos_from_s, 6),
+            planned_s=round(unit.pos_to_s - unit.pos_from_s, 6),
             lost_s=round(lost, 6),
             **reason_fields,
         )
@@ -667,7 +669,7 @@ class _Engine:
             kill_idx,
             "oom_kill",
             {
-                "capacity_mb": unit.enforce_capacity_mb,
+                "capacity_mb": unit.slice_capacity_mb,
                 "observed_mb": round(observed, 6),
             },
         )
@@ -685,9 +687,7 @@ class _Engine:
             victim_id = running[int(self._failure_rng.integers(len(running)))]
             unit = self.units.pop(victim_id)
             self.n_injected += 1
-            i0 = int(round(unit.pos_from_s / self.h))
-            steps = int((self.now - unit.start_s) / (self.h * unit.multiplier) + _EPS)
-            self._kill_unit(unit, i0 + steps, "failure_inject", {})
+            self._kill_unit(unit, self._reached_idx(unit), "failure_inject", {})
         if self._n_terminal < len(self._order):
             self._push(
                 self.now + float(self._failure_rng.exponential(mean)),
@@ -749,7 +749,7 @@ class _Engine:
             return [], {}
         extra: list[JobRuntime] = []
         resume: dict[str, float] = {}
-        by_job: dict[str, list[_Unit]] = {}
+        by_job: dict[str, list[SubJob]] = {}
         for u in self.units.values():
             if u.kind == "subjob":
                 by_job.setdefault(u.job_id, []).append(u)
@@ -761,7 +761,7 @@ class _Engine:
             if chains >= self.cfg.max_concurrent_subjobs_per_job:
                 continue
             wall_end = max(u.reserved_end_s for u in units)
-            pending = max(u.pos_to_planned_s for u in units)
+            pending = max(u.pos_to_s for u in units)
             if window_start < wall_end - _EPS:
                 continue
             if pending >= job.actual_duration_s - _EPS:
@@ -868,32 +868,17 @@ class _Engine:
                 reason=result.reason,
             )
             return False
-        subjobs, plans = result
         self._granted_offers.add(offer.offer_id)
-        for sj, plan in zip(subjobs, plans):
-            end = sj.window_start_s + sj.window_duration_s
-            reserve(self.cluster, sj.slice_id, sj.window_start_s, end, sj.subjob_id)
-            self.units[sj.subjob_id] = _Unit(
-                unit_id=sj.subjob_id,
-                job_id=sj.parent,
-                kind="subjob",
-                slice_id=sj.slice_id,
-                physical_capacity_mb=offer.window.capacity_mb,
-                enforce_capacity_mb=sj.slice_capacity_mb,
-                start_s=sj.window_start_s,
-                pos_from_s=sj.pos_from_s,
-                pos_to_planned_s=sj.pos_to_s,
-                reserved_end_s=end,
-                res_owner=sj.subjob_id,
-                offer_id=offer.offer_id,
-            )
+        for sj in result:
+            reserve(self.cluster, sj.slice_id, sj.window_start_s, sj.reserved_end_s, sj.subjob_id)
+            self.units[sj.subjob_id] = sj
             self._push(sj.window_start_s, "subjob_start", {"unit": sj.subjob_id})
             self.frag_admissions += 1
-            self.frag_disagreements += int(plan.methods_disagree)
+            self.frag_disagreements += int(sj.methods_disagree)
             self._log(
                 "subjob_created",
                 unit=sj.subjob_id,
-                job=sj.parent,
+                job=sj.job_id,
                 offer=offer.offer_id,
                 slice=sj.slice_id,
                 capacity_mb=sj.slice_capacity_mb,
@@ -927,18 +912,17 @@ class _Engine:
                 # job's real occupancy so nothing double-books it.
                 self._extend_reservation(p.slice_id, p.job_id, reserved_end)
             uid = job.next_placement_id()
-            self.units[uid] = _Unit(
-                unit_id=uid,
+            self.units[uid] = SubJob(
+                subjob_id=uid,
                 job_id=p.job_id,
-                kind="monolithic",
                 slice_id=p.slice_id,
                 physical_capacity_mb=p.capacity_mb,
-                enforce_capacity_mb=p.capacity_mb,
-                start_s=p.start_s,
+                slice_capacity_mb=p.capacity_mb,
+                window_start_s=p.start_s,
+                window_duration_s=reserved_end - p.start_s,
                 pos_from_s=job.position_s,
-                pos_to_planned_s=job.actual_duration_s,
-                reserved_end_s=reserved_end,
-                res_owner=p.job_id,
+                pos_to_s=job.actual_duration_s,
+                kind="monolithic",
                 multiplier=mult,
             )
             self._push(p.start_s, "subjob_start", {"unit": uid})
@@ -1000,13 +984,9 @@ class _Engine:
     def _preempt(self, unit_id: str, by_job: str) -> None:
         unit = self.units.pop(unit_id)
         job = self.jobs[unit.job_id]
-        i0 = int(round(unit.pos_from_s / self.h))
-        steps = int((self.now - unit.start_s) / (self.h * unit.multiplier) + _EPS)
-        cur_idx = i0 + steps
+        cur_idx = self._reached_idx(unit)
         cur_pos = cur_idx * self.h
-        self.used_mem_time += (
-            float(np.sum(job.actual[i0:cur_idx])) * self.h * unit.multiplier
-        )
+        self._close(unit, cur_idx)
         kept = checkpointed_progress_s(cur_pos - unit.pos_from_s, self.base_params)
         new_pos = unit.pos_from_s + kept
         lost = cur_pos - new_pos
@@ -1017,9 +997,6 @@ class _Engine:
         job.earliest_resume_s = self.now + delay
         job.status = "waiting"
         self.n_preemptions += 1
-        if self.now < unit.reserved_end_s - _EPS:
-            release_tail(self.cluster, unit.res_owner, self.now)
-        self._archive_span(unit, self.now)
         self._log(
             "preemption",
             unit=unit_id,

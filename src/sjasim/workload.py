@@ -7,9 +7,8 @@ parent's latest checkpoint.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +34,6 @@ WARMUP = "warmup"
 STEADY = "steady"
 BURST = "burst"
 PHASE_KINDS = (WARMUP, STEADY, BURST)
-
-PLANNED = "planned"
-RUNNING = "running"
-COMPLETED = "completed"
-FAILED_OOM = "failed_oom"
-FAILED_INJECTED = "failed_injected"
-SUBJOB_STATUSES = (PLANNED, RUNNING, COMPLETED, FAILED_OOM, FAILED_INJECTED)
 
 
 class ScenarioError(ValueError):
@@ -84,10 +76,6 @@ class PhaseModel:
     @property
     def total_duration_s(self) -> float:
         return sum(p.duration_s for p in self.phases)
-
-    @property
-    def nominal_peak_mb(self) -> float:
-        return max(p.base_mb + p.burst_amp_mb for p in self.phases)
 
 
 def generate_trajectory(
@@ -170,10 +158,16 @@ class JobSpec:
     atomizable: bool = True
     generator: PhaseModel | None = None
     duration_jitter: float = 0.0  # ground-truth draws jitter like the ensemble did
-    profile: FunctionalProfile | None = None
     ensemble_key: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("arrival_s", "total_work_s", "declared_peak_mb", "checkpoint_size_mb"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{self.job_id}: {name} must be finite")
+        if self.deadline_s is not None and math.isnan(self.deadline_s):
+            raise ScenarioError(f"{self.job_id}: deadline must not be nan")
+        if not 0.0 <= self.duration_jitter < 1.0:
+            raise ScenarioError(f"{self.job_id}: duration_jitter must lie in [0, 1)")
         if self.arrival_s < 0:
             raise ScenarioError(f"{self.job_id}: negative arrival")
         if self.total_work_s <= 0:
@@ -196,23 +190,35 @@ class Checkpoint:
 
 @dataclass
 class SubJob:
-    """One atomized fragment of a parent job, bound to a slice window."""
+    """One occupancy of a slice, from its grant or placement to its end.
+
+    materialize mints one per admitted fragment of an atomized job (kind
+    "subjob"); the whole-job schedulers mint one per placement (kind
+    "monolithic") and keep the fragment-only defaults. The engine runs both
+    the same way: job progress from pos_from_s toward pos_to_s, killed once
+    the actual run exceeds slice_capacity_mb.
+    """
 
     subjob_id: str
-    parent: str
-    window_start_s: float
-    window_duration_s: float
+    job_id: str
     slice_id: str
-    slice_capacity_mb: int
-    work_from: float
-    work_to: float
-    predicted_peak_mb: float
-    status: str = PLANNED
-    resume_from: Checkpoint | None = None
+    physical_capacity_mb: int  # the slice's own size
+    slice_capacity_mb: int  # enforced: the assigned class, or the slice for whole jobs
+    window_start_s: float
+    window_duration_s: float  # reserved span on the slice
+    pos_from_s: float
+    pos_to_s: float  # planned end of the job-relative work
+    kind: str = "subjob"  # subjob | monolithic
+    multiplier: float = 1.0  # runtime scale (moldable sizing)
     offer_id: str | None = None
+    started: bool = False
+    # Fragment-only, set by materialize.
+    work_from: float = 0.0
+    work_to: float = 1.0
+    predicted_peak_mb: float = 0.0
     admission_probability: float = 1.0
-    pos_from_s: float = 0.0
-    pos_to_s: float = 0.0
+    methods_disagree: bool = False  # passed joint admission, failed envelope
+    resume_from: Checkpoint | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.work_from < self.work_to <= 1.0:
@@ -223,8 +229,15 @@ class SubJob:
             raise ScenarioError(
                 f"{self.subjob_id}: predicted peak exceeds slice capacity"
             )
-        if self.status not in SUBJOB_STATUSES:
-            raise ScenarioError(f"{self.subjob_id}: unknown status {self.status}")
+
+    @property
+    def reserved_end_s(self) -> float:
+        return self.window_start_s + self.window_duration_s
+
+    @property
+    def res_owner(self) -> str:
+        """Owner of the slice reservation: whole jobs book under the job id."""
+        return self.job_id if self.kind == "monolithic" else self.subjob_id
 
 
 @dataclass
@@ -255,10 +268,6 @@ class JobRuntime:
     @property
     def actual_duration_s(self) -> float:
         return (len(self.actual) - 1) * self.grid_step
-
-    @property
-    def done(self) -> bool:
-        return self.position_s >= self.actual_duration_s - 1e-9
 
     @property
     def completed_fraction(self) -> float:

@@ -202,38 +202,6 @@ class TestDeadlineAdmissible:
         assert pf.deadline_admissible(prof, 0.0, 0.0, 0.05).admissible
 
 
-class TestContinuation:
-    def test_single_neighbor_returns_its_suffix(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        b = np.array([10.0, 20.0, 30.0, 40.0])
-        prof = pf.build_profile(make_ensemble([a, b], 10.0))
-        c = pf.predict_continuation(prof, np.array([1.0, 2.0]), k=1)
-        assert c.neighbor_indices == (0,)
-        np.testing.assert_array_equal(c.median, [3.0, 4.0, 5.0])
-        assert c.start_index == 2
-
-    def test_band_spans_quartiles(self):
-        runs = [np.array([0.0, v]) for v in (10.0, 20.0, 30.0, 40.0)]
-        prof = pf.build_profile(make_ensemble(runs, 10.0))
-        c = pf.predict_continuation(prof, np.array([0.0]), k=4)
-        assert c.band_low[0] == oracle_quantile([10, 20, 30, 40], 0.25) == 10.0
-        assert c.median[0] == oracle_quantile([10, 20, 30, 40], 0.5) == 20.0
-        assert c.band_high[0] == oracle_quantile([10, 20, 30, 40], 0.75) == 30.0
-
-    def test_prefix_longer_than_all_runs_is_empty(self):
-        runs = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-        prof = pf.build_profile(make_ensemble(runs, 10.0))
-        c = pf.predict_continuation(prof, np.zeros(5), k=2)
-        assert c.empty
-
-    def test_k_bounds(self):
-        prof = pf.build_profile(make_ensemble([[1.0], [2.0]], 10.0))
-        with pytest.raises(pf.ProfileError):
-            pf.predict_continuation(prof, np.array([1.0]), k=0)
-        with pytest.raises(pf.ProfileError):
-            pf.predict_continuation(prof, np.array([1.0]), k=3)
-
-
 class TestRefresh:
     def test_adding_tenth_value_keeps_ninth_rank(self):
         runs = [[float(v)] for v in range(1, 10)]

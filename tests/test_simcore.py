@@ -124,6 +124,24 @@ class TestEmptyAndDegenerate:
     def test_infinite_max_wait_allowed(self):
         assert SimConfig(max_wait_s=math.inf).max_wait_s == math.inf
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            # inf re-armed failure injection at zero delay: a livelock
+            ("failure_rate_per_hour", math.inf),
+            ("failure_rate_per_hour", math.nan),
+            ("failure_rate_per_hour", -1.0),  # used to be silently ignored
+            ("sim_time_cap_s", math.nan),  # used to switch the cap off
+            ("sim_time_cap_s", 0.0),
+            ("sim_time_cap_s", -1.0),
+            ("max_wait_s", math.nan),
+        ],
+    )
+    def test_run_bounds_rejected(self, name, value):
+        # Construction only: the engine never runs on these values.
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{name: value})
+
     def test_time_cap_raises(self):
         scn = tiny_scenario()
         cfg = SimConfig(sim_time_cap_s=30.0)

@@ -1,4 +1,6 @@
 """Trajectory generation and scenario file round-trips."""
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from sjasim.workload import (
     Phase,
     PhaseModel,
     ScenarioError,
+    SubJob,
     generate_trajectory,
     ingest_scenario,
     synth_ensemble,
@@ -112,6 +115,41 @@ class TestJobSpecValidation:
             with pytest.raises(ScenarioError):
                 JobSpec(**{**ok, **patch})
 
+    @pytest.mark.parametrize(
+        "name", ["arrival_s", "total_work_s", "declared_peak_mb", "checkpoint_size_mb"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, name, value):
+        ok = dict(job_id="j", tenant_id="t", arrival_s=0.0, total_work_s=60.0,
+                  declared_peak_mb=100.0)
+        with pytest.raises(ScenarioError, match=name):
+            JobSpec(**{**ok, name: value})
+
+    def test_deadline_and_jitter_domains(self):
+        ok = dict(job_id="j", tenant_id="t", arrival_s=0.0, total_work_s=60.0,
+                  declared_peak_mb=100.0)
+        assert JobSpec(**ok, deadline_s=math.inf).deadline_s == math.inf
+        with pytest.raises(ScenarioError, match="deadline"):
+            JobSpec(**ok, deadline_s=math.nan)
+        assert JobSpec(**ok, duration_jitter=0.0).duration_jitter == 0.0
+        for jitter in (-0.1, 1.0, math.nan):
+            with pytest.raises(ScenarioError, match="duration_jitter"):
+                JobSpec(**ok, duration_jitter=jitter)
+
+
+class TestSubJobValidation:
+    def test_work_segment_and_peak_checked(self):
+        ok = dict(subjob_id="j-s0", job_id="j", slice_id="g0s0",
+                  physical_capacity_mb=20480, slice_capacity_mb=10240,
+                  window_start_s=0.0, window_duration_s=600.0,
+                  pos_from_s=0.0, pos_to_s=600.0, work_from=0.0, work_to=0.5,
+                  predicted_peak_mb=9000.0)
+        assert SubJob(**ok).reserved_end_s == 600.0
+        for patch in ({"work_to": 0.0}, {"work_from": 0.6}, {"work_to": 1.5},
+                      {"predicted_peak_mb": 12000.0}):
+            with pytest.raises(ScenarioError):
+                SubJob(**{**ok, **patch})
+
 
 class TestScenarioFiles:
     def _stage(self, tmp_path):
@@ -169,6 +207,18 @@ class TestScenarioFiles:
         hdr.write_text("who,what\n")
         with pytest.raises(ScenarioError, match="bad header"):
             ingest_scenario(hdr)
+
+    def test_nan_arrival_rejected_with_line_number(self, tmp_path):
+        # A nan arrival used to pass, and the run timed out a simulated week later.
+        ens, jobs, manifests = self._stage(tmp_path)
+        write_scenario(tmp_path / "scn.csv", jobs, manifests)
+        lines = (tmp_path / "scn.csv").read_text().splitlines()
+        assert lines[2].startswith("b,t1,30,")
+        lines[2] = lines[2].replace("b,t1,30,", "b,t1,nan,")
+        (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ScenarioError, match="line 3: b: arrival_s must be finite") as err:
+            ingest_scenario(tmp_path / "nan.csv")
+        assert err.value.line == 3
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         ens, jobs, manifests = self._stage(tmp_path)
