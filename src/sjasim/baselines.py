@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterState, SliceInstance
+from .cluster import ClusterState
 from .workload import JobRuntime
 
 __all__ = [
@@ -86,12 +86,6 @@ def estimated_runtime_s(job: JobRuntime) -> float:
     return float(np.median(samples))
 
 
-def _fits(s: SliceInstance, needed_mb: float, now: float) -> bool:
-    # Baselines never schedule behind an existing reservation, so a slice is
-    # usable only when nothing current or future occupies it.
-    return s.capacity_mb >= needed_mb and s.idle_everywhere_after(now)
-
-
 def monolithic_place(
     queue: list[JobRuntime],
     cluster: ClusterState,
@@ -101,26 +95,30 @@ def monolithic_place(
 ) -> list[Placement]:
     """Greedy whole-job placement pass in arrival order.
 
-    first_fit takes the first fitting slice in slice order; best_fit the
-    fitting slice with the least spare capacity (ties by slice order).
-    Jobs that fit nowhere simply stay queued.
+    Baselines never schedule behind an existing reservation, so only slices
+    with nothing current or future on them are candidates. first_fit takes
+    the first fitting slice in slice order; best_fit the fitting slice with
+    the least spare capacity (ties by slice order). Jobs that fit nowhere
+    simply stay queued.
     """
     placements: list[Placement] = []
+    # Idleness is read once: within a pass only this pass's own
+    # reservations change it, and each one drops its slice from the list.
+    idle = [s for s in cluster.slices() if s.idle_everywhere_after(now)]
+    if not idle:
+        return placements
     for job in sorted(queue, key=lambda j: (j.spec.arrival_s, j.spec.job_id)):
         needed = job.spec.declared_peak_mb
         if kind == MOLDABLE:
             chosen = moldable_capacity(job, cluster)
             if chosen is None:
                 continue  # engine rejects at submission; defensive here
-            fitting = [
-                s for s in cluster.slices()
-                if s.capacity_mb == chosen and s.idle_everywhere_after(now)
-            ]
+            fitting = [s for s in idle if s.capacity_mb == chosen]
         else:
-            fitting = [s for s in cluster.slices() if _fits(s, needed, now)]
+            fitting = [s for s in idle if s.capacity_mb >= needed]
             if kind == BEST_FIT:
-                order = {s.slice_id: i for i, s in enumerate(cluster.slices())}
-                fitting.sort(key=lambda s: (s.capacity_mb - needed, order[s.slice_id]))
+                # The sort is stable, so ties keep slice order.
+                fitting.sort(key=lambda s: s.capacity_mb - needed)
         if not fitting:
             continue
         target = fitting[0]
@@ -133,6 +131,9 @@ def monolithic_place(
             Placement(job.spec.job_id, target.slice_id, target.capacity_mb, now, now + est)
         )
         target.reserve(now, now + est, job.spec.job_id)
+        idle.remove(target)
+        if not idle:
+            break
     return placements
 
 

@@ -17,6 +17,7 @@ __all__ = [
     "SliceInstance",
     "GpuNode",
     "ClusterState",
+    "check_layout",
     "ExecutionWindow",
     "ReservationConflict",
     "ReservationNotFound",
@@ -121,9 +122,28 @@ class SliceInstance:
             gaps.append((cursor, end))
         return gaps
 
+    def extend(self, owner: str, new_end: float) -> None:
+        """Push the end of `owner`'s latest reservation out to new_end (never
+        in). Running into the next reservation raises ReservationConflict."""
+        for i in reversed(range(len(self.reservations))):
+            r = self.reservations[i]
+            if r.owner == owner:
+                later = self.reservations[i + 1 : i + 2]
+                if later and later[0].start < new_end:
+                    raise ReservationConflict(
+                        f"{self.slice_id}: extending {r} to {new_end} overlaps {later[0]}"
+                    )
+                r.end = max(r.end, new_end)
+                return
+        raise ReservationNotFound(f"no reservation for {owner} on {self.slice_id}")
+
     def idle_everywhere_after(self, t: float) -> bool:
-        """True when no reservation touches [t, infinity)."""
-        return all(r.end <= t for r in self.reservations)
+        """True when no reservation touches [t, infinity).
+
+        The timeline is sorted and non-overlapping, so the last reservation
+        ends latest.
+        """
+        return not self.reservations or self.reservations[-1].end <= t
 
 
 @dataclass
@@ -143,11 +163,8 @@ class ClusterState:
         self.catalog = catalog
         self._by_id: dict[str, SliceInstance] = {}
         for node in nodes:
-            if len(node.slices) > MAX_SLICES_PER_GPU:
-                raise ValueError(f"{node.node_id}: more than {MAX_SLICES_PER_GPU} slices")
+            _check_gpu(node.node_id, [s.capacity_mb for s in node.slices], catalog)
             for s in node.slices:
-                if s.capacity_mb not in catalog:
-                    raise ValueError(f"{s.slice_id}: capacity {s.capacity_mb} not in catalog")
                 if s.slice_id in self._by_id:
                     raise ValueError(f"duplicate slice id {s.slice_id}")
                 self._by_id[s.slice_id] = s
@@ -161,8 +178,7 @@ class ClusterState:
         gpu_capacity_mb: int | None = None,
     ) -> "ClusterState":
         """Homogeneous cluster: every GPU carved into the same slice sequence."""
-        if gpus <= 0:
-            raise ValueError("need at least one GPU")
+        check_layout(gpus, slices_per_gpu, catalog)
         budget = gpu_capacity_mb if gpu_capacity_mb is not None else sum(slices_per_gpu)
         if sum(slices_per_gpu) > budget:
             raise ValueError("slice capacities exceed GPU capacity")
@@ -187,6 +203,23 @@ class ClusterState:
     @property
     def total_capacity_mb(self) -> int:
         return sum(s.capacity_mb for s in self.slices())
+
+
+def _check_gpu(gpu: str, capacities, catalog: SliceCatalog) -> None:
+    if len(capacities) > MAX_SLICES_PER_GPU:
+        raise ValueError(f"{gpu}: more than {MAX_SLICES_PER_GPU} slices")
+    for cap in capacities:
+        if cap not in catalog:
+            raise ValueError(f"{gpu}: slice capacity {cap} not in catalog")
+
+
+def check_layout(
+    gpus: int, slices_per_gpu: tuple[int, ...], catalog: SliceCatalog = DEFAULT_CATALOG
+) -> None:
+    """Reject a homogeneous layout that ClusterState would refuse."""
+    if gpus <= 0:
+        raise ValueError("need at least one GPU")
+    _check_gpu("slices_per_gpu", slices_per_gpu, catalog)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ on the profile.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,7 @@ __all__ = [
     "AdmissionDecision",
     "build_profile",
     "single_run_profile",
+    "check_inflation",
     "envelope_peak",
     "memory_admissible",
     "deadline_admissible",
@@ -75,15 +77,7 @@ class TrajectoryEnsemble:
             raise ProfileError("grid_step must be positive")
         if not self.runs:
             raise ProfileError("ensemble has no runs")
-        coerced = []
-        for i, run in enumerate(self.runs):
-            arr = np.asarray(run, dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ProfileError(f"run {i} must be a non-empty 1-d sample array")
-            if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-                raise ProfileError(f"run {i} has negative or non-finite samples")
-            coerced.append(arr)
-        self.runs = coerced
+        self.runs = [_checked_run(i, run) for i, run in enumerate(self.runs)]
         self._padded: np.ndarray | None = None
 
     @property
@@ -107,6 +101,33 @@ class TrajectoryEnsemble:
             self._padded = m
         return self._padded
 
+    def extended(self, run: np.ndarray) -> "TrajectoryEnsemble":
+        """A new ensemble of these runs plus `run`; only `run` is validated.
+
+        The padded matrix grows by one row, and by NaN columns when `run` is
+        longer than every run so far, instead of being rebuilt.
+        """
+        arr = _checked_run(self.n_runs, run)
+        old = self.padded_matrix()
+        n, width = old.shape
+        padded = np.full((n + 1, max(width, arr.size)), np.nan)
+        padded[:n, :width] = old
+        padded[n, : arr.size] = arr
+        merged = copy.copy(self)  # a shallow copy skips __post_init__
+        merged.runs = [*self.runs, arr]
+        merged._padded = padded
+        return merged
+
+
+def _checked_run(i: int, run) -> np.ndarray:
+    """Run i as a float array; it must be non-empty, 1-d, finite and >= 0."""
+    arr = np.asarray(run, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ProfileError(f"run {i} must be a non-empty 1-d sample array")
+    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        raise ProfileError(f"run {i} has negative or non-finite samples")
+    return arr
+
 
 def nearest_rank(sorted_values: np.ndarray, q: float, n: int) -> float:
     """ceil(q * n)-th order statistic of the first n entries (ascending)."""
@@ -116,13 +137,14 @@ def nearest_rank(sorted_values: np.ndarray, q: float, n: int) -> float:
     return float(sorted_values[min(rank, n) - 1])
 
 
-def _column_quantiles(padded: np.ndarray, q: float) -> np.ndarray:
-    """Pointwise nearest-rank q-quantile per grid column, alive runs only."""
-    sorted_cols = np.sort(padded, axis=0)  # NaN sorts to the end
-    support = np.sum(~np.isnan(padded), axis=0)
+def _column_quantiles(
+    sorted_cols: np.ndarray, support: np.ndarray, q: float
+) -> np.ndarray:
+    """Pointwise nearest-rank q-quantile per grid column, alive runs only,
+    from the padded matrix sorted along axis 0 (NaN last) and its support."""
     ranks = np.maximum(1, np.ceil(q * support).astype(int))
     ranks = np.minimum(ranks, np.maximum(support, 1))
-    out = sorted_cols[ranks - 1, np.arange(padded.shape[1])]
+    out = sorted_cols[ranks - 1, np.arange(sorted_cols.shape[1])]
     return np.asarray(out, dtype=float)
 
 
@@ -156,7 +178,7 @@ class FunctionalProfile:
                     f"eps={eps} not cached and no source ensemble retained"
                 )
             self.envelope_cache[key] = _column_quantiles(
-                self.source.padded_matrix(), 1.0 - key
+                np.sort(self.source.padded_matrix(), axis=0), self.support, 1.0 - key
             )
         return self.envelope_cache[key]
 
@@ -189,20 +211,39 @@ def build_profile(
     """
     if ensemble.n_runs < 2:
         raise ProfileError("profile estimation needs at least 2 runs")
+    return _summarize(ensemble, eps_levels)
+
+
+def _summarize(
+    ensemble: TrajectoryEnsemble, eps_levels: tuple[float, ...]
+) -> FunctionalProfile:
+    """Profile of an ensemble from one column sort of its padded matrix."""
     for eps in eps_levels:
         _check_eps(eps)
     padded = ensemble.padded_matrix()
-    support = np.sum(~np.isnan(padded), axis=0)
-    cache = {float(e): _column_quantiles(padded, 1.0 - e) for e in eps_levels}
+    alive = ~np.isnan(padded)
+    support = np.sum(alive, axis=0)
+    # Runs are finite, so a row's non-NaN count is that run's length.
+    durations = (np.sum(alive, axis=1) - 1) * ensemble.grid_step
+    sorted_cols = np.sort(padded, axis=0)  # NaN sorts to the end
+    cache = {
+        float(e): _column_quantiles(sorted_cols, support, 1.0 - e) for e in eps_levels
+    }
     return FunctionalProfile(
         grid_step=ensemble.grid_step,
-        horizon=float(ensemble.run_durations.max()),
-        median_curve=_column_quantiles(padded, 0.5),
+        horizon=float(durations.max()),
+        median_curve=_column_quantiles(sorted_cols, support, 0.5),
         envelope_cache=cache,
-        runtime_samples=np.sort(ensemble.run_durations),
+        runtime_samples=np.sort(durations),
         support=support,
         source=ensemble,
     )
+
+
+def check_inflation(inflation: float) -> None:
+    """The single-run envelope factor must be finite and at least 1."""
+    if not (math.isfinite(inflation) and inflation >= 1.0):
+        raise ProfileError("inflation must be finite and >= 1")
 
 
 def single_run_profile(
@@ -218,8 +259,7 @@ def single_run_profile(
     rejects.
     """
     ensemble = TrajectoryEnsemble(grid_step=grid_step, runs=[np.asarray(run, float)])
-    if inflation < 1.0:
-        raise ProfileError("inflation must be >= 1")
+    check_inflation(inflation)
     base = ensemble.runs[0]
     cache = {float(e): base * inflation for e in eps_levels}
     return FunctionalProfile(
@@ -366,19 +406,19 @@ def deadline_admissible(
 def refresh_profile(
     profile: FunctionalProfile, completed_run: np.ndarray
 ) -> FunctionalProfile:
-    """Rebuild the profile over the source runs plus one new completed run."""
+    """A new profile over the source runs plus one completed run.
+
+    Equal, field by field, to build_profile over the merged runs at the eps
+    levels this profile has cached (0.05 when it has none). Only the new run
+    is validated, with TrajectoryEnsemble's checks and messages; the source's
+    padded matrix grows by one row instead of being rebuilt; one column sort
+    yields the median and every envelope. The old profile and its source are
+    left as they were.
+    """
     if profile.source is None:
         raise UnsupportedQuery("refresh needs the source ensemble")
-    run = np.asarray(completed_run, dtype=float)
-    merged = TrajectoryEnsemble(
-        grid_step=profile.grid_step,
-        runs=list(profile.source.runs) + [run],
-        resource_kind=profile.source.resource_kind,
-    )
-    levels = tuple(sorted(profile.envelope_cache.keys()))
-    if not levels:
-        levels = (0.05,)
-    return build_profile(merged, levels)
+    levels = tuple(sorted(profile.envelope_cache)) or (0.05,)
+    return _summarize(profile.source.extended(completed_run), levels)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .cluster import (
     DEFAULT_CATALOG,
     ClusterState,
     SliceCatalog,
+    check_layout,
     find_gaps,
     release_tail,
     reserve,
@@ -53,6 +54,7 @@ from .profiles import (
     RiskParams,
     TrajectoryEnsemble,
     build_profile,
+    check_inflation,
     nearest_rank,
     refresh_profile,
     single_run_profile,
@@ -196,6 +198,10 @@ class SimConfig:
             raise ValueError("max_oom_retries must be >= 0")
         if self.max_concurrent_subjobs_per_job < 1:
             raise ValueError("max_concurrent_subjobs_per_job must be >= 1")
+        # Both are otherwise first used mid-run: the layout when the engine
+        # builds its cluster, the inflation when a one-run profile is built.
+        check_layout(self.gpus, self.slices_per_gpu, self.catalog)
+        check_inflation(self.single_run_inflation)
         # Force the derived parameter objects so bad combinations (inverted
         # tau bounds, eps outside (0,1)) surface at construction, not mid-run.
         self.risk()
@@ -910,7 +916,7 @@ class _Engine:
             if reserved_end > p.est_end_s + _EPS:
                 # The estimate undershot; keep the slice marked busy for the
                 # job's real occupancy so nothing double-books it.
-                self._extend_reservation(p.slice_id, p.job_id, reserved_end)
+                self.cluster.slice(p.slice_id).extend(p.job_id, reserved_end)
             uid = job.next_placement_id()
             self.units[uid] = SubJob(
                 subjob_id=uid,
@@ -938,13 +944,6 @@ class _Engine:
         if placements:
             self._queue_note()
         return bool(placements)
-
-    def _extend_reservation(self, slice_id: str, owner: str, new_end: float) -> None:
-        for r in reversed(self.cluster.slice(slice_id).reservations):
-            if r.owner == owner:
-                r.end = max(r.end, new_end)
-                return
-        raise KeyError(f"no reservation for {owner} on {slice_id}")
 
     def _baseline_round(self) -> bool:
         ready = [

@@ -1,9 +1,12 @@
 """Monolithic baseline scheduler tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjasim.baselines import (
     BaselineParams,
+    Placement,
     checkpointed_progress_s,
     estimated_runtime_s,
     moldable_capacity,
@@ -11,7 +14,7 @@ from sjasim.baselines import (
     pick_preemption_victim,
     transfer_delay_s,
 )
-from sjasim.cluster import ClusterState
+from sjasim.cluster import ClusterState, ReservationConflict
 from sjasim.profiles import TrajectoryEnsemble, build_profile
 from sjasim.workload import JobRuntime, JobSpec
 
@@ -77,6 +80,88 @@ class TestMonolithicPlace:
         p, = monolithic_place([job], cluster, 100.0, "first_fit", BaselineParams())
         res, = cluster.slice("g0s0").reservations
         assert (res.start, res.end, res.owner) == (100.0, p.est_end_s, "j")
+
+
+def oracle_place(queue, cluster, now, kind, params):
+    """monolithic_place as it was when every job re-scanned every slice's
+    whole timeline and best_fit broke ties through a slice-order dict."""
+    def idle(s):
+        return all(r.end <= now for r in s.reservations)
+
+    placements = []
+    for job in sorted(queue, key=lambda j: (j.spec.arrival_s, j.spec.job_id)):
+        needed = job.spec.declared_peak_mb
+        if kind == "moldable":
+            chosen = moldable_capacity(job, cluster)
+            if chosen is None:
+                continue
+            fitting = [s for s in cluster.slices() if s.capacity_mb == chosen and idle(s)]
+        else:
+            fitting = [s for s in cluster.slices() if s.capacity_mb >= needed and idle(s)]
+            if kind == "best_fit":
+                order = {s.slice_id: i for i, s in enumerate(cluster.slices())}
+                fitting.sort(key=lambda s: (s.capacity_mb - needed, order[s.slice_id]))
+        if not fitting:
+            continue
+        target = fitting[0]
+        mult = params.multiplier(target.capacity_mb) if kind == "moldable" else 1.0
+        est = max(job.grid_step,
+                  estimated_runtime_s(job) * (1.0 - job.completed_fraction) * mult)
+        placements.append(
+            Placement(job.spec.job_id, target.slice_id, target.capacity_mb, now, now + est)
+        )
+        target.reserve(now, now + est, job.spec.job_id)
+    return placements
+
+
+_CAPS = (5120, 10240, 20480, 40960)
+_jobs = st.lists(
+    st.tuples(
+        st.sampled_from((3000.0, 5120.0, 9000.0, 10240.0, 15000.0, 30000.0, 50000.0)),
+        st.integers(0, 3),  # arrival in minutes: ties are common
+        st.sampled_from(((600.0,) * 2, (300.0, 900.0), (1200.0, 2400.0, 3000.0))),
+        st.sampled_from((0.0, 120.0, 240.0)),  # progress already made
+    ),
+    max_size=8,
+)
+_pre = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 1500), st.integers(60, 900)),
+                max_size=5)
+
+
+class TestPlacementOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(("first_fit", "best_fit", "moldable")),
+        gpus=st.integers(1, 2),
+        layout=st.lists(st.sampled_from(_CAPS), min_size=1, max_size=4),
+        specs=_jobs,
+        pre=_pre,
+    )
+    def test_same_placements_as_full_scan(self, kind, gpus, layout, specs, pre):
+        clusters = [ClusterState.from_layout(gpus, tuple(layout)) for _ in range(2)]
+        for c in clusters:
+            slices = c.slices()
+            for k, start, width in pre:
+                try:
+                    slices[k % len(slices)].reserve(float(start), float(start + width), "bg")
+                except ReservationConflict:
+                    pass
+        jobs = [
+            make_job(f"j{i}", peak, arrival=60.0 * minute, runtimes=rts, position=pos)
+            for i, (peak, minute, rts, pos) in enumerate(specs)
+        ]
+        params = BaselineParams(kind=kind, speedup_table={10240: 1.25, 40960: 0.8})
+        waiting = list(jobs)
+        for now in (0.0, 300.0, 900.0, 1800.0, 3600.0):
+            got = monolithic_place(waiting, clusters[0], now, kind, params)
+            assert got == oracle_place(waiting, clusters[1], now, kind, params)
+            placed = {p.job_id for p in got}
+            waiting = [j for j in waiting if j.spec.job_id not in placed]
+        timelines = [
+            [[(r.start, r.end, r.owner) for r in s.reservations] for s in c.slices()]
+            for c in clusters
+        ]
+        assert timelines[0] == timelines[1]
 
 
 class TestMoldable:

@@ -142,6 +142,21 @@ class TestErrorPaths:
         assert "not found" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--gpus", "0"), ("--gpus", "-1"), ("--slices-per-gpu", "3000"),
+         ("--single-run-inflation", "0.5")],
+    )
+    def test_bad_layout_or_inflation_exits_2_before_writing(
+        self, scenario_file, tmp_path, capsys, flags
+    ):
+        out = tmp_path / "out"
+        rc = main(["run", "--scenario", str(scenario_file), "--out", str(out), *flags])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestValidate:
     def test_reports_counts(self, scenario_file, capsys):
         rc = main(["validate", "--scenario", str(scenario_file)])

@@ -14,10 +14,16 @@ from sjasim.cluster import (
     ReservationNotFound,
     SliceCatalog,
     SliceInstance,
+    check_layout,
     find_gaps,
     release_tail,
     reserve,
 )
+
+
+def oracle_idle_everywhere_after(s, t):
+    """The full scan idle_everywhere_after used before it read only the last end."""
+    return all(r.end <= t for r in s.reservations)
 
 
 def oracle_free(reservations, start, end, step=0.25):
@@ -82,6 +88,21 @@ class TestLayout:
         ClusterState.from_layout(1, (5120,) * 7)
         with pytest.raises(ValueError):
             ClusterState.from_layout(1, (5120,) * 8)
+
+    @pytest.mark.parametrize(
+        "gpus, slices, match",
+        [(0, (5120,), "GPU"), (-1, (5120,), "GPU"), (1, (3000,), "not in catalog"),
+         (2, (5120,) * 8, "more than 7")],
+    )
+    def test_check_layout_matches_from_layout(self, gpus, slices, match):
+        with pytest.raises(ValueError, match=match):
+            check_layout(gpus, slices)
+        with pytest.raises(ValueError, match=match):
+            ClusterState.from_layout(gpus, slices)
+
+    def test_check_layout_accepts_what_from_layout_builds(self):
+        check_layout(2, (20480, 10240, 5120, 5120))
+        check_layout(1, (5120,) * 7)
 
     def test_unknown_slice_lookup(self):
         cluster = ClusterState.from_layout(1, (5120,))
@@ -209,3 +230,63 @@ class TestReleaseTail:
             release_tail(cluster, "u2", 50.0)
         with pytest.raises(ReservationNotFound):
             release_tail(cluster, "u1", 100.0)  # already ended by then
+
+
+class TestExtend:
+    def test_pushes_end_of_latest_reservation(self):
+        s = SliceInstance("a", 10240)
+        s.reserve(0.0, 10.0, "x")
+        s.extend("x", 15.0)
+        assert [(r.start, r.end) for r in s.reservations] == [(0.0, 15.0)]
+        s.extend("x", 12.0)  # never shortens
+        assert s.reservations[0].end == 15.0
+
+    def test_overlapping_the_next_reservation_conflicts(self):
+        s = SliceInstance("a", 10240)
+        s.reserve(0.0, 10.0, "x")
+        s.reserve(20.0, 30.0, "y")
+        with pytest.raises(ReservationConflict):
+            s.extend("x", 25.0)
+        assert [(r.start, r.end) for r in s.reservations] == [(0.0, 10.0), (20.0, 30.0)]
+        s.extend("x", 20.0)  # touching the next one is fine
+        assert s.reservations[0].end == 20.0
+
+    def test_unknown_owner_raises(self):
+        s = SliceInstance("a", 10240)
+        s.reserve(0.0, 10.0, "x")
+        with pytest.raises(ReservationNotFound):
+            s.extend("z", 20.0)
+
+
+# One timeline operation: (op, owner index, a, b) with small integer times.
+_ops = st.tuples(
+    st.sampled_from(["reserve", "release_tail", "extend"]),
+    st.integers(0, 3),
+    st.integers(0, 40),
+    st.integers(1, 15),
+)
+
+
+class TestIdleOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), _ops), max_size=25))
+    def test_idle_everywhere_after_matches_full_scan(self, steps):
+        cluster = ClusterState.from_layout(1, (20480, 10240))
+        slices = cluster.slices()
+        for n, (k, (op, who, a, b)) in enumerate(steps):
+            s = slices[k]
+            owner = s.reservations[who % len(s.reservations)].owner if s.reservations else "-"
+            try:
+                if op == "reserve":
+                    reserve(cluster, s.slice_id, float(a), float(a + b), f"u{n}")
+                elif op == "release_tail":
+                    release_tail(cluster, owner, float(a))
+                else:
+                    s.extend(owner, float(a + b))
+            except (ReservationConflict, ReservationNotFound):
+                pass
+            for sl in slices:
+                for r0, r1 in zip(sl.reservations, sl.reservations[1:]):
+                    assert r0.end <= r1.start
+                for t in range(0, 60, 3):
+                    assert sl.idle_everywhere_after(float(t)) == oracle_idle_everywhere_after(sl, t)

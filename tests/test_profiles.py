@@ -218,6 +218,88 @@ class TestRefresh:
         assert len(refreshed.runtime_samples) == 3
 
 
+def assert_same_profile(got, want):
+    """Field-by-field equality, NaN == NaN, including the padded matrix."""
+    assert got.grid_step == want.grid_step
+    assert got.horizon == want.horizon
+    for name in ("median_curve", "runtime_samples", "support"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=True), name
+    assert sorted(got.envelope_cache) == sorted(want.envelope_cache)
+    for eps, curve in want.envelope_cache.items():
+        assert np.array_equal(got.envelope_cache[eps], curve, equal_nan=True), eps
+    assert got.source.n_runs == want.source.n_runs
+    assert np.array_equal(
+        got.source.padded_matrix(), want.source.padded_matrix(), equal_nan=True
+    )
+
+
+# Few distinct values, so columns hold ties; 0 is a legal sample.
+_sample = st.sampled_from((0.0, 1.0, 2.5, 2.5, 7.0, 100.0))
+_run = st.lists(_sample, min_size=1, max_size=9)
+
+
+class TestRefreshEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        source_runs=st.lists(_run, min_size=1, max_size=6),
+        # Each new run's length relative to the longest run so far:
+        # shorter, equal and longer all occur.
+        additions=st.lists(
+            st.tuples(st.integers(-4, 4), _sample, st.booleans()), min_size=1, max_size=5
+        ),
+        levels=st.sets(st.sampled_from((0.05, 0.1, 0.25, 0.5)), min_size=1, max_size=3),
+        lazy_eps=st.sampled_from((0.2, 0.33)),
+    )
+    def test_chained_refresh_equals_build(self, source_runs, additions, levels, lazy_eps):
+        levels = tuple(sorted(levels))
+        runs = [np.asarray(r, float) for r in source_runs]
+        if len(runs) == 1:
+            prof = pf.single_run_profile(runs[0], 60.0, 1.25, levels)
+        else:
+            prof = pf.build_profile(make_ensemble(runs), levels)
+        for delta, value, add_lazy in additions:
+            longest = max(len(r) for r in runs)
+            new = np.linspace(0.0, value, max(1, longest + delta))
+            if add_lazy:
+                prof.envelope(lazy_eps)  # a level added after the build
+            before = prof.source.padded_matrix().copy()
+            fresh = pf.refresh_profile(prof, new)
+            # The refreshed profile's source is new; the old one is untouched.
+            assert prof.source.n_runs == len(runs)
+            assert np.array_equal(prof.source.padded_matrix(), before, equal_nan=True)
+            runs.append(new)
+            want = pf.build_profile(make_ensemble(runs), tuple(sorted(prof.envelope_cache)))
+            assert_same_profile(fresh, want)
+            prof = fresh
+
+    def test_single_run_source_refreshes_to_build(self):
+        prof = pf.single_run_profile(np.array([1.0, 2.0]), 60.0, 1.5, (0.1,))
+        fresh = pf.refresh_profile(prof, np.array([3.0, 1.0, 5.0]))
+        want = pf.build_profile(make_ensemble([[1.0, 2.0], [3.0, 1.0, 5.0]]), (0.1,))
+        assert_same_profile(fresh, want)
+        assert fresh.envelope(0.1)[0] == 3.0  # no inflation once there are two runs
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ([1.0, -1.0], "has negative or non-finite samples"),
+            ([1.0, math.nan], "has negative or non-finite samples"),
+            ([math.inf], "has negative or non-finite samples"),
+            ([], "must be a non-empty 1-d sample array"),
+            ([[1.0, 2.0], [3.0, 4.0]], "must be a non-empty 1-d sample array"),
+        ],
+    )
+    def test_bad_new_run_rejected(self, bad, match):
+        prof = pf.build_profile(make_ensemble([[1.0, 2.0], [2.0], [3.0, 1.0]]))
+        with pytest.raises(pf.ProfileError, match=f"run 3 {match}"):
+            pf.refresh_profile(prof, np.array(bad))
+        # The same run is refused the same way when an ensemble is built.
+        with pytest.raises(pf.ProfileError, match=f"run 3 {match}"):
+            make_ensemble([[1.0, 2.0], [2.0], [3.0, 1.0], bad])
+
+
 class TestTrajectoryFiles:
     def test_round_trip_six_significant_digits(self, tmp_path):
         rng = np.random.default_rng(0)

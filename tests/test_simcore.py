@@ -142,6 +142,23 @@ class TestEmptyAndDegenerate:
         with pytest.raises(ValueError, match=name):
             SimConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"gpus": 0}, "GPU"),
+            ({"gpus": -1}, "GPU"),
+            ({"slices_per_gpu": (3000,)}, "not in catalog"),
+            ({"slices_per_gpu": (5120,) * 8}, "more than 7"),
+            ({"single_run_inflation": 0.5}, "inflation"),
+            ({"single_run_inflation": math.nan}, "inflation"),
+            ({"single_run_inflation": math.inf}, "inflation"),
+        ],
+    )
+    def test_layout_and_inflation_rejected(self, fields, match):
+        # Construction only: these used to fail mid-run, inside the engine.
+        with pytest.raises(ValueError, match=match):
+            SimConfig(**fields)
+
     def test_time_cap_raises(self):
         scn = tiny_scenario()
         cfg = SimConfig(sim_time_cap_s=30.0)
