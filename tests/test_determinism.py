@@ -4,8 +4,13 @@ Every bundled scenario under every scheduler at seed 0 must reproduce the
 event log and metrics exactly. The digests are sha256 of
 events_text(log) + metrics_csv_text(report). A change that alters them on
 purpose must say why and regenerate the table.
+
+The builders' default configs never inject failures, chain grants, give up
+on a wait, cap OOM retries or plan from one run, so VARIANTS re-runs three
+scenarios with each of those engine paths switched on.
 """
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -53,6 +58,100 @@ DIGESTS = {
 }
 
 
+VARIANTS = {
+    "failures": {"failure_rate_per_hour": 1.5},
+    "chained": {"max_concurrent_subjobs_per_job": 2},
+    "maxwait": {"max_wait_s": 1800.0},
+    "nocorrect": {"online_correction": False, "max_oom_retries": 1},
+    "onerun": {"n_historical_runs": 1},
+}
+VARIANT_SCENARIOS = ("smoke", "fragmented", "two-tenant")
+
+VARIANT_DIGESTS = {
+    ("smoke", "failures", "sja"): "acead127fcec091e9715503dd2ae2d223a024132d26ef91d56d03d49d8c6b775",
+    ("smoke", "failures", "first_fit"): "59cd46ed6cb47421687727af88d97a00ec44eb323484409d8560a4e586409fee",
+    ("smoke", "failures", "best_fit"): "a9753fd3e03177c8a5526a8dcec4c2f8be707160517c60d976481254ff7546da",
+    ("smoke", "failures", "moldable"): "a9753fd3e03177c8a5526a8dcec4c2f8be707160517c60d976481254ff7546da",
+    ("smoke", "failures", "preempt_migrate"): "1320c3f3d8351ba296defa569c9542dcfff5f8036ac67279a696627dd27b6b53",
+    ("fragmented", "failures", "sja"): "7f5bd961f90ffb77a789dc1db60c52663f42644960e129a1e9c77fd33907f62b",
+    ("fragmented", "failures", "first_fit"): "e325e96c123997af5951d43dc1ec52dd86130ed44e091295ceaecb05a23259cf",
+    ("fragmented", "failures", "best_fit"): "958d12d8696ddf0da36e475a2d36b66c02e846c9217d4fe15d81052c7fc69093",
+    ("fragmented", "failures", "moldable"): "6338f9eabf4afe1ac292f286178a7f8b1fd9817839a5470c52a14158aada4107",
+    ("fragmented", "failures", "preempt_migrate"): "1762cad6a4ac763a3f0324da637386f52cc98ea4eec779cfa4ba21bf88aca70d",
+    ("two-tenant", "failures", "sja"): "ffb08aff345d95dfba6ae92b45c25d8ee4d0db0e7360263ea1755efec21b3ded",
+    ("two-tenant", "failures", "first_fit"): "8ef8e492a0cb21dfb548555d5d085bed667f02b4feb135f50dd739d661e8d5b0",
+    ("two-tenant", "failures", "best_fit"): "eb192221a6722c13a289ecba05a9de0bcb6645c9703d76d6d7733d6fb12a4c24",
+    ("two-tenant", "failures", "moldable"): "71b5289a40936b618c781bccb9a891970367ce7df2b72213ceabf31284e63746",
+    ("two-tenant", "failures", "preempt_migrate"): "7b9adbaad58d83afe5c255815f568e21f4e3160dece2819d27f8b542cc44c85c",
+    ("smoke", "chained", "sja"): "bf57c0d496cb07756f316dee679883011e22733af64804c55566626f3676bc21",
+    ("smoke", "chained", "first_fit"): "d0f3a80d1b09e5f119856e63ff70f64a9370d12fd8303ba0391c353b095e1302",
+    ("smoke", "chained", "best_fit"): "cff65e1501224bff2cb89c33aaf97bdb8fe55f10a1fa8dcb5c20e1e1115a1ebc",
+    ("smoke", "chained", "moldable"): "cff65e1501224bff2cb89c33aaf97bdb8fe55f10a1fa8dcb5c20e1e1115a1ebc",
+    ("smoke", "chained", "preempt_migrate"): "d0f3a80d1b09e5f119856e63ff70f64a9370d12fd8303ba0391c353b095e1302",
+    ("fragmented", "chained", "sja"): "4b810602041b39433c4b2638b1cf88d2f56d8ae75e390c19eefc896bcb1503a5",
+    ("fragmented", "chained", "first_fit"): "d2c08ccb2fcb31cbacf7b2505a3cb62c8b8698dace901776402a4878614b8d1e",
+    ("fragmented", "chained", "best_fit"): "c9d72b08856f7e41df296b9fba7491fad2f906a99499610b43b390423b59c67d",
+    ("fragmented", "chained", "moldable"): "039e271b474035e5acc7fd05f52bb91b22ca22bda3ef72a6a7fd72d4951713f7",
+    ("fragmented", "chained", "preempt_migrate"): "d2c08ccb2fcb31cbacf7b2505a3cb62c8b8698dace901776402a4878614b8d1e",
+    ("two-tenant", "chained", "sja"): "668fd3c805874f8391befaf8b86344bf7362c65d53a3c41d02b2b4c327185172",
+    ("two-tenant", "chained", "first_fit"): "16af39cda0e830e047fe286130963b7cba2df557015f2f1849f8720fb62982ba",
+    ("two-tenant", "chained", "best_fit"): "778ff782864cd70d46da2b850ae9426fe6f6f3b36147a8d16571fb1021769920",
+    ("two-tenant", "chained", "moldable"): "e926cb799b31068f1a9c20358b7dfa3adfacad8ec03bb1f57763f7fb38ee09fd",
+    ("two-tenant", "chained", "preempt_migrate"): "16af39cda0e830e047fe286130963b7cba2df557015f2f1849f8720fb62982ba",
+    ("smoke", "maxwait", "sja"): "dbffb3598726cd50a1d83bfe592b5496af7859e5eae8422945e7b43d47450815",
+    ("smoke", "maxwait", "first_fit"): "d0f3a80d1b09e5f119856e63ff70f64a9370d12fd8303ba0391c353b095e1302",
+    ("smoke", "maxwait", "best_fit"): "cff65e1501224bff2cb89c33aaf97bdb8fe55f10a1fa8dcb5c20e1e1115a1ebc",
+    ("smoke", "maxwait", "moldable"): "cff65e1501224bff2cb89c33aaf97bdb8fe55f10a1fa8dcb5c20e1e1115a1ebc",
+    ("smoke", "maxwait", "preempt_migrate"): "d0f3a80d1b09e5f119856e63ff70f64a9370d12fd8303ba0391c353b095e1302",
+    ("fragmented", "maxwait", "sja"): "e32e838054a27cefc37ae76ef0b1f6ca506868306a4d87efef3e4bbc8ac33db5",
+    ("fragmented", "maxwait", "first_fit"): "0aa7e1ea14d40367753a2be1d9f1f7ab11a3ba677cc160a04394983e91754226",
+    ("fragmented", "maxwait", "best_fit"): "7f050410656432ce61b1d1862e6f2ada62bebf7dd66acb6a4d9b776d96f1701d",
+    ("fragmented", "maxwait", "moldable"): "6fd8268f7d5004d100ac21a942171a55bbc2f05ec486bce3900890da88abcccf",
+    ("fragmented", "maxwait", "preempt_migrate"): "0aa7e1ea14d40367753a2be1d9f1f7ab11a3ba677cc160a04394983e91754226",
+    ("two-tenant", "maxwait", "sja"): "ad6f2b4b3f95932fef8f0198911e856b3bbc7a10a6a85a1637e1b97492cfdef6",
+    ("two-tenant", "maxwait", "first_fit"): "35d199cd20df2c929da34369d9c4688c512bf54c35abead3eecb6a8aac64a2c2",
+    ("two-tenant", "maxwait", "best_fit"): "7270355e19c33257302732269b1da2d3ff751460c33a00858adee5b0141f8957",
+    ("two-tenant", "maxwait", "moldable"): "872438bfc40206e8aaff85470e5f5c9b4eb011fbeb35a73ba1f908af2abcabf1",
+    ("two-tenant", "maxwait", "preempt_migrate"): "35d199cd20df2c929da34369d9c4688c512bf54c35abead3eecb6a8aac64a2c2",
+    ("smoke", "nocorrect", "sja"): "bf57c0d496cb07756f316dee679883011e22733af64804c55566626f3676bc21",
+    ("smoke", "nocorrect", "first_fit"): "d0f3a80d1b09e5f119856e63ff70f64a9370d12fd8303ba0391c353b095e1302",
+    ("smoke", "nocorrect", "best_fit"): "cff65e1501224bff2cb89c33aaf97bdb8fe55f10a1fa8dcb5c20e1e1115a1ebc",
+    ("smoke", "nocorrect", "moldable"): "cff65e1501224bff2cb89c33aaf97bdb8fe55f10a1fa8dcb5c20e1e1115a1ebc",
+    ("smoke", "nocorrect", "preempt_migrate"): "d0f3a80d1b09e5f119856e63ff70f64a9370d12fd8303ba0391c353b095e1302",
+    ("fragmented", "nocorrect", "sja"): "00dc87a6cf24088fb6e89da9b92197e977267fbea8ef752ded3c5ec04d72982a",
+    ("fragmented", "nocorrect", "first_fit"): "c6caaf72e76e4a019d73e30c6f083ed23ee5a571396ffe679930edcb5e579400",
+    ("fragmented", "nocorrect", "best_fit"): "ea3d0fc616f9f4db15f32f5bee5daa64548b33b9077e1b7c7d0ba34d1bdc8014",
+    ("fragmented", "nocorrect", "moldable"): "1dfac5ca6c1f6522c398e199c627d2a44ec2a231ad43be6fc4fb095024def71b",
+    ("fragmented", "nocorrect", "preempt_migrate"): "c6caaf72e76e4a019d73e30c6f083ed23ee5a571396ffe679930edcb5e579400",
+    ("two-tenant", "nocorrect", "sja"): "4eb1a320052cd863cb9f71cacaa4998d7ceb809f382e1e18a5a087b3b2f1fc38",
+    ("two-tenant", "nocorrect", "first_fit"): "2c032a1fdd4cf603c00bcac0ce37671a79b25770b8431aa9e95f5a51ebbe9d85",
+    ("two-tenant", "nocorrect", "best_fit"): "e0f80af1a4cc931b139873a59e77e6851fcfae28c0dd966ebbf1cca93907679f",
+    ("two-tenant", "nocorrect", "moldable"): "181e16f06c9342f64f9f5909ad8fbdd731928b7b935042c5a46c9bcaf0c8cfc6",
+    ("two-tenant", "nocorrect", "preempt_migrate"): "2c032a1fdd4cf603c00bcac0ce37671a79b25770b8431aa9e95f5a51ebbe9d85",
+    ("smoke", "onerun", "sja"): "a047d720a902e8282f96d7c7dffe91998d56078041ba13caf4588b1dc7e87053",
+    ("smoke", "onerun", "first_fit"): "38c049f368b0c7ad064fa3c268a5398923828c859479827539742e582250c712",
+    ("smoke", "onerun", "best_fit"): "3185d98636f93b30108d46e3c5f6179ddefd2375552883123bd8d19ad77d6f8d",
+    ("smoke", "onerun", "moldable"): "3185d98636f93b30108d46e3c5f6179ddefd2375552883123bd8d19ad77d6f8d",
+    ("smoke", "onerun", "preempt_migrate"): "38c049f368b0c7ad064fa3c268a5398923828c859479827539742e582250c712",
+    ("fragmented", "onerun", "sja"): "0fd838877ac297d2edec5c65d69a3ea98705ec4f86cc879db800c5bc39541f9d",
+    ("fragmented", "onerun", "first_fit"): "bc2bb28e69044a7876e017080e803afe3dd95d0205bad6ff8db0d92953a6c3fa",
+    ("fragmented", "onerun", "best_fit"): "cd2a611a061b398920160083bfd7aa8dfdb9fe04120439138496ee594a184f60",
+    ("fragmented", "onerun", "moldable"): "3a23cd3f81a8d43638929f0caea73a0ffeb99f88b8249d26e19912b2db0398ec",
+    ("fragmented", "onerun", "preempt_migrate"): "bc2bb28e69044a7876e017080e803afe3dd95d0205bad6ff8db0d92953a6c3fa",
+    ("two-tenant", "onerun", "sja"): "df7de335667e07820391df000474667760656a32f00d899d499c48c1e5ab4dfc",
+    ("two-tenant", "onerun", "first_fit"): "6244e2dcc519cb0993cd7d75b555e86f861e7314d4bf0c04fa292b275727de7c",
+    ("two-tenant", "onerun", "best_fit"): "6ae471de46aa0c887a46de54f4d6e9e1084bb4d946021c5beb856d460caee40d",
+    ("two-tenant", "onerun", "moldable"): "66a096b2cc9a532aba16096191bb16183e923f2a390856b015832d664381f653",
+    ("two-tenant", "onerun", "preempt_migrate"): "6244e2dcc519cb0993cd7d75b555e86f861e7314d4bf0c04fa292b275727de7c",
+}
+
+
+def _digest(scenario, scheduler, cfg) -> str:
+    report, log = run(scenario, scheduler, cfg, seed=0)
+    text = events_text(log) + metrics_csv_text(report)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_table_covers_every_scenario_and_scheduler():
     assert set(DIGESTS) == {(n, s) for n in SCENARIO_BUILDERS for s in SCHEDULERS}
 
@@ -61,7 +160,20 @@ def test_table_covers_every_scenario_and_scheduler():
 def test_outputs_are_byte_identical(name):
     scenario, cfg = SCENARIO_BUILDERS[name]()
     for scheduler in SCHEDULERS:
-        report, log = run(scenario, scheduler, cfg, seed=0)
-        text = events_text(log) + metrics_csv_text(report)
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == DIGESTS[(name, scheduler)], scheduler
+        assert _digest(scenario, scheduler, cfg) == DIGESTS[(name, scheduler)], scheduler
+
+
+def test_variant_table_covers_every_case():
+    assert set(VARIANT_DIGESTS) == {
+        (n, v, s) for n in VARIANT_SCENARIOS for v in VARIANTS for s in SCHEDULERS
+    }
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@pytest.mark.parametrize("name", VARIANT_SCENARIOS)
+def test_engine_variants_are_byte_identical(name, variant):
+    scenario, cfg = SCENARIO_BUILDERS[name]()
+    cfg = replace(cfg, **VARIANTS[variant])
+    for scheduler in SCHEDULERS:
+        digest = _digest(scenario, scheduler, cfg)
+        assert digest == VARIANT_DIGESTS[(name, variant, scheduler)], scheduler
