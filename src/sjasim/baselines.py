@@ -93,18 +93,20 @@ def monolithic_place(
     kind: str,
     params: BaselineParams,
 ) -> list[Placement]:
-    """Greedy whole-job placement pass in arrival order.
+    """Greedy whole-job placement pass in arrival order; a pure dry run.
 
-    Baselines never schedule behind an existing reservation, so only slices
-    with nothing current or future on them are candidates. first_fit takes
-    the first fitting slice in slice order; best_fit the fitting slice with
-    the least spare capacity (ties by slice order). Jobs that fit nowhere
-    simply stay queued.
+    Like collect_interest on the offer path, it creates no state: it only
+    says where each job would go, and the engine books every placement it
+    keeps. Baselines never schedule behind an existing reservation, so only
+    slices with nothing current or future on them are candidates, and each
+    slice takes at most one job per pass. first_fit takes the first fitting
+    slice in slice order; best_fit the fitting slice with the least spare
+    capacity (ties by slice order). Jobs that fit nowhere simply stay queued.
     """
     placements: list[Placement] = []
-    # Idleness is read once: within a pass only this pass's own
-    # reservations change it, and each one drops its slice from the list.
-    idle = [s for s in cluster.slices() if s.idle_everywhere_after(now)]
+    # Nothing changes a slice's idleness within the pass; each placement
+    # drops its slice from the list.
+    idle = [s for s in cluster.slices if s.idle_everywhere_after(now)]
     if not idle:
         return placements
     for job in sorted(queue, key=lambda j: (j.spec.arrival_s, j.spec.job_id)):
@@ -130,7 +132,6 @@ def monolithic_place(
         placements.append(
             Placement(job.spec.job_id, target.slice_id, target.capacity_mb, now, now + est)
         )
-        target.reserve(now, now + est, job.spec.job_id)
         idle.remove(target)
         if not idle:
             break
@@ -140,8 +141,7 @@ def monolithic_place(
 def moldable_capacity(job: JobRuntime, cluster: ClusterState) -> int | None:
     """Smallest capacity class present in the cluster covering the declared
     peak; fixed at submission. None means the job is rejected outright."""
-    present = sorted({s.capacity_mb for s in cluster.slices()})
-    for cap in present:
+    for cap in cluster.capacities_mb:
         if cap >= job.spec.declared_peak_mb:
             return cap
     return None

@@ -1,6 +1,7 @@
 """Sliced-GPU cluster state: slice instances, reservation timelines, gaps.
 
-Each GPU is statically partitioned into at most seven isolated slices; a
+Every GPU is statically partitioned into the same sequence of at most seven
+isolated slices, and the cluster is the flat tuple of all those slices; a
 slice is modeled solely by its memory capacity in MB. A slice hosts at most
 one reservation at any instant, so free capacity shows up purely as time
 intervals on slice timelines.
@@ -15,15 +16,12 @@ __all__ = [
     "DEFAULT_CATALOG",
     "Reservation",
     "SliceInstance",
-    "GpuNode",
     "ClusterState",
     "check_layout",
     "ExecutionWindow",
     "ReservationConflict",
     "ReservationNotFound",
     "find_gaps",
-    "reserve",
-    "release_tail",
 ]
 
 MAX_SLICES_PER_GPU = 7
@@ -122,20 +120,23 @@ class SliceInstance:
             gaps.append((cursor, end))
         return gaps
 
-    def extend(self, owner: str, new_end: float) -> None:
-        """Push the end of `owner`'s latest reservation out to new_end (never
-        in). Running into the next reservation raises ReservationConflict."""
-        for i in reversed(range(len(self.reservations))):
-            r = self.reservations[i]
-            if r.owner == owner:
-                later = self.reservations[i + 1 : i + 2]
-                if later and later[0].start < new_end:
-                    raise ReservationConflict(
-                        f"{self.slice_id}: extending {r} to {new_end} overlaps {later[0]}"
-                    )
-                r.end = max(r.end, new_end)
+    def release_tail(self, owner: str, actual_end: float) -> None:
+        """Truncate `owner`'s live reservation to actual_end (early end).
+
+        A reservation whose start is at or past actual_end is removed
+        outright. Raises ReservationNotFound when the owner holds no
+        reservation ending after actual_end (already ended, or unknown).
+        """
+        for i, r in enumerate(self.reservations):
+            if r.owner == owner and r.end > actual_end:
+                if r.start >= actual_end:
+                    del self.reservations[i]
+                else:
+                    r.end = actual_end
                 return
-        raise ReservationNotFound(f"no reservation for {owner} on {self.slice_id}")
+        raise ReservationNotFound(
+            f"no live reservation for {owner} past {actual_end} on {self.slice_id}"
+        )
 
     def idle_everywhere_after(self, t: float) -> bool:
         """True when no reservation touches [t, infinity).
@@ -146,28 +147,18 @@ class SliceInstance:
         return not self.reservations or self.reservations[-1].end <= t
 
 
-@dataclass
-class GpuNode:
-    node_id: str
-    slices: list[SliceInstance]
-
-
 class ClusterState:
-    """All GPUs plus their slice reservation timelines.
+    """Every GPU carved into the same slice sequence, held as one flat tuple
+    of slices in (GPU, slice) order, ids g<gpu>s<ordinal>.
 
     Owned by a single simulation engine; mutation happens on one event path.
     """
 
-    def __init__(self, nodes: list[GpuNode], catalog: SliceCatalog = DEFAULT_CATALOG):
-        self.nodes = nodes
-        self.catalog = catalog
-        self._by_id: dict[str, SliceInstance] = {}
-        for node in nodes:
-            _check_gpu(node.node_id, [s.capacity_mb for s in node.slices], catalog)
-            for s in node.slices:
-                if s.slice_id in self._by_id:
-                    raise ValueError(f"duplicate slice id {s.slice_id}")
-                self._by_id[s.slice_id] = s
+    def __init__(self, slices: tuple[SliceInstance, ...]):
+        self.slices = slices
+        # Sorted distinct capacities, kept once: the layout never changes.
+        self.capacities_mb = tuple(sorted({s.capacity_mb for s in slices}))
+        self._by_id = {s.slice_id: s for s in slices}
 
     @classmethod
     def from_layout(
@@ -175,24 +166,16 @@ class ClusterState:
         gpus: int,
         slices_per_gpu: tuple[int, ...],
         catalog: SliceCatalog = DEFAULT_CATALOG,
-        gpu_capacity_mb: int | None = None,
     ) -> "ClusterState":
-        """Homogeneous cluster: every GPU carved into the same slice sequence."""
+        """Homogeneous cluster: every GPU carved into slices_per_gpu."""
         check_layout(gpus, slices_per_gpu, catalog)
-        budget = gpu_capacity_mb if gpu_capacity_mb is not None else sum(slices_per_gpu)
-        if sum(slices_per_gpu) > budget:
-            raise ValueError("slice capacities exceed GPU capacity")
-        nodes = []
-        for g in range(gpus):
-            slices = [
-                SliceInstance(f"g{g}s{k}", cap) for k, cap in enumerate(slices_per_gpu)
-            ]
-            nodes.append(GpuNode(f"g{g}", slices))
-        return cls(nodes, catalog)
-
-    def slices(self) -> list[SliceInstance]:
-        """Slices in deterministic (node, slice) order."""
-        return [s for node in self.nodes for s in node.slices]
+        return cls(
+            tuple(
+                SliceInstance(f"g{g}s{k}", cap)
+                for g in range(gpus)
+                for k, cap in enumerate(slices_per_gpu)
+            )
+        )
 
     def slice(self, slice_id: str) -> SliceInstance:
         try:
@@ -202,15 +185,7 @@ class ClusterState:
 
     @property
     def total_capacity_mb(self) -> int:
-        return sum(s.capacity_mb for s in self.slices())
-
-
-def _check_gpu(gpu: str, capacities, catalog: SliceCatalog) -> None:
-    if len(capacities) > MAX_SLICES_PER_GPU:
-        raise ValueError(f"{gpu}: more than {MAX_SLICES_PER_GPU} slices")
-    for cap in capacities:
-        if cap not in catalog:
-            raise ValueError(f"{gpu}: slice capacity {cap} not in catalog")
+        return sum(s.capacity_mb for s in self.slices)
 
 
 def check_layout(
@@ -219,7 +194,11 @@ def check_layout(
     """Reject a homogeneous layout that ClusterState would refuse."""
     if gpus <= 0:
         raise ValueError("need at least one GPU")
-    _check_gpu("slices_per_gpu", slices_per_gpu, catalog)
+    if len(slices_per_gpu) > MAX_SLICES_PER_GPU:
+        raise ValueError(f"slices_per_gpu: more than {MAX_SLICES_PER_GPU} slices")
+    for cap in slices_per_gpu:
+        if cap not in catalog:
+            raise ValueError(f"slices_per_gpu: slice capacity {cap} not in catalog")
 
 
 @dataclass(frozen=True)
@@ -249,33 +228,9 @@ def find_gaps(
     if horizon <= 0:
         return []
     windows = []
-    for s in cluster.slices():
+    for s in cluster.slices:
         for lo, hi in s.free_intervals(now, now + horizon):
             if hi - lo >= min_duration and hi - lo > 1e-9:
                 windows.append(ExecutionWindow(s.slice_id, s.capacity_mb, lo, hi - lo))
     return windows
 
-
-def reserve(
-    cluster: ClusterState, slice_id: str, start: float, end: float, owner: str
-) -> Reservation:
-    """Record [start, end) on the slice for `owner`; conflicts raise."""
-    return cluster.slice(slice_id).reserve(start, end, owner)
-
-
-def release_tail(cluster: ClusterState, owner: str, actual_end: float) -> None:
-    """Truncate `owner`'s live reservation to actual_end (early completion).
-
-    A reservation whose start is at or past actual_end is removed outright.
-    Raises ReservationNotFound when the owner holds no reservation ending
-    after actual_end (already ended, or unknown).
-    """
-    for s in cluster.slices():
-        for i, r in enumerate(s.reservations):
-            if r.owner == owner and r.end > actual_end:
-                if r.start >= actual_end:
-                    del s.reservations[i]
-                else:
-                    r.end = actual_end
-                return
-    raise ReservationNotFound(f"no live reservation for {owner} past {actual_end}")

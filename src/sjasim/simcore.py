@@ -40,8 +40,6 @@ from .cluster import (
     SliceCatalog,
     check_layout,
     find_gaps,
-    release_tail,
-    reserve,
 )
 from .policies import (
     GrantPolicy,
@@ -351,6 +349,7 @@ class _Engine:
         }
         actuals = draw_actual_runs(scenario, seed)
         self._order: list[JobRuntime] = []
+        self._index: dict[str, int] = {}
         self.jobs: dict[str, JobRuntime] = {}
         for spec in scenario.jobs:
             if spec.ensemble_key not in self.profiles:
@@ -361,6 +360,7 @@ class _Engine:
                 actual=actuals[spec.job_id],
                 grid_step=self.h,
             )
+            self._index[spec.job_id] = len(self._order)
             self._order.append(job)
             self.jobs[spec.job_id] = job
 
@@ -373,6 +373,9 @@ class _Engine:
         self._arrivals_pending = len(self._order)
         self._n_terminal = 0
         self.units: dict[str, SubJob] = {}
+        # Jobs that have arrived, are unfinished and hold no live unit, as
+        # job id -> scenario index.
+        self._queue: dict[str, int] = {}
 
         self.event_log: list[dict] = []
         self.archive: list[tuple[str, int, float, float, str, str]] = []
@@ -433,11 +436,6 @@ class _Engine:
             if self._round_due and (not self.heap or self.heap[0][0] > self.now + _EPS):
                 self._round_due = False
                 self._run_round()
-        self._queue_note()  # close an open queue interval at the final clock
-        if self._queue_since is not None:
-            if self.now > self._queue_since:
-                self.queue_intervals.append((self._queue_since, self.now))
-            self._queue_since = None
         return self._report(), self.event_log
 
     def _dispatch(self, kind: str, p: dict) -> None:
@@ -466,30 +464,30 @@ class _Engine:
     # ------------------------------------------------------------------
 
     def _waiting(self) -> list[JobRuntime]:
-        return [
-            j
-            for j in self._order
-            if j.status == "waiting" and j.spec.arrival_s <= self.now + _EPS
-        ]
+        """The queue in scenario order."""
+        return [self._order[i] for i in sorted(self._queue.values())]
 
-    def _queue_note(self) -> None:
-        nonempty = bool(self._waiting())
-        if nonempty and self._queue_since is None:
+    def _set_queued(self, job: JobRuntime, queued: bool) -> None:
+        """Put a job in or take it out of the queue, and record in
+        queue_intervals the spans when the queue is non-empty."""
+        if queued:
+            self._queue[job.spec.job_id] = self._index[job.spec.job_id]
+        else:
+            self._queue.pop(job.spec.job_id, None)
+        if self._queue and self._queue_since is None:
             self._queue_since = self.now
-        elif not nonempty and self._queue_since is not None:
+        elif not self._queue and self._queue_since is not None:
             if self.now > self._queue_since:
                 self.queue_intervals.append((self._queue_since, self.now))
             self._queue_since = None
 
     def _reject(self, job: JobRuntime, reason: str) -> None:
-        job.status = "rejected"
         self._n_terminal += 1
         self.n_rejected += 1
         self._log("job_rejected", job=job.spec.job_id, reason=reason)
-        self._queue_note()
+        self._set_queued(job, False)
 
     def _complete(self, job: JobRuntime) -> None:
-        job.status = "completed"
         job.finish_s = self.now
         self._n_terminal += 1
         self._log(
@@ -521,7 +519,7 @@ class _Engine:
             float(np.sum(job.actual[i0:end_idx])) * self.h * unit.multiplier
         )
         if self.now < unit.reserved_end_s - _EPS:
-            release_tail(self.cluster, unit.res_owner, self.now)
+            self.cluster.slice(unit.slice_id).release_tail(unit.subjob_id, self.now)
         if self.now > unit.window_start_s + _EPS:
             self.archive.append(
                 (
@@ -542,8 +540,33 @@ class _Engine:
         ]
         for uid in doomed:
             u = self.units.pop(uid)
-            release_tail(self.cluster, u.res_owner, u.window_start_s)
+            self.cluster.slice(u.slice_id).release_tail(uid, u.window_start_s)
             self._log("subjob_cancelled", unit=uid, job=job_id, reason=reason)
+
+    def _stop(self, unit: SubJob, idx: int) -> tuple[float, float]:
+        """Stop a running unit, already popped, at grid index idx. Its job
+        rolls back to the last progress it keeps: the last periodic
+        checkpoint for whole jobs under preempt_migrate, else the unit's
+        start. Returns (kept, lost) progress in seconds."""
+        job = self.jobs[unit.job_id]
+        pos = idx * self.h
+        kept = 0.0
+        if unit.kind == "monolithic" and self.scheduler == PREEMPT_MIGRATE:
+            kept = checkpointed_progress_s(pos - unit.pos_from_s, self.base_params)
+        job.position_s = unit.pos_from_s + kept
+        lost = pos - job.position_s
+        job.reexecuted_s += lost
+        self._close(unit, idx)
+        return kept, lost
+
+    def _book(self, unit: SubJob, reserved_end: float) -> None:
+        """Reserve [window start, reserved_end) on the unit's slice under the
+        unit's own id; the one booking the unit gets."""
+        self.cluster.slice(unit.slice_id).reserve(
+            unit.window_start_s, reserved_end, unit.subjob_id
+        )
+        self.units[unit.subjob_id] = unit
+        self._push(unit.window_start_s, "subjob_start", {"unit": unit.subjob_id})
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -562,7 +585,7 @@ class _Engine:
         if self.scheduler == MOLDABLE and moldable_capacity(job, self.cluster) is None:
             self._reject(job, "no capacity class covers the declared peak")
             return
-        self._queue_note()
+        self._set_queued(job, True)
         self._round_due = True
 
     def _on_start(self, unit_id: str) -> None:
@@ -572,10 +595,8 @@ class _Engine:
         job = self.jobs[unit.job_id]
         unit.started = True
         self.admitted_units += 1
-        job.status = "running"
         if job.first_start_s is None:
             job.first_start_s = self.now
-        self._queue_note()
         i0 = int(round(unit.pos_from_s / self.h))
         end_pos = min(unit.pos_to_s, job.actual_duration_s)
         i1 = int(round(end_pos / self.h))
@@ -627,37 +648,25 @@ class _Engine:
                 size_mb=job.spec.checkpoint_size_mb,
             )
             more = any(u.job_id == unit.job_id for u in self.units.values())
-            job.status = "scheduled" if more else "waiting"
-        self._queue_note()
+            self._set_queued(job, not more)
         self._round_due = True
 
     def _kill_unit(
         self, unit: SubJob, kill_idx: int, status_kind: str, reason_fields: dict
     ) -> None:
         """Shared teardown for OOM and injected kills; unit already popped."""
-        job = self.jobs[unit.job_id]
-        kill_pos = kill_idx * self.h
-        revert_pos = unit.pos_from_s
-        if unit.kind == "monolithic" and self.scheduler == PREEMPT_MIGRATE:
-            revert_pos = unit.pos_from_s + checkpointed_progress_s(
-                kill_pos - unit.pos_from_s, self.base_params
-            )
-        job.position_s = revert_pos
-        lost = kill_pos - revert_pos
-        job.reexecuted_s += lost
-        self._close(unit, kill_idx)
+        _, lost = self._stop(unit, kill_idx)
         self._cancel_planned(unit.job_id, f"sibling {status_kind}")
         self._log(
             status_kind,
             unit=unit.subjob_id,
             job=unit.job_id,
-            kill_pos_s=round(kill_pos, 6),
+            kill_pos_s=round(kill_idx * self.h, 6),
             planned_s=round(unit.pos_to_s - unit.pos_from_s, 6),
             lost_s=round(lost, 6),
             **reason_fields,
         )
-        job.status = "waiting"
-        self._queue_note()
+        self._set_queued(self.jobs[unit.job_id], True)
         self._round_due = True
 
     def _on_oom(self, unit_id: str, kill_idx: int) -> None:
@@ -876,9 +885,7 @@ class _Engine:
             return False
         self._granted_offers.add(offer.offer_id)
         for sj in result:
-            reserve(self.cluster, sj.slice_id, sj.window_start_s, sj.reserved_end_s, sj.subjob_id)
-            self.units[sj.subjob_id] = sj
-            self._push(sj.window_start_s, "subjob_start", {"unit": sj.subjob_id})
+            self._book(sj, sj.reserved_end_s)
             self.frag_admissions += 1
             self.frag_disagreements += int(sj.methods_disagree)
             self._log(
@@ -896,9 +903,7 @@ class _Engine:
                 work_to=round(sj.work_to, 6),
                 admission_probability=round(sj.admission_probability, 6),
             )
-        if job.status == "waiting":
-            job.status = "scheduled"
-        self._queue_note()
+        self._set_queued(job, False)
         return True
 
     def _place_monolithic(self, queue: list[JobRuntime], kind: str) -> bool:
@@ -911,14 +916,11 @@ class _Engine:
                 self.base_params.multiplier(p.capacity_mb) if kind == MOLDABLE else 1.0
             )
             remaining = job.actual_duration_s - job.position_s
-            actual_end = p.start_s + remaining * mult
-            reserved_end = max(p.est_end_s, actual_end)
-            if reserved_end > p.est_end_s + _EPS:
-                # The estimate undershot; keep the slice marked busy for the
-                # job's real occupancy so nothing double-books it.
-                self.cluster.slice(p.slice_id).extend(p.job_id, reserved_end)
+            # When the estimate undershoots, book the job's real occupancy
+            # so nothing double-books the slice.
+            reserved_end = max(p.est_end_s, p.start_s + remaining * mult)
             uid = job.next_placement_id()
-            self.units[uid] = SubJob(
+            unit = SubJob(
                 subjob_id=uid,
                 job_id=p.job_id,
                 slice_id=p.slice_id,
@@ -931,8 +933,8 @@ class _Engine:
                 kind="monolithic",
                 multiplier=mult,
             )
-            self._push(p.start_s, "subjob_start", {"unit": uid})
-            job.status = "scheduled"
+            self._book(unit, reserved_end)
+            self._set_queued(job, False)
             self._log(
                 "placement",
                 unit=uid,
@@ -941,8 +943,6 @@ class _Engine:
                 capacity_mb=p.capacity_mb,
                 est_end_s=round(p.est_end_s, 6),
             )
-        if placements:
-            self._queue_note()
         return bool(placements)
 
     def _baseline_round(self) -> bool:
@@ -956,8 +956,6 @@ class _Engine:
         ready.sort(key=lambda j: (-j.spec.priority, j.spec.arrival_s, j.spec.job_id))
         progress = False
         for job in ready:
-            if job.status != "waiting":
-                continue
             if self._place_monolithic([job], FIRST_FIT):
                 progress = True
                 continue
@@ -984,17 +982,11 @@ class _Engine:
         unit = self.units.pop(unit_id)
         job = self.jobs[unit.job_id]
         cur_idx = self._reached_idx(unit)
-        cur_pos = cur_idx * self.h
-        self._close(unit, cur_idx)
-        kept = checkpointed_progress_s(cur_pos - unit.pos_from_s, self.base_params)
-        new_pos = unit.pos_from_s + kept
-        lost = cur_pos - new_pos
-        job.position_s = new_pos
-        job.reexecuted_s += lost
+        kept, lost = self._stop(unit, cur_idx)
         live_mb = float(job.actual[cur_idx]) if cur_idx < len(job.actual) else 0.0
         delay = transfer_delay_s(live_mb, self.base_params)
         job.earliest_resume_s = self.now + delay
-        job.status = "waiting"
+        self._set_queued(job, True)
         self.n_preemptions += 1
         self._log(
             "preemption",
@@ -1006,7 +998,6 @@ class _Engine:
             resume_at=round(job.earliest_resume_s, 6),
         )
         self._push(job.earliest_resume_s, "round_timer", {"periodic": False})
-        self._queue_note()
 
     # ------------------------------------------------------------------
     # Reporting
@@ -1035,7 +1026,7 @@ class _Engine:
             busy_by_slice: dict[str, list[tuple[float, float]]] = {}
             for sid, _, s, e, _, _ in self.archive:
                 busy_by_slice.setdefault(sid, []).append((s, e))
-            for s in self.cluster.slices():
+            for s in self.cluster.slices:
                 busy = sorted(busy_by_slice.get(s.slice_id, []))
                 idle = _complement(busy, 0.0, horizon)
                 frag_loss += s.capacity_mb * _intersection_len(
@@ -1062,7 +1053,7 @@ class _Engine:
                 if self.frag_admissions
                 else None
             ),
-            completed_jobs=sum(1 for j in self._order if j.status == "completed"),
+            completed_jobs=sum(1 for j in self._order if j.finish_s is not None),
             admitted_subjobs=self.admitted_units,
             oom_kills=self.n_oom,
             injected_failures=self.n_injected,
@@ -1070,7 +1061,7 @@ class _Engine:
             per_job_completion=[
                 (j.spec.job_id, j.finish_s, j.reexecuted_s)
                 for j in self._order
-                if j.status == "completed"
+                if j.finish_s is not None
             ],
         )
 

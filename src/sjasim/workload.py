@@ -194,9 +194,10 @@ class SubJob:
 
     materialize mints one per admitted fragment of an atomized job (kind
     "subjob"); the whole-job schedulers mint one per placement (kind
-    "monolithic") and keep the fragment-only defaults. The engine runs both
-    the same way: job progress from pos_from_s toward pos_to_s, killed once
-    the actual run exceeds slice_capacity_mb.
+    "monolithic") and keep the fragment-only defaults. The engine books
+    both the same way, [window_start_s, reserved_end_s) on slice_id under
+    subjob_id, and runs both the same way: job progress from pos_from_s
+    toward pos_to_s, killed once the actual run exceeds slice_capacity_mb.
     """
 
     subjob_id: str
@@ -234,11 +235,6 @@ class SubJob:
     def reserved_end_s(self) -> float:
         return self.window_start_s + self.window_duration_s
 
-    @property
-    def res_owner(self) -> str:
-        """Owner of the slice reservation: whole jobs book under the job id."""
-        return self.job_id if self.kind == "monolithic" else self.subjob_id
-
 
 @dataclass
 class JobRuntime:
@@ -253,10 +249,9 @@ class JobRuntime:
     actual: np.ndarray
     grid_step: float
     position_s: float = 0.0
-    status: str = "waiting"  # waiting | scheduled | running | completed | rejected
     last_checkpoint: Checkpoint | None = None
     first_start_s: float | None = None
-    finish_s: float | None = None
+    finish_s: float | None = None  # set once, when the job completes
     reexecuted_s: float = 0.0
     oom_strikes: int = 0
     subjob_seq: int = 0

@@ -75,18 +75,38 @@ class TestMonolithicPlace:
         assert p.est_end_s == pytest.approx(900.0)  # half the median left
 
     def test_reservation_is_placed(self):
-        cluster = ClusterState.from_layout(1, (10240,))
-        job = make_job("j", 9000.0)
-        p, = monolithic_place([job], cluster, 100.0, "first_fit", BaselineParams())
-        res, = cluster.slice("g0s0").reservations
-        assert (res.start, res.end, res.owner) == (100.0, p.est_end_s, "j")
+        # A dry run: the placement names its slice and span, and the engine
+        # does the booking, so every timeline is left as it was.
+        cluster = ClusterState.from_layout(2, (10240, 20480))
+        cluster.slice("g0s1").reserve(0.0, 50.0, "done")
+        before = timelines(cluster)
+        jobs = [make_job(f"j{i}", 9000.0) for i in range(3)]
+        got = monolithic_place(jobs, cluster, 100.0, "first_fit", BaselineParams())
+        assert [(p.slice_id, p.start_s) for p in got] == [
+            ("g0s0", 100.0), ("g0s1", 100.0), ("g1s0", 100.0)
+        ]
+        assert timelines(cluster) == before
+
+
+def timelines(cluster):
+    return [[(r.start, r.end, r.owner) for r in s.reservations] for s in cluster.slices]
+
+
+def book(cluster, placements):
+    """Book a pass's placements to their estimated ends, as the engine would
+    when every estimate covers the real run."""
+    for p in placements:
+        cluster.slice(p.slice_id).reserve(p.start_s, p.est_end_s, p.job_id)
 
 
 def oracle_place(queue, cluster, now, kind, params):
     """monolithic_place as it was when every job re-scanned every slice's
-    whole timeline and best_fit broke ties through a slice-order dict."""
+    whole timeline and best_fit broke ties through a slice-order dict; a
+    slice placed earlier in the pass is taken."""
+    taken = set()
+
     def idle(s):
-        return all(r.end <= now for r in s.reservations)
+        return s.slice_id not in taken and all(r.end <= now for r in s.reservations)
 
     placements = []
     for job in sorted(queue, key=lambda j: (j.spec.arrival_s, j.spec.job_id)):
@@ -95,11 +115,11 @@ def oracle_place(queue, cluster, now, kind, params):
             chosen = moldable_capacity(job, cluster)
             if chosen is None:
                 continue
-            fitting = [s for s in cluster.slices() if s.capacity_mb == chosen and idle(s)]
+            fitting = [s for s in cluster.slices if s.capacity_mb == chosen and idle(s)]
         else:
-            fitting = [s for s in cluster.slices() if s.capacity_mb >= needed and idle(s)]
+            fitting = [s for s in cluster.slices if s.capacity_mb >= needed and idle(s)]
             if kind == "best_fit":
-                order = {s.slice_id: i for i, s in enumerate(cluster.slices())}
+                order = {s.slice_id: i for i, s in enumerate(cluster.slices)}
                 fitting.sort(key=lambda s: (s.capacity_mb - needed, order[s.slice_id]))
         if not fitting:
             continue
@@ -110,7 +130,7 @@ def oracle_place(queue, cluster, now, kind, params):
         placements.append(
             Placement(job.spec.job_id, target.slice_id, target.capacity_mb, now, now + est)
         )
-        target.reserve(now, now + est, job.spec.job_id)
+        taken.add(target.slice_id)
     return placements
 
 
@@ -140,7 +160,7 @@ class TestPlacementOracle:
     def test_same_placements_as_full_scan(self, kind, gpus, layout, specs, pre):
         clusters = [ClusterState.from_layout(gpus, tuple(layout)) for _ in range(2)]
         for c in clusters:
-            slices = c.slices()
+            slices = c.slices
             for k, start, width in pre:
                 try:
                     slices[k % len(slices)].reserve(float(start), float(start + width), "bg")
@@ -153,15 +173,16 @@ class TestPlacementOracle:
         params = BaselineParams(kind=kind, speedup_table={10240: 1.25, 40960: 0.8})
         waiting = list(jobs)
         for now in (0.0, 300.0, 900.0, 1800.0, 3600.0):
+            before = timelines(clusters[0])
             got = monolithic_place(waiting, clusters[0], now, kind, params)
-            assert got == oracle_place(waiting, clusters[1], now, kind, params)
+            assert timelines(clusters[0]) == before
+            want = oracle_place(waiting, clusters[1], now, kind, params)
+            assert got == want
+            book(clusters[0], got)
+            book(clusters[1], want)
             placed = {p.job_id for p in got}
             waiting = [j for j in waiting if j.spec.job_id not in placed]
-        timelines = [
-            [[(r.start, r.end, r.owner) for r in s.reservations] for s in c.slices()]
-            for c in clusters
-        ]
-        assert timelines[0] == timelines[1]
+        assert timelines(clusters[0]) == timelines(clusters[1])
 
 
 class TestMoldable:

@@ -16,8 +16,6 @@ from sjasim.cluster import (
     SliceInstance,
     check_layout,
     find_gaps,
-    release_tail,
-    reserve,
 )
 
 
@@ -72,17 +70,16 @@ class TestCatalog:
 class TestLayout:
     def test_ids_are_node_slice_ordinals(self):
         cluster = ClusterState.from_layout(2, (20480, 10240))
-        assert [s.slice_id for s in cluster.slices()] == ["g0s0", "g0s1", "g1s0", "g1s1"]
+        assert [s.slice_id for s in cluster.slices] == ["g0s0", "g0s1", "g1s0", "g1s1"]
         assert cluster.total_capacity_mb == 2 * (20480 + 10240)
+
+    def test_capacities_are_sorted_and_distinct(self):
+        cluster = ClusterState.from_layout(2, (20480, 5120, 10240, 5120))
+        assert cluster.capacities_mb == (5120, 10240, 20480)
 
     def test_slice_capacity_must_be_in_catalog(self):
         with pytest.raises(ValueError):
             ClusterState.from_layout(1, (999,))
-
-    def test_slice_budget_enforced(self):
-        with pytest.raises(ValueError):
-            ClusterState.from_layout(1, (20480, 20480), gpu_capacity_mb=20480)
-        ClusterState.from_layout(1, (20480, 20480), gpu_capacity_mb=40960)
 
     def test_at_most_seven_slices(self):
         ClusterState.from_layout(1, (5120,) * 7)
@@ -180,12 +177,12 @@ class TestFreeIntervals:
 class TestFindGaps:
     def test_partitions_lookahead_range(self):
         cluster = ClusterState.from_layout(1, (20480, 10240))
-        reserve(cluster, "g0s0", 0.0, 600.0, "a")
-        reserve(cluster, "g0s0", 900.0, 1500.0, "b")
-        reserve(cluster, "g0s1", 300.0, 2400.0, "c")
+        cluster.slice("g0s0").reserve(0.0, 600.0, "a")
+        cluster.slice("g0s0").reserve(900.0, 1500.0, "b")
+        cluster.slice("g0s1").reserve(300.0, 2400.0, "c")
         horizon = 1800.0
         gaps = find_gaps(cluster, 0.0, horizon)
-        for s in cluster.slices():
+        for s in cluster.slices:
             mine = [g for g in gaps if g.slice_id == s.slice_id]
             covered = sum(g.duration for g in mine)
             busy = sum(
@@ -197,7 +194,7 @@ class TestFindGaps:
 
     def test_min_duration_filters(self):
         cluster = ClusterState.from_layout(1, (20480,))
-        reserve(cluster, "g0s0", 200.0, 1000.0, "a")
+        cluster.slice("g0s0").reserve(200.0, 1000.0, "a")
         gaps = find_gaps(cluster, 0.0, 1800.0, min_duration=300.0)
         assert [(g.start, g.duration) for g in gaps] == [(1000.0, 800.0)]
 
@@ -212,55 +209,29 @@ class TestFindGaps:
 
 class TestReleaseTail:
     def test_truncates_live_reservation(self):
-        cluster = ClusterState.from_layout(1, (20480,))
-        reserve(cluster, "g0s0", 0.0, 1000.0, "u1")
-        release_tail(cluster, "u1", 400.0)
-        assert [(r.start, r.end) for r in cluster.slice("g0s0").reservations] == [(0.0, 400.0)]
+        s = SliceInstance("a", 20480)
+        s.reserve(0.0, 1000.0, "u1")
+        s.release_tail("u1", 400.0)
+        assert [(r.start, r.end) for r in s.reservations] == [(0.0, 400.0)]
 
     def test_removes_future_reservation(self):
-        cluster = ClusterState.from_layout(1, (20480,))
-        reserve(cluster, "g0s0", 500.0, 1000.0, "u1")
-        release_tail(cluster, "u1", 200.0)
-        assert cluster.slice("g0s0").reservations == []
+        s = SliceInstance("a", 20480)
+        s.reserve(500.0, 1000.0, "u1")
+        s.release_tail("u1", 200.0)
+        assert s.reservations == []
 
     def test_unknown_owner_raises(self):
-        cluster = ClusterState.from_layout(1, (20480,))
-        reserve(cluster, "g0s0", 0.0, 100.0, "u1")
+        s = SliceInstance("a", 20480)
+        s.reserve(0.0, 100.0, "u1")
         with pytest.raises(ReservationNotFound):
-            release_tail(cluster, "u2", 50.0)
+            s.release_tail("u2", 50.0)
         with pytest.raises(ReservationNotFound):
-            release_tail(cluster, "u1", 100.0)  # already ended by then
-
-
-class TestExtend:
-    def test_pushes_end_of_latest_reservation(self):
-        s = SliceInstance("a", 10240)
-        s.reserve(0.0, 10.0, "x")
-        s.extend("x", 15.0)
-        assert [(r.start, r.end) for r in s.reservations] == [(0.0, 15.0)]
-        s.extend("x", 12.0)  # never shortens
-        assert s.reservations[0].end == 15.0
-
-    def test_overlapping_the_next_reservation_conflicts(self):
-        s = SliceInstance("a", 10240)
-        s.reserve(0.0, 10.0, "x")
-        s.reserve(20.0, 30.0, "y")
-        with pytest.raises(ReservationConflict):
-            s.extend("x", 25.0)
-        assert [(r.start, r.end) for r in s.reservations] == [(0.0, 10.0), (20.0, 30.0)]
-        s.extend("x", 20.0)  # touching the next one is fine
-        assert s.reservations[0].end == 20.0
-
-    def test_unknown_owner_raises(self):
-        s = SliceInstance("a", 10240)
-        s.reserve(0.0, 10.0, "x")
-        with pytest.raises(ReservationNotFound):
-            s.extend("z", 20.0)
+            s.release_tail("u1", 100.0)  # already ended by then
 
 
 # One timeline operation: (op, owner index, a, b) with small integer times.
 _ops = st.tuples(
-    st.sampled_from(["reserve", "release_tail", "extend"]),
+    st.sampled_from(["reserve", "release_tail"]),
     st.integers(0, 3),
     st.integers(0, 40),
     st.integers(1, 15),
@@ -271,18 +242,15 @@ class TestIdleOracle:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 1), _ops), max_size=25))
     def test_idle_everywhere_after_matches_full_scan(self, steps):
-        cluster = ClusterState.from_layout(1, (20480, 10240))
-        slices = cluster.slices()
+        slices = ClusterState.from_layout(1, (20480, 10240)).slices
         for n, (k, (op, who, a, b)) in enumerate(steps):
             s = slices[k]
             owner = s.reservations[who % len(s.reservations)].owner if s.reservations else "-"
             try:
                 if op == "reserve":
-                    reserve(cluster, s.slice_id, float(a), float(a + b), f"u{n}")
-                elif op == "release_tail":
-                    release_tail(cluster, owner, float(a))
+                    s.reserve(float(a), float(a + b), f"u{n}")
                 else:
-                    s.extend(owner, float(a + b))
+                    s.release_tail(owner, float(a))
             except (ReservationConflict, ReservationNotFound):
                 pass
             for sl in slices:

@@ -87,9 +87,9 @@ class TestCollectInterest:
     def test_is_pure(self):
         offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)], 0.0, 60.0)[0]
         job = make_job()
-        before = (job.position_s, job.subjob_seq, job.status)
+        before = (job.position_s, job.subjob_seq)
         collect_interest(offer, [job], CAT, RISK, SEG, 0.0)
-        assert (job.position_s, job.subjob_seq, job.status) == before
+        assert (job.position_s, job.subjob_seq) == before
 
     def test_expired_offer_rejected(self):
         offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)], 0.0, 60.0)[0]

@@ -15,6 +15,7 @@ from sjasim.simcore import (
     draw_actual_runs,
     run,
 )
+from sjasim.scenarios import SCENARIO_BUILDERS
 from sjasim.workload import JobSpec, Phase, PhaseModel, synth_ensemble
 
 H = 60.0
@@ -238,6 +239,51 @@ class TestAccounting:
         assert rpt.scalars()["injected_failures"] == len(fails)
         for f in fails:
             assert f["lost_s"] <= f["planned_s"] + 1e-9
+
+
+class TestChainedGrants:
+    def test_later_chain_continues_where_the_earlier_one_ends(self):
+        scenario, cfg = SCENARIO_BUILDERS["fragmented"]()
+        cfg = dataclasses.replace(cfg, max_concurrent_subjobs_per_job=2)
+        _, log = run(scenario, "sja", cfg, seed=0)
+        chains = {}  # (job, offer) -> that chain's subjob_created records
+        live = {}  # unit -> (job, offer), until it ends, is killed or cancelled
+        checked = 0
+        for r in log:
+            if r["kind"] == "subjob_created":
+                key = (r["job"], r["offer"])
+                held = {v for v in live.values() if v[0] == r["job"] and v != key}
+                if held and key not in chains:
+                    # A second offer's chain while the first still holds units.
+                    earlier, = held
+                    prev = chains[earlier]
+                    assert r["pos_from_s"] == pytest.approx(max(c["pos_to_s"] for c in prev))
+                    reserved_end = max(c["window_start"] + c["window_s"] for c in prev)
+                    assert r["window_start"] >= reserved_end - 1e-6
+                    checked += 1
+                chains.setdefault(key, []).append(r)
+                live[r["unit"]] = key
+            elif r["kind"] in ("subjob_end", "oom_kill", "failure_inject", "subjob_cancelled"):
+                live.pop(r.get("unit"), None)
+        assert checked > 0
+
+
+class TestMaxWait:
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_rejected_only_after_max_wait_and_never_started_after(self, scheduler):
+        scenario, cfg = SCENARIO_BUILDERS["fragmented"]()
+        cfg = dataclasses.replace(cfg, max_wait_s=1800.0)
+        _, log = run(scenario, scheduler, cfg, seed=0)
+        arrival = {j.job_id: j.arrival_s for j in scenario.jobs}
+        rejected_at = {}
+        for r in log:
+            job = r.get("job")
+            if r["kind"] == "job_rejected" and r["reason"] == "max queue wait exceeded":
+                assert r["t"] - arrival[job] > cfg.max_wait_s
+                rejected_at[job] = r["t"]
+            elif r["kind"] in ("subjob_start", "placement"):
+                assert job not in rejected_at, r
+        assert rejected_at
 
 
 class TestCompare:
