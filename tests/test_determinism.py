@@ -7,7 +7,9 @@ purpose must say why and regenerate the table.
 
 The builders' default configs never inject failures, chain grants, give up
 on a wait, cap OOM retries or plan from one run, so VARIANTS re-runs three
-scenarios with each of those engine paths switched on.
+scenarios with each of those engine paths switched on. Nor do they mix
+priorities, so outside priority-inversion preempt_migrate never preempts;
+PRIORITY_MIX_DIGESTS re-runs three scenarios with priority = index % 3.
 """
 import hashlib
 from dataclasses import replace
@@ -146,6 +148,17 @@ VARIANT_DIGESTS = {
 }
 
 
+PRIORITY_MIX_SCENARIOS = ("calibration", "two-tenant", "fragmented")
+PRIORITY_MIX_DIGESTS = {
+    ("calibration", 0.0): "83ab7f0577c53f76ddefffaaddeac5616c1ae124a55528bbeb9ffa39456cbb6d",
+    ("calibration", 1.5): "8f8395fb92b46b62446d03a3960f7f02ad8ec0c69c3f6f2067489dc25fa4f92d",
+    ("two-tenant", 0.0): "f79d8c8323fe1bb5c19bce33116d4deaf1919e7cb7cbce5aee111a87392defac",
+    ("two-tenant", 1.5): "bfd75e09515fa8e42f30ff40ae3e8cfc4982b27460b329c6838fd8ada24e5cc7",
+    ("fragmented", 0.0): "b92bc84cf2cfa3b6735f8590b0c67c6dd31f563dd54a224a26eab8112eba36bd",
+    ("fragmented", 1.5): "2fddfecef223e7abbc7969d029f9b6df130ea99ce3811cc834562dfc5ff2dd88",
+}
+
+
 def _digest(scenario, scheduler, cfg) -> str:
     report, log = run(scenario, scheduler, cfg, seed=0)
     text = events_text(log) + metrics_csv_text(report)
@@ -177,3 +190,13 @@ def test_engine_variants_are_byte_identical(name, variant):
     for scheduler in SCHEDULERS:
         digest = _digest(scenario, scheduler, cfg)
         assert digest == VARIANT_DIGESTS[(name, variant, scheduler)], scheduler
+
+
+@pytest.mark.parametrize("name", PRIORITY_MIX_SCENARIOS)
+def test_priority_mix_preemption_is_byte_identical(name):
+    scenario, cfg = SCENARIO_BUILDERS[name]()
+    jobs = [replace(j, priority=i % 3) for i, j in enumerate(scenario.jobs)]
+    scenario = replace(scenario, jobs=jobs)
+    for rate in (0.0, 1.5):
+        digest = _digest(scenario, "preempt_migrate", replace(cfg, failure_rate_per_hour=rate))
+        assert digest == PRIORITY_MIX_DIGESTS[(name, rate)], rate
