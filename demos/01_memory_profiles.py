@@ -31,14 +31,14 @@ print(f"mid-run median {mid[k]:.0f} MB, 95% envelope {env[k]:.0f} MB")
 
 # Peak queries answer "how much memory must a window reserve".
 peak = envelope_peak(profile, 0.05, (600.0, 1800.0))
-print(f"envelope peak over [600 s, 1800 s): {peak.value_mb:.0f} MB")
+print(f"envelope peak over [600 s, 1800 s): {peak:.0f} MB")
 
-# Joint admission asks a sharper question: the fraction of runs whose
-# *maximum* over the window fits. A capacity can pass every grid point
-# separately yet fail jointly, which is why admission defaults to joint.
+# Admission asks a sharper question: the fraction of runs whose *maximum*
+# over the window fits. A capacity at or above the envelope peak passes
+# every grid point separately yet can fail jointly, which is why admission
+# is joint; the peak comparison only flags where the two disagree.
 for cap in (9500.0, 10500.0, 10800.0):
-    joint = memory_admissible(profile, cap, (600.0, 1800.0), 0.05, "joint")
-    point = memory_admissible(profile, cap, (600.0, 1800.0), 0.05, "envelope")
+    joint = memory_admissible(profile, cap, (600.0, 1800.0), 0.05)
     print(f"capacity {cap:>7.0f} MB: joint p={joint.probability:.3f} "
           f"{'admit' if joint.admissible else 'deny '}   "
-          f"envelope {'admit' if point.admissible else 'deny'}")
+          f"peak {'<=' if peak <= cap else '> '} capacity")

@@ -10,12 +10,13 @@ periodic checkpoint and pays a state-transfer delay before resuming.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cluster import ClusterState
-from .workload import JobRuntime
+from .workload import JobRuntime, SubJob
 
 __all__ = [
     "FIRST_FIT",
@@ -59,12 +60,16 @@ class BaselineParams:
     def __post_init__(self) -> None:
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if self.migrate_bandwidth_mb_s <= 0 or self.ckpt_interval_s <= 0:
-            raise ValueError("bandwidth and checkpoint interval must be positive")
-        if self.migrate_fixed_overhead_s < 0:
-            raise ValueError("fixed overhead must be >= 0")
-        if any(m <= 0 for m in self.speedup_table.values()):
-            raise ValueError("speedup multipliers must be positive")
+        # Written so that nan fails every check. An infinite interval would
+        # keep 0 * inf = nan progress on preemption.
+        if not self.migrate_bandwidth_mb_s > 0:
+            raise ValueError("migration bandwidth must be positive")
+        if not 0 < self.ckpt_interval_s < math.inf:
+            raise ValueError("checkpoint interval must be finite and positive")
+        if not 0 <= self.migrate_fixed_overhead_s < math.inf:
+            raise ValueError("fixed overhead must be finite and >= 0")
+        if not all(0 < m < math.inf for m in self.speedup_table.values()):
+            raise ValueError("speedup multipliers must be finite and positive")
 
     def multiplier(self, capacity_mb: int) -> float:
         return self.speedup_table.get(capacity_mb, 1.0)
@@ -161,16 +166,18 @@ def checkpointed_progress_s(executed_s: float, params: BaselineParams) -> float:
 
 
 def pick_preemption_victim(
-    running: list[tuple[JobRuntime, str, int]],
+    running: list[tuple[JobRuntime, SubJob]],
     waiting_job: JobRuntime,
-) -> tuple[JobRuntime, str, int] | None:
-    """Lowest-priority running job strictly below the waiter, whose slice
-    would fit the waiter's declared peak. Ties go to later arrivals."""
+) -> tuple[JobRuntime, SubJob] | None:
+    """The pair in `running` (the object itself) of the lowest-priority job
+    strictly below the waiter whose unit's slice would fit the waiter's
+    declared peak. Ties go to later arrivals, then to the smaller job id; a
+    job holds at most one running whole-job unit, so the choice is unique."""
     usable = [
-        (job, slice_id, cap)
-        for job, slice_id, cap in running
-        if job.spec.priority < waiting_job.spec.priority
-        and cap >= waiting_job.spec.declared_peak_mb
+        pair
+        for pair in running
+        if pair[0].spec.priority < waiting_job.spec.priority
+        and pair[1].physical_capacity_mb >= waiting_job.spec.declared_peak_mb
     ]
     if not usable:
         return None

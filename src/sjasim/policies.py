@@ -5,6 +5,7 @@ so identical inputs always produce identical grants.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -39,17 +40,17 @@ class GrantPolicy:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy.kind {self.kind!r}; choose from {POLICY_KINDS}")
-        if self.cost_rate < 0:
-            raise ValueError("cost_rate must be >= 0")
+        if not 0 <= self.cost_rate < math.inf:
+            raise ValueError("cost_rate must be finite and >= 0")
+        if any(math.isnan(b) for b in self.token_budgets.values()):
+            raise ValueError("token budgets must not be nan")
 
 
 class TenantLedger:
-    """Token budgets per tenant; debited on materialization, refundable."""
+    """Token budgets per tenant; a grant debits its cost, a refusal refunds it."""
 
     def __init__(self, budgets: dict[str, float] | None = None):
         self.budgets: dict[str, float] = dict(budgets or {})
-        self.debited: float = 0.0
-        self.refunded: float = 0.0
 
     def remaining(self, tenant: str) -> float:
         return self.budgets.get(tenant, 0.0)
@@ -61,11 +62,9 @@ class TenantLedger:
         if not self.can_afford(tenant, cost):
             raise ValueError(f"tenant {tenant} cannot afford {cost}")
         self.budgets[tenant] = self.remaining(tenant) - cost
-        self.debited += cost
 
     def refund(self, tenant: str, cost: float) -> None:
         self.budgets[tenant] = self.remaining(tenant) + cost
-        self.refunded += cost
 
 
 def offer_cost_tokens(offer: Offer, cost_rate: float) -> float:

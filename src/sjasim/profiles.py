@@ -2,8 +2,9 @@
 
 A job's memory demand is modeled as a function of job-relative time on a
 uniform grid. From an ensemble of recorded runs we build pointwise upper
-quantile envelopes, admission checks (pointwise-envelope and joint-window),
-and runtime distributions for deadline screening.
+quantile envelopes and their peak over a window, one admission rule (the
+joint-window fraction of runs that stay under a capacity), and runtime
+distributions for deadline screening.
 
 Quantile rule used throughout: nearest-rank, i.e. the ceil(q * n)-th order
 statistic of the n values supported at a grid point. No interpolation. Runs
@@ -21,11 +22,9 @@ import numpy as np
 
 __all__ = [
     "ProfileError",
-    "UnsupportedQuery",
     "TrajectoryEnsemble",
     "FunctionalProfile",
     "RiskParams",
-    "EnvelopePeak",
     "AdmissionDecision",
     "build_profile",
     "single_run_profile",
@@ -40,15 +39,9 @@ __all__ = [
     "load_ensemble",
 ]
 
-RESOURCE_MEMORY = "memory"
-
 
 class ProfileError(ValueError):
     """Invalid profile construction or query."""
-
-
-class UnsupportedQuery(ProfileError):
-    """Query outside what the profile can answer (e.g. unknown resource kind)."""
 
 
 def _fmt6(x: float) -> str:
@@ -68,11 +61,8 @@ class TrajectoryEnsemble:
 
     grid_step: float
     runs: list[np.ndarray]
-    resource_kind: str = RESOURCE_MEMORY
 
     def __post_init__(self) -> None:
-        if self.resource_kind != RESOURCE_MEMORY:
-            raise UnsupportedQuery(f"unsupported resource kind: {self.resource_kind!r}")
         if not self.grid_step > 0:
             raise ProfileError("grid_step must be positive")
         if not self.runs:
@@ -158,7 +148,7 @@ class FunctionalProfile:
     envelope_cache: dict[float, np.ndarray]
     runtime_samples: np.ndarray
     support: np.ndarray
-    source: TrajectoryEnsemble | None = None
+    source: TrajectoryEnsemble
     # Dry-run plans memoized by segmentation.plan_segments. It lives here so
     # that a refreshed profile (a new object) starts empty and the old
     # entries are freed together with the old profile.
@@ -173,10 +163,6 @@ class FunctionalProfile:
         _check_eps(eps)
         key = float(eps)
         if key not in self.envelope_cache:
-            if self.source is None:
-                raise UnsupportedQuery(
-                    f"eps={eps} not cached and no source ensemble retained"
-                )
             self.envelope_cache[key] = _column_quantiles(
                 np.sort(self.source.padded_matrix(), axis=0), self.support, 1.0 - key
             )
@@ -275,57 +261,42 @@ def single_run_profile(
 
 def grid_indices(
     window: tuple[float, float], grid_step: float, n_points: int
-) -> tuple[int, int, bool]:
+) -> tuple[int, int]:
     """Grid index range [lo, hi] of the points a time window touches.
 
     lo snaps back to the grid point at or before `start`; hi is the last
-    grid point at or before `end`. Returns (lo, hi, truncated); truncated
-    is True when the window reaches past the last supported grid point and
-    was clamped to it.
+    grid point at or before `end`. A window reaching past the last
+    supported grid point is clamped to it.
     """
     start, end = window
     if end < start:
         raise ProfileError("window end precedes start")
     if start < 0:
         raise ProfileError("window start is negative")
-    lo = int(math.floor(start / grid_step + 1e-9))
-    hi = int(math.floor(end / grid_step + 1e-9))
-    truncated = False
-    if lo > n_points - 1:
-        lo = n_points - 1
-        truncated = True
-    if hi > n_points - 1:
-        hi = n_points - 1
-        truncated = True
-    hi = max(hi, lo)
-    return lo, hi, truncated
-
-
-@dataclass(frozen=True)
-class EnvelopePeak:
-    value_mb: float
-    truncated: bool
+    lo = min(int(math.floor(start / grid_step + 1e-9)), n_points - 1)
+    hi = min(int(math.floor(end / grid_step + 1e-9)), n_points - 1)
+    return lo, max(hi, lo)
 
 
 def envelope_peak(
     profile: FunctionalProfile, eps: float, window: tuple[float, float]
-) -> EnvelopePeak:
+) -> float:
     """Max of the (1 - eps) envelope over the grid points meeting `window`.
 
-    Windows reaching beyond the profile horizon are clamped to it and the
-    result is flagged truncated.
+    Windows reaching beyond the profile horizon are clamped to it. A peak at
+    or below a capacity bounds exceedance pointwise at every grid point, but
+    not jointly over the window, so it is more permissive than
+    memory_admissible; materialize compares the two.
     """
     curve = profile.envelope(eps)
-    lo, hi, truncated = grid_indices(window, profile.grid_step, profile.n_points)
-    return EnvelopePeak(float(curve[lo : hi + 1].max()), truncated)
+    lo, hi = grid_indices(window, profile.grid_step, profile.n_points)
+    return float(curve[lo : hi + 1].max())
 
 
 @dataclass(frozen=True)
 class AdmissionDecision:
     admissible: bool
     probability: float
-    method: str
-    truncated: bool = False
 
 
 def memory_admissible(
@@ -333,53 +304,22 @@ def memory_admissible(
     capacity_mb: float,
     window: tuple[float, float],
     eps: float,
-    method: str = "joint",
 ) -> AdmissionDecision:
     """Decide whether running over `window` at capacity_mb meets risk eps.
 
-    method="joint" (default for admission): the estimated probability is the
-    fraction of source runs whose maximum over the window stays at or below
-    capacity; runs that end before the window contribute a success. Admit
-    when that fraction is at least 1 - eps.
-
-    method="envelope": admit when the pointwise envelope peak over the window
-    is at or below capacity. This bounds exceedance pointwise at every grid
-    point but not jointly over the window, so it is the more permissive
-    check; the reported probability is the worst pointwise survival fraction
-    over the window.
+    The estimated probability is the fraction of source runs whose maximum
+    over the window stays at or below capacity; runs that end before the
+    window contribute a success. Admit when that fraction is at least
+    1 - eps.
     """
     _check_eps(eps)
-    if method == "envelope":
-        peak = envelope_peak(profile, eps, window)
-        verdict = peak.value_mb <= capacity_mb
-        prob = _pointwise_survival(profile, capacity_mb, window)
-        return AdmissionDecision(verdict, prob, "envelope", peak.truncated)
-    if method != "joint":
-        raise UnsupportedQuery(f"unknown admission method: {method!r}")
-    if profile.source is None:
-        raise UnsupportedQuery("joint admission needs the source ensemble")
     padded = profile.source.padded_matrix()
-    lo, hi, truncated = grid_indices(window, profile.grid_step, profile.n_points)
+    lo, hi = grid_indices(window, profile.grid_step, profile.n_points)
     segment = padded[:, lo : hi + 1]
     # A run with no samples in the window has already finished: success.
     maxes = np.where(np.isnan(segment), -np.inf, segment).max(axis=1)
     prob = float(np.mean(maxes <= capacity_mb))
-    return AdmissionDecision(prob >= 1.0 - eps, prob, "joint", truncated)
-
-
-def _pointwise_survival(
-    profile: FunctionalProfile, capacity_mb: float, window: tuple[float, float]
-) -> float:
-    if profile.source is None:
-        return float("nan")
-    padded = profile.source.padded_matrix()
-    lo, hi, _ = grid_indices(window, profile.grid_step, profile.n_points)
-    segment = padded[:, lo : hi + 1]
-    alive = ~np.isnan(segment)
-    # Runs already finished count as under-capacity, same as the joint rule.
-    under = np.where(alive, segment <= capacity_mb, True)
-    frac = under.sum(axis=0) / padded.shape[0]
-    return float(frac.min())
+    return AdmissionDecision(prob >= 1.0 - eps, prob)
 
 
 def deadline_admissible(
@@ -400,7 +340,7 @@ def deadline_admissible(
         raise ProfileError("remaining_work_fraction must lie in [0, 1]")
     scaled = profile.runtime_samples * remaining_work_fraction
     prob = float(np.mean(scaled <= deadline_from_now))
-    return AdmissionDecision(prob >= 1.0 - alpha_t, prob, "deadline")
+    return AdmissionDecision(prob >= 1.0 - alpha_t, prob)
 
 
 def refresh_profile(
@@ -415,8 +355,6 @@ def refresh_profile(
     yields the median and every envelope. The old profile and its source are
     left as they were.
     """
-    if profile.source is None:
-        raise UnsupportedQuery("refresh needs the source ensemble")
     levels = tuple(sorted(profile.envelope_cache)) or (0.05,)
     return _summarize(profile.source.extended(completed_run), levels)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import policies as _policies
 from .cluster import ExecutionWindow, SliceCatalog
-from .profiles import RiskParams, memory_admissible
+from .profiles import RiskParams, envelope_peak
 from .segmentation import PlanRefusal, SegmentationConfig, plan_segments
 from .workload import JobRuntime, SubJob
 
@@ -57,7 +57,6 @@ class InterestSignal:
 class Grant:
     offer_id: str
     job_id: str
-    granted_at: float
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,9 @@ def collect_interest(
     """Dry-run each waiting job against the offer; pure, no state is created.
 
     A job signals interest iff segmentation yields at least one admissible
-    fragment. Non-atomizable jobs always decline (they take the
-    conventional placement path).
+    fragment; plan_segments refuses non-atomizable jobs, which take the
+    conventional placement path. Only the verdict leaves the dry run: the
+    plan stays memoized on the profile until materialize needs it.
     resume_positions lets the caller pipeline a job that already holds
     planned subjobs: its plan starts where the pending work ends.
     """
@@ -99,11 +99,6 @@ def collect_interest(
         raise ValueError(f"{offer.offer_id} has expired")
     signals: list[InterestSignal] = []
     for job in waiting:
-        if not job.spec.atomizable:
-            signals.append(
-                InterestSignal(offer.offer_id, job.spec.job_id, DECLINE, reason="non-atomizable")
-            )
-            continue
         start_pos = (resume_positions or {}).get(job.spec.job_id)
         result = plan_segments(
             job,
@@ -134,7 +129,7 @@ def grant_offer(
     job_id = _policies.select(policy, offer, interests, ledger, ctx)
     if job_id is None:
         return None
-    return Grant(offer.offer_id, job_id, ctx.now)
+    return Grant(offer.offer_id, job_id)
 
 
 def materialize(
@@ -152,13 +147,12 @@ def materialize(
     The plan is looked up again with plan_segments. When nothing changed
     since interest was signaled this is a cache hit on the job's profile;
     when the profile was refreshed or the demand floor moved, the plan is
-    recomputed, and a refusal returns the offer to the pool. Fragments that
-    would start at or past the job's actual completion are not materialized
-    (the job side knows its remaining iteration count). Each kept fragment
-    already passed joint admission; it is flagged methods_disagree when
-    envelope admission rejects it. The first subjob resumes from the
-    parent's latest checkpoint, unless the grant pipelines work beyond
-    already planned subjobs (that checkpoint does not exist yet).
+    recomputed, and a refusal returns the offer to the pool. Each fragment
+    becomes a subjob at window.start + offset_s. Fragments that would start
+    at or past the job's actual completion are not materialized (the job
+    side knows its remaining iteration count). Each kept fragment already
+    passed joint admission; it is flagged methods_disagree when the
+    envelope peak over its positions exceeds its capacity.
     """
     if granted.job_id != job.spec.job_id:
         raise ValueError("grant addressed to a different job")
@@ -173,20 +167,13 @@ def materialize(
     )
     if isinstance(result, PlanRefusal):
         return MaterializeRefusal(result.reason)
-    chained = (
-        start_position_s is not None and start_position_s > job.position_s + 1e-9
-    )
     span = job.actual_duration_s
     subjobs: list[SubJob] = []
-    for i, plan in enumerate(result):
+    for plan in result:
         if plan.pos_from_s >= span - 1e-9:
             break
-        envelope = memory_admissible(
-            job.profile,
-            plan.capacity_mb,
-            (plan.pos_from_s, plan.pos_to_s - job.profile.grid_step),
-            risk.eps,
-            "envelope",
+        peak = envelope_peak(
+            job.profile, risk.eps, (plan.pos_from_s, plan.pos_to_s - job.profile.grid_step)
         )
         subjobs.append(
             SubJob(
@@ -195,7 +182,7 @@ def materialize(
                 slice_id=window.slice_id,
                 physical_capacity_mb=window.capacity_mb,
                 slice_capacity_mb=plan.capacity_mb,
-                window_start_s=plan.wall_start_s,
+                window_start_s=window.start + plan.offset_s,
                 window_duration_s=plan.duration_s,
                 pos_from_s=plan.pos_from_s,
                 pos_to_s=plan.pos_to_s,
@@ -204,8 +191,7 @@ def materialize(
                 work_to=job.fraction_at(plan.pos_to_s),
                 predicted_peak_mb=plan.predicted_peak_mb,
                 admission_probability=plan.admission_probability,
-                methods_disagree=not envelope.admissible,
-                resume_from=job.last_checkpoint if i == 0 and not chained else None,
+                methods_disagree=peak > plan.capacity_mb,
             )
         )
     if not subjobs:

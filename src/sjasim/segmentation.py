@@ -10,7 +10,7 @@ keeps plans from chasing short-lived dips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
@@ -238,9 +238,10 @@ def _chop(a: int, b: int, tmin: int, tmax: int) -> list[tuple[int, int]] | None:
 
 @dataclass(frozen=True)
 class FragmentPlan:
-    """One plannable subjob: wall window plus job-relative work positions."""
+    """One plannable subjob: its start offset from the window start, its
+    duration and capacity, and its job-relative work positions."""
 
-    wall_start_s: float
+    offset_s: float
     duration_s: float
     capacity_mb: int
     pos_from_s: float
@@ -277,8 +278,9 @@ def plan_segments(
     `profile.plan_cache`. The key is everything the plan reads besides the
     profile: job id, the demand-floor version (only with online_correction),
     start grid index, whole window steps, offered capacity, seg, risk.eps,
-    online_correction and the catalog. Cached fragments are relative to the
-    window; wall start times are rebuilt from window.start on every call.
+    online_correction and the catalog. Fragments are window-relative, so a
+    hit returns the cached fragment objects themselves, whatever the
+    window's start; materialize places each at window.start + offset_s.
     """
     if not job.spec.atomizable:
         return PlanRefusal("non-atomizable job, conventional placement only")
@@ -310,7 +312,7 @@ def plan_segments(
         profile.plan_cache[key] = planned
     if isinstance(planned, PlanRefusal):
         return planned
-    return [replace(p, wall_start_s=window.start + p.wall_start_s) for p in planned]
+    return list(planned)
 
 
 def _plan(
@@ -323,7 +325,7 @@ def _plan(
     seg: SegmentationConfig,
     online_correction: bool,
 ) -> tuple[FragmentPlan, ...] | PlanRefusal:
-    """Uncached body of plan_segments; wall_start_s is window-relative."""
+    """Uncached body of plan_segments."""
     profile = job.profile
     h = profile.grid_step
     curve = profile.envelope(seg.eps)
@@ -354,7 +356,7 @@ def _plan(
             break
         plans.append(
             FragmentPlan(
-                wall_start_s=f.start_idx * h,
+                offset_s=f.start_idx * h,
                 duration_s=f.n_steps * h,
                 capacity_mb=f.capacity_mb,
                 pos_from_s=pos_from,

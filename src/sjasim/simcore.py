@@ -66,7 +66,7 @@ from .protocol import (
     materialize,
 )
 from .segmentation import SegmentationConfig
-from .workload import Checkpoint, JobRuntime, JobSpec, SubJob, generate_trajectory
+from .workload import JobRuntime, JobSpec, SubJob, generate_trajectory
 
 __all__ = [
     "SCHEDULERS",
@@ -638,9 +638,6 @@ class _Engine:
             self._complete(job)
         else:
             frac = job.fraction_at(end_pos)
-            job.last_checkpoint = Checkpoint(
-                job.spec.job_id, frac, job.spec.checkpoint_size_mb, self.now
-            )
             self._log(
                 "checkpoint",
                 job=unit.job_id,
@@ -954,29 +951,26 @@ class _Engine:
         if self.scheduler != PREEMPT_MIGRATE:
             return self._place_monolithic(ready, self.scheduler)
         ready.sort(key=lambda j: (-j.spec.priority, j.spec.arrival_s, j.spec.job_id))
+        # Units placed in this round start later, so within it only a
+        # preemption changes which whole-job units are running.
+        running = [
+            (self.jobs[u.job_id], u)
+            for u in self.units.values()
+            if u.started and u.kind == "monolithic"
+        ]
         progress = False
         for job in ready:
             if self._place_monolithic([job], FIRST_FIT):
                 progress = True
                 continue
-            if self._try_preempt_for(job):
+            victim = pick_preemption_victim(running, job)
+            if victim is None:
+                continue
+            running = [r for r in running if r is not victim]
+            self._preempt(victim[1].subjob_id, job.spec.job_id)
+            if self._place_monolithic([job], FIRST_FIT):
                 progress = True
         return progress
-
-    def _try_preempt_for(self, waiter: JobRuntime) -> bool:
-        running = [
-            (self.jobs[u.job_id], u.slice_id, u.physical_capacity_mb, uid)
-            for uid, u in sorted(self.units.items())
-            if u.started and u.kind == "monolithic"
-        ]
-        victim = pick_preemption_victim([r[:3] for r in running], waiter)
-        if victim is None:
-            return False
-        victim_uid = next(
-            uid for jr, sid, cap, uid in running if jr is victim[0] and sid == victim[1]
-        )
-        self._preempt(victim_uid, waiter.spec.job_id)
-        return self._place_monolithic([waiter], FIRST_FIT)
 
     def _preempt(self, unit_id: str, by_job: str) -> None:
         unit = self.units.pop(unit_id)

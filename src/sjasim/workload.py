@@ -1,9 +1,9 @@
-"""Jobs, subjobs, checkpoints, and synthetic trajectory generation.
+"""Jobs, subjobs, and synthetic trajectory generation.
 
 Memory trajectories follow a phase model (warmup ramp, noisy steady state,
 bursty phases). Work is a scalar fraction of the job's actual execution
-span; a subjob covers a contiguous fraction interval and resumes from its
-parent's latest checkpoint.
+span; a subjob covers a contiguous fraction interval and resumes where its
+job's progress stands when it starts.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ __all__ = [
     "PhaseModel",
     "JobSpec",
     "SubJob",
-    "Checkpoint",
     "JobRuntime",
     "generate_trajectory",
     "synth_ensemble",
@@ -181,14 +180,6 @@ class JobSpec:
 
 
 @dataclass
-class Checkpoint:
-    parent: str
-    completed_fraction: float
-    size_mb: float
-    created_at_s: float
-
-
-@dataclass
 class SubJob:
     """One occupancy of a slice, from its grant or placement to its end.
 
@@ -218,8 +209,7 @@ class SubJob:
     work_to: float = 1.0
     predicted_peak_mb: float = 0.0
     admission_probability: float = 1.0
-    methods_disagree: bool = False  # passed joint admission, failed envelope
-    resume_from: Checkpoint | None = None
+    methods_disagree: bool = False  # passed joint admission, envelope peak above capacity
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.work_from < self.work_to <= 1.0:
@@ -249,7 +239,6 @@ class JobRuntime:
     actual: np.ndarray
     grid_step: float
     position_s: float = 0.0
-    last_checkpoint: Checkpoint | None = None
     first_start_s: float | None = None
     finish_s: float | None = None  # set once, when the job completes
     reexecuted_s: float = 0.0

@@ -108,7 +108,7 @@ def test_criterion_02_admission_matches_brute_force():
             for r in runs
         ]
         cap = float(rng.choice(maxima)) * float(rng.uniform(0.98, 1.02))
-        got = memory_admissible(profile, cap, (lo * grid, hi * grid), eps, "joint")
+        got = memory_admissible(profile, cap, (lo * grid, hi * grid), eps)
         want_prob, want_ok = brute_force_memory(ens, cap, lo, hi, eps)
         mem_mismatch += (got.admissible, got.probability) != (want_ok, want_prob)
         admit_counts[want_ok] += 1

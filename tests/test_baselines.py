@@ -16,7 +16,7 @@ from sjasim.baselines import (
 )
 from sjasim.cluster import ClusterState, ReservationConflict
 from sjasim.profiles import TrajectoryEnsemble, build_profile
-from sjasim.workload import JobRuntime, JobSpec
+from sjasim.workload import JobRuntime, JobSpec, SubJob
 
 H = 60.0
 
@@ -233,29 +233,49 @@ class TestMigrationCosts:
         with pytest.raises(ValueError):
             BaselineParams(speedup_table={10240: 0.0})
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(migrate_bandwidth_mb_s=float("nan")),
+        dict(ckpt_interval_s=float("nan")),
+        dict(ckpt_interval_s=float("inf")),
+        dict(migrate_fixed_overhead_s=float("nan")),
+        dict(migrate_fixed_overhead_s=float("inf")),
+        dict(speedup_table={5120: float("nan")}),
+        dict(speedup_table={5120: float("inf")}),
+    ])
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            BaselineParams(**kwargs)
+
+
+def started_unit(job, slice_id, cap):
+    """(job, its started whole-job unit on slice_id)."""
+    unit = SubJob(f"{job.spec.job_id}-p0", job.spec.job_id, slice_id, cap, cap,
+                  0.0, 1800.0, 0.0, 1800.0, kind="monolithic", started=True)
+    return job, unit
+
 
 class TestPreemptionVictim:
     def test_lowest_priority_below_waiter_with_fitting_slice(self):
         waiter = make_job("w", 9000.0, priority=5)
         running = [
-            (make_job("high", 4000.0, priority=7), "g0s0", 10240),
-            (make_job("low-small", 4000.0, priority=1), "g0s1", 5120),
-            (make_job("low-big", 4000.0, priority=1, arrival=100.0), "g0s2", 10240),
-            (make_job("mid", 4000.0, priority=3), "g0s3", 10240),
+            started_unit(make_job("high", 4000.0, priority=7), "g0s0", 10240),
+            started_unit(make_job("low-small", 4000.0, priority=1), "g0s1", 5120),
+            started_unit(make_job("low-big", 4000.0, priority=1, arrival=100.0), "g0s2", 10240),
+            started_unit(make_job("mid", 4000.0, priority=3), "g0s3", 10240),
         ]
         victim = pick_preemption_victim(running, waiter)
-        assert victim[0].spec.job_id == "low-big"  # prio 1, slice fits 9000
+        assert victim is running[2]  # prio 1, slice fits 9000
 
     def test_ties_go_to_later_arrival(self):
         waiter = make_job("w", 9000.0, priority=5)
         running = [
-            (make_job("old", 4000.0, priority=1, arrival=0.0), "g0s0", 10240),
-            (make_job("new", 4000.0, priority=1, arrival=500.0), "g0s1", 10240),
+            started_unit(make_job("old", 4000.0, priority=1, arrival=0.0), "g0s0", 10240),
+            started_unit(make_job("new", 4000.0, priority=1, arrival=500.0), "g0s1", 10240),
         ]
-        assert pick_preemption_victim(running, waiter)[0].spec.job_id == "new"
+        assert pick_preemption_victim(running, waiter)[1].slice_id == "g0s1"
 
     def test_no_victim_when_nothing_qualifies(self):
         waiter = make_job("w", 9000.0, priority=2)
-        running = [(make_job("r", 4000.0, priority=2), "g0s0", 10240)]
+        running = [started_unit(make_job("r", 4000.0, priority=2), "g0s0", 10240)]
         assert pick_preemption_victim(running, waiter) is None  # not strictly below
         assert pick_preemption_victim([], waiter) is None

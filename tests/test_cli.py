@@ -156,6 +156,19 @@ class TestErrorPaths:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--scheduler", "moldable", "--speedup", "5120=inf"), ("--cost-rate", "inf")],
+    )
+    def test_non_finite_policy_or_baseline_value_exits_2_before_writing(
+        self, scenario_file, tmp_path, capsys, flags
+    ):
+        out = tmp_path / "out"
+        rc = main(["run", "--scenario", str(scenario_file), "--out", str(out), *flags])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_reports_counts(self, scenario_file, capsys):

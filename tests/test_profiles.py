@@ -117,17 +117,16 @@ def step_profile(grid_step=60.0, low=4096.0, high=18432.0, n_runs=4):
 class TestEnvelopePeak:
     def test_step_curve_windows(self):
         prof = step_profile()
-        assert pf.envelope_peak(prof, 0.05, (0.0, 540.0)).value_mb == 4096.0
-        assert pf.envelope_peak(prof, 0.05, (0.0, 1140.0)).value_mb == 18432.0
+        assert pf.envelope_peak(prof, 0.05, (0.0, 540.0)) == 4096.0
+        assert pf.envelope_peak(prof, 0.05, (0.0, 1140.0)) == 18432.0
         # Endpoints snap outward: reaching past a boundary picks up the step.
-        assert pf.envelope_peak(prof, 0.05, (0.0, 541.0)).value_mb == 4096.0
-        assert pf.envelope_peak(prof, 0.05, (0.0, 601.0)).value_mb == 18432.0
+        assert pf.envelope_peak(prof, 0.05, (0.0, 541.0)) == 4096.0
+        assert pf.envelope_peak(prof, 0.05, (0.0, 601.0)) == 18432.0
 
-    def test_window_past_horizon_clamps_and_flags(self):
+    def test_window_past_horizon_clamps(self):
         prof = step_profile()
-        peak = pf.envelope_peak(prof, 0.05, (0.0, 99999.0))
-        assert peak.truncated and peak.value_mb == 18432.0
-        assert not pf.envelope_peak(prof, 0.05, (0.0, 600.0)).truncated
+        assert pf.envelope_peak(prof, 0.05, (0.0, 99999.0)) == 18432.0
+        assert pf.envelope_peak(prof, 0.05, (99999.0, 99999.0)) == 18432.0
 
 
 class TestMemoryAdmissible:
@@ -135,16 +134,16 @@ class TestMemoryAdmissible:
         # 93 runs stay at 10, 7 spike to 50 inside the window: prob 0.93.
         runs = [[10.0, 10.0, 10.0] for _ in range(93)] + [[10.0, 50.0, 10.0] for _ in range(7)]
         prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.05,))
-        d = pf.memory_admissible(prof, 40.0, (0.0, 120.0), eps=0.05, method="joint")
+        d = pf.memory_admissible(prof, 40.0, (0.0, 120.0), eps=0.05)
         assert d.probability == 0.93 and not d.admissible
-        d10 = pf.memory_admissible(prof, 40.0, (0.0, 120.0), eps=0.10, method="joint")
+        d10 = pf.memory_admissible(prof, 40.0, (0.0, 120.0), eps=0.10)
         assert d10.admissible
         assert oracle_joint([np.asarray(r) for r in runs], 0, 2, 40.0) == 0.93
 
     def test_finished_runs_count_as_success(self):
         runs = [[10.0], [10.0, 99.0]]
         prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.4,))
-        d = pf.memory_admissible(prof, 50.0, (60.0, 60.0), eps=0.4, method="joint")
+        d = pf.memory_admissible(prof, 50.0, (60.0, 60.0), eps=0.4)
         assert d.probability == 0.5
 
     def test_joint_matches_oracle_randomized(self):
@@ -171,12 +170,9 @@ class TestMemoryAdmissible:
             runs.append(r)
         prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.05,))
         window = (0.0, (length - 1) * 60.0)
-        env = pf.memory_admissible(prof, 10240.0, window, 0.05, method="envelope")
-        joint = pf.memory_admissible(prof, 10240.0, window, 0.05, method="joint")
-        assert env.admissible and not joint.admissible
-        assert joint.probability == 0.0
-        # Pointwise the guarantee does hold, which is what envelope reports.
-        assert env.probability == 0.99
+        joint = pf.memory_admissible(prof, 10240.0, window, 0.05)
+        assert pf.envelope_peak(prof, 0.05, window) <= 10240.0
+        assert not joint.admissible and joint.probability == 0.0
 
 
 class TestDeadlineAdmissible:

@@ -4,7 +4,13 @@ import pytest
 
 from sjasim.cluster import ExecutionWindow, SliceCatalog
 from sjasim.policies import GrantPolicy, SelectionContext, TenantLedger
-from sjasim.profiles import RiskParams, TrajectoryEnsemble, build_profile, memory_admissible
+from sjasim.profiles import (
+    RiskParams,
+    TrajectoryEnsemble,
+    build_profile,
+    envelope_peak,
+    memory_admissible,
+)
 from sjasim.protocol import (
     Grant,
     MaterializeRefusal,
@@ -14,7 +20,7 @@ from sjasim.protocol import (
     materialize,
 )
 from sjasim.segmentation import SegmentationConfig, plan_segments
-from sjasim.workload import Checkpoint, JobRuntime, JobSpec
+from sjasim.workload import JobRuntime, JobSpec
 
 CAT = SliceCatalog()
 H = 60.0
@@ -104,7 +110,7 @@ class TestGrantOffer:
         sigs = collect_interest(offer, [job], CAT, RISK, SEG, 0.0)
         for kind in ("fifo", "priority", "edf"):
             g = grant_offer(offer, sigs, GrantPolicy(kind=kind), None, ctx_for([job]))
-            assert g == Grant(offer.offer_id, "j1", 0.0)
+            assert g == Grant(offer.offer_id, "j1")
         ledger = TenantLedger(budgets={"t0": 1e9})
         g = grant_offer(offer, sigs, GrantPolicy(kind="fair_tokens"), ledger, ctx_for([job]))
         assert g is not None and g.job_id == "j1"
@@ -127,7 +133,7 @@ class TestGrantOffer:
 class TestMaterialize:
     def _grant_for(self, job, window):
         offer = advertise([window], 0.0, 60.0)[0]
-        return Grant(offer.offer_id, job.spec.job_id, 0.0)
+        return Grant(offer.offer_id, job.spec.job_id)
 
     def test_creates_planned_subjobs_with_contiguous_reservation_spans(self):
         job = make_job(level=8000.0, n=31, work=1800.0)
@@ -141,26 +147,6 @@ class TestMaterialize:
         for a, b in zip(subjobs, subjobs[1:]):
             assert b.window_start_s == a.window_start_s + a.window_duration_s
         assert [s.subjob_id for s in subjobs] == [f"j1-s{i}" for i in range(len(subjobs))]
-
-    def test_first_subjob_resumes_from_latest_checkpoint(self):
-        job = make_job(level=8000.0, n=31, work=1800.0, position=600.0)
-        job.last_checkpoint = Checkpoint("j1", 600.0 / 1800.0, 128.0, 700.0)
-        win = ExecutionWindow("g0s0", 10240, 800.0, 900.0)
-        subjobs = materialize(job, self._grant_for(job, win), win, CAT, RISK, SEG)
-        assert subjobs[0].resume_from is job.last_checkpoint
-        assert subjobs[0].pos_from_s == 600.0
-        if len(subjobs) > 1:
-            assert all(s.resume_from is None for s in subjobs[1:])
-
-    def test_chained_grant_does_not_borrow_checkpoint(self):
-        # Pipelining past planned work: that checkpoint does not exist yet.
-        job = make_job(level=8000.0, n=31, work=1800.0, position=0.0)
-        job.last_checkpoint = Checkpoint("j1", 0.0, 128.0, 0.0)
-        win = ExecutionWindow("g0s0", 10240, 900.0, 900.0)
-        subjobs = materialize(job, self._grant_for(job, win), win, CAT, RISK, SEG,
-                              start_position_s=900.0)
-        assert all(s.resume_from is None for s in subjobs)
-        assert subjobs[0].pos_from_s == 900.0
 
     def test_fragments_past_actual_end_dropped(self):
         # Profile spans 30 min but this run actually lasts 10: fragments at
@@ -187,7 +173,7 @@ class TestMaterialize:
         # reads 12 GB, while jointly 9 of 10 runs stay under 10 GB (finished
         # runs count as successes). Segmenting on the 50% envelope assigns
         # 10 GB everywhere, so the later fragments pass joint admission but
-        # fail envelope admission.
+        # their envelope peak exceeds the capacity.
         runs = [np.full(6, 8000.0) for _ in range(8)]
         runs += [np.full(31, 8000.0), np.array([8000.0] * 10 + [12000.0] * 21)]
         prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(0.05,))
@@ -205,9 +191,8 @@ class TestMaterialize:
         for s in subjobs:
             window = (s.pos_from_s, s.pos_to_s - H)
             cap = s.slice_capacity_mb
-            assert memory_admissible(prof, cap, window, risk.eps, "joint").admissible
-            envelope = memory_admissible(prof, cap, window, risk.eps, "envelope")
-            assert s.methods_disagree == (not envelope.admissible)
+            assert memory_admissible(prof, cap, window, risk.eps).admissible
+            assert s.methods_disagree == (envelope_peak(prof, risk.eps, window) > cap)
         assert [s.methods_disagree for s in subjobs] == [False, False, True]
         # The dry run plans all four fragments; materialize keeps three.
         assert len(plan_segments(job, win, CAT, risk, seg)) == 4
@@ -216,4 +201,4 @@ class TestMaterialize:
         job = make_job()
         win = ExecutionWindow("g0s0", 10240, 0.0, 600.0)
         with pytest.raises(ValueError):
-            materialize(job, Grant("offer-000000", "imposter", 0.0), win, CAT, RISK, SEG)
+            materialize(job, Grant("offer-000000", "imposter"), win, CAT, RISK, SEG)

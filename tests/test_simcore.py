@@ -241,6 +241,27 @@ class TestAccounting:
             assert f["lost_s"] <= f["planned_s"] + 1e-9
 
 
+class TestPreemptMigrate:
+    def test_one_round_preempts_a_different_victim_per_waiter(self):
+        # Two low-priority jobs hold both slices; two higher-priority jobs
+        # arrive together. The first waiter's victim is gone when the second
+        # waiter looks, so the second must take the other slice's job.
+        model = flat_model(3600.0, 8000.0)
+        ens = {"m": synth_ensemble(model, 4, 0.0, seed=[1], grid_step=H)}
+        jobs = [
+            JobSpec(job_id, "t0", arrival, 3600.0, 9000.0, priority=prio,
+                    generator=model, ensemble_key="m")
+            for job_id, arrival, prio in (
+                ("lo-a", 0.0, 0), ("lo-b", 0.0, 0), ("hi-a", 600.0, 2), ("hi-b", 600.0, 1)
+            )
+        ]
+        cfg = SimConfig(gpus=1, slices_per_gpu=(10240, 10240))
+        rpt, log = run(Scenario(jobs, ens), "preempt_migrate", cfg, seed=0)
+        pre = [(r["t"], r["victim"], r["by"]) for r in log if r["kind"] == "preemption"]
+        assert pre[:2] == [(600.0, "lo-a", "hi-a"), (600.0, "lo-b", "hi-b")]
+        assert rpt.completed_jobs == 4
+
+
 class TestChainedGrants:
     def test_later_chain_continues_where_the_earlier_one_ends(self):
         scenario, cfg = SCENARIO_BUILDERS["fragmented"]()
