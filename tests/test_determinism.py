@@ -10,16 +10,20 @@ on a wait, cap OOM retries or plan from one run, so VARIANTS re-runs three
 scenarios with each of those engine paths switched on. Nor do they mix
 priorities, so outside priority-inversion preempt_migrate never preempts;
 PRIORITY_MIX_DIGESTS re-runs three scenarios with priority = index % 3.
+Nor do two jobs of one ensemble carry different demand floors into the
+same re-plan; OOM_FLOOR_DIGEST pins a run where they do.
 """
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sjasim import run
 from sjasim.cli import events_text, metrics_csv_text
 from sjasim.scenarios import SCENARIO_BUILDERS
-from sjasim.simcore import SCHEDULERS
+from sjasim.simcore import SCHEDULERS, Scenario, SimConfig
+from sjasim.workload import JobSpec, Phase, PhaseModel, synth_ensemble
 
 DIGESTS = {
     ("smoke", "sja"): "bf57c0d496cb07756f316dee679883011e22733af64804c55566626f3676bc21",
@@ -158,6 +162,27 @@ PRIORITY_MIX_DIGESTS = {
     ("fragmented", 1.5): "2fddfecef223e7abbc7969d029f9b6df130ea99ce3811cc834562dfc5ff2dd88",
 }
 
+# Two jobs on one profile, both OOM-killed at start index 0 with version-1
+# demand floors of 12 GB and 24 GB: their re-plans of the same window must
+# differ, so a plan-cache key that confuses the two floors changes the log.
+OOM_FLOOR_DIGEST = "02e4897c76c7518f73699a694203b5ac9acf9f2329f6154c77ea3f7e84e75683"
+
+
+def _oom_floor_scenario() -> tuple[Scenario, SimConfig]:
+    model = PhaseModel(phases=(Phase("steady", 1200.0, 8000.0, 150.0),))
+    ensembles = {"m": synth_ensemble(model, 16, 0.05, seed=[5, 0], grid_step=60.0)}
+    jobs = [
+        JobSpec(f"job-{k}", "t0", 0.0, 1200.0, 9500.0, checkpoint_size_mb=128.0,
+                generator=model, duration_jitter=0.05, ensemble_key="m")
+        for k in range(2)
+    ]
+    truths = {
+        "job-0": np.array([8000.0] * 10 + [12000.0] * 11),
+        "job-1": np.array([8000.0] * 10 + [24000.0] * 11),
+    }
+    cfg = SimConfig(gpus=1, slices_per_gpu=(10240, 20480, 40960))
+    return Scenario(jobs, ensembles, truths, name="oom-floors"), cfg
+
 
 def _digest(scenario, scheduler, cfg) -> str:
     report, log = run(scenario, scheduler, cfg, seed=0)
@@ -200,3 +225,11 @@ def test_priority_mix_preemption_is_byte_identical(name):
     for rate in (0.0, 1.5):
         digest = _digest(scenario, "preempt_migrate", replace(cfg, failure_rate_per_hour=rate))
         assert digest == PRIORITY_MIX_DIGESTS[(name, rate)], rate
+
+
+def test_ensemble_mates_with_different_oom_floors_are_byte_identical():
+    scenario, cfg = _oom_floor_scenario()
+    report, log = run(scenario, "sja", cfg, seed=0)
+    ooms = [r for r in log if r["kind"] == "oom_kill"]
+    assert [(r["job"], r["kill_pos_s"]) for r in ooms] == [("job-0", 600.0), ("job-1", 600.0)]
+    assert _digest(scenario, "sja", cfg) == OOM_FLOOR_DIGEST
