@@ -149,9 +149,10 @@ class FunctionalProfile:
     runtime_samples: np.ndarray
     support: np.ndarray
     source: TrajectoryEnsemble
-    # Dry-run plans memoized by segmentation.plan_segments. It lives here so
-    # that a refreshed profile (a new object) starts empty and the old
-    # entries are freed together with the old profile.
+    # Dry-run plans memoized by segmentation.plan_segments, shared by every
+    # job on this profile. It lives here so that a refreshed profile (a new
+    # object) starts empty and the old entries are freed together with the
+    # old profile.
     plan_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -318,7 +319,7 @@ def memory_admissible(
     segment = padded[:, lo : hi + 1]
     # A run with no samples in the window has already finished: success.
     maxes = np.where(np.isnan(segment), -np.inf, segment).max(axis=1)
-    prob = float(np.mean(maxes <= capacity_mb))
+    prob = int(np.count_nonzero(maxes <= capacity_mb)) / len(maxes)
     return AdmissionDecision(prob >= 1.0 - eps, prob)
 
 
@@ -339,7 +340,7 @@ def deadline_admissible(
     if not 0.0 <= remaining_work_fraction <= 1.0:
         raise ProfileError("remaining_work_fraction must lie in [0, 1]")
     scaled = profile.runtime_samples * remaining_work_fraction
-    prob = float(np.mean(scaled <= deadline_from_now))
+    prob = int(np.count_nonzero(scaled <= deadline_from_now)) / len(scaled)
     return AdmissionDecision(prob >= 1.0 - alpha_t, prob)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d
 
 from .cluster import ExecutionWindow, SliceCatalog
-from .profiles import RiskParams, memory_admissible
+from .profiles import FunctionalProfile, RiskParams, memory_admissible
 from .workload import JobRuntime
 
 __all__ = [
@@ -276,11 +276,14 @@ def plan_segments(
 
     Each distinct plan is computed once and memoized in the job's
     `profile.plan_cache`. The key is everything the plan reads besides the
-    profile: job id, the demand-floor version (only with online_correction),
-    start grid index, whole window steps, offered capacity, seg, risk.eps,
-    online_correction and the catalog. Fragments are window-relative, so a
-    hit returns the cached fragment objects themselves, whatever the
-    window's start; materialize places each at window.start + offset_s.
+    profile: the job's demand floor, start grid index, whole window steps,
+    offered capacity, seg, risk.eps and the catalog. A floor is read only
+    with online_correction and only once the job has one; it stands in the
+    key as (job id, demand-floor version), and as None otherwise, so jobs
+    without a floor share one plan per profile. Fragments are
+    window-relative, so a hit returns the cached fragment objects
+    themselves, whatever the window's start or job; materialize places
+    each at window.start + offset_s.
     """
     if not job.spec.atomizable:
         return PlanRefusal("non-atomizable job, conventional placement only")
@@ -295,20 +298,19 @@ def plan_segments(
         return PlanRefusal("window shorter than one grid step")
     base_pos = job.position_s if start_position_s is None else start_position_s
     i0 = int(round(base_pos / h))
+    floor = job.demand_floor if online_correction else None
     key = (
-        job.spec.job_id,
-        job.demand_floor_version if online_correction else None,
+        None if floor is None else (job.spec.job_id, job.demand_floor_version),
         i0,
         n_steps,
         window.capacity_mb,
         seg,
         risk.eps,
-        online_correction,
         catalog,
     )
     planned = profile.plan_cache.get(key)
     if planned is None:
-        planned = _plan(job, i0, n_steps, window.capacity_mb, catalog, risk, seg, online_correction)
+        planned = _plan(profile, floor, i0, n_steps, window.capacity_mb, catalog, risk, seg)
         profile.plan_cache[key] = planned
     if isinstance(planned, PlanRefusal):
         return planned
@@ -316,17 +318,17 @@ def plan_segments(
 
 
 def _plan(
-    job: JobRuntime,
+    profile: FunctionalProfile,
+    floor: np.ndarray | None,
     i0: int,
     n_steps: int,
     capacity_mb: int,
     catalog: SliceCatalog,
     risk: RiskParams,
     seg: SegmentationConfig,
-    online_correction: bool,
 ) -> tuple[FragmentPlan, ...] | PlanRefusal:
-    """Uncached body of plan_segments."""
-    profile = job.profile
+    """Uncached body of plan_segments; `floor` is the demand floor it
+    raises the envelope to, or None."""
     h = profile.grid_step
     curve = profile.envelope(seg.eps)
     u = curve[i0 : i0 + n_steps]
@@ -334,8 +336,8 @@ def _plan(
         # Past the profile horizon: extrapolate the last supported value.
         pad = np.full(n_steps - len(u), curve[-1] if len(curve) else 0.0)
         u = np.concatenate([u, pad]) if len(u) else pad
-    if online_correction and job.demand_floor is not None:
-        floor = job.demand_floor[i0 : i0 + n_steps]
+    if floor is not None:
+        floor = floor[i0 : i0 + n_steps]
         if len(floor) < n_steps:
             floor = np.concatenate([floor, np.zeros(n_steps - len(floor))])
         u = np.maximum(u, floor)

@@ -845,7 +845,7 @@ class _Engine:
         interested = [s for s in signals if s.kind == INTEREST]
         if not interested:
             return False
-        ctx = self._selection_context(candidates, resume)
+        ctx = self._selection_context([self.jobs[s.job_id] for s in interested], resume)
         granted = grant_offer(offer, signals, self.cfg.policy, self.ledger, ctx)
         if granted is None:
             return False

@@ -247,7 +247,7 @@ class JobRuntime:
     placement_seq: int = 0
     earliest_resume_s: float = 0.0  # migration delay gate (preempt baseline)
     demand_floor: np.ndarray | None = None  # observed-demand lower bound (online correction)
-    demand_floor_version: int = 0  # bumped by note_demand; part of the plan-cache key
+    demand_floor_version: int = 0  # bumped by note_demand; keys this job's floored plans
 
     @property
     def actual_duration_s(self) -> float:

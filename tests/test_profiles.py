@@ -198,6 +198,42 @@ class TestDeadlineAdmissible:
         assert pf.deadline_admissible(prof, 0.0, 0.0, 0.05).admissible
 
 
+class TestScreenProbabilityFormula:
+    """Both screens count successes and divide by n. The old formula was
+    float(np.mean(mask)); the results must be the same Python float."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runs=st.lists(st.lists(st.integers(0, 10), min_size=1, max_size=8),
+                      min_size=2, max_size=60),
+        lo=st.integers(0, 7),
+        width=st.integers(0, 7),
+        capacity=st.integers(-1, 11),
+    )
+    def test_memory_admissible_equals_mean_of_mask(self, runs, lo, width, capacity):
+        prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.05,))
+        hi = min(lo + width, prof.n_points - 1)
+        lo = min(lo, hi)
+        mask = np.array([len(r[lo : hi + 1]) == 0 or max(r[lo : hi + 1]) <= capacity
+                         for r in runs])
+        got = pf.memory_admissible(prof, float(capacity), (lo * 60.0, hi * 60.0), 0.05)
+        assert type(got.probability) is float
+        assert got.probability == float(np.mean(mask))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=2, max_size=60),
+        fraction=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        deadline=st.floats(-10.0, 700.0),
+    )
+    def test_deadline_admissible_equals_mean_of_mask(self, lengths, fraction, deadline):
+        prof = pf.build_profile(make_ensemble([np.zeros(n) for n in lengths]))
+        mask = prof.runtime_samples * fraction <= deadline
+        got = pf.deadline_admissible(prof, fraction, deadline, alpha_t=0.05)
+        assert type(got.probability) is float
+        assert got.probability == float(np.mean(mask))
+
+
 class TestRefresh:
     def test_adding_tenth_value_keeps_ninth_rank(self):
         runs = [[float(v)] for v in range(1, 10)]

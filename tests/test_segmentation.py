@@ -330,9 +330,12 @@ def cold_copy(job):
     return fresh
 
 
-# One step of a job's life: plan a window, observe demand, move, or refresh.
+# One step in the life of two jobs on one profile: either job plans a
+# window, observes demand or moves, or their shared profile is refreshed.
+who = st.sampled_from([0, 1])
 plan_step = st.tuples(
     st.just("plan"),
+    who,
     st.sampled_from([0.0, 90.0, 600.0]),  # window start
     st.sampled_from([240.0, 600.0, 1000.0, 2400.0]),  # window duration
     st.sampled_from([10240, 20480]),
@@ -341,9 +344,9 @@ plan_step = st.tuples(
     st.sampled_from([0.2, 0.6]),  # hysteresis_delta
 )
 demand_step = st.tuples(
-    st.just("demand"), st.integers(0, 40), st.sampled_from([9000.0, 12000.0, 16000.0])
+    st.just("demand"), who, st.integers(0, 40), st.sampled_from([9000.0, 12000.0, 16000.0])
 )
-move_step = st.tuples(st.just("move"), st.sampled_from([0.0, 300.0, 660.0, 1500.0]))
+move_step = st.tuples(st.just("move"), who, st.sampled_from([0.0, 300.0, 660.0, 1500.0]))
 refresh_step = st.tuples(st.just("refresh"), st.sampled_from([6000.0, 11000.0]))
 
 
@@ -361,6 +364,13 @@ class TestPlanCache:
         hi = [[7000.0] * 20 + [15000.0] * 21 for _ in range(2)]
         return make_job(lo + hi, work=2400.0)
 
+    def mates(self):
+        """Two jobs that read one profile object, as ensemble-mates do."""
+        job = self.job()
+        mate = replace(job, spec=replace(job.spec, job_id="k"))
+        assert mate.profile is job.profile
+        return job, mate
+
     def test_hit_returns_the_cached_fragments_at_any_window_start(self):
         job = self.job()
         first = plan_segments(job, ExecutionWindow("g0s0", 20480, 0.0, 900.0), CAT,
@@ -374,6 +384,29 @@ class TestPlanCache:
         for hit in (again, shifted):
             assert len(hit) == len(first)
             assert all(h is f for h, f in zip(hit, first))
+
+    def test_jobs_without_a_floor_share_one_plan(self):
+        job, mate = self.mates()
+        win = ExecutionWindow("g0s0", 20480, 0.0, 900.0)
+        first = plan_segments(job, win, CAT, self.risk, cfg(0.2, tau_min=60.0))
+        second = plan_segments(mate, win, CAT, self.risk, cfg(0.2, tau_min=60.0))
+        assert len(job.profile.plan_cache) == 1
+        assert len(second) == len(first)
+        assert all(b is a for a, b in zip(first, second))
+
+    def test_floors_at_one_version_keep_separate_plans(self):
+        # Both floors are at version 1, but 12 GB needs the 20 GB class and
+        # 24 GB the 40 GB one: a key on the version alone would mix them up.
+        job, mate = self.mates()
+        job.note_demand(0, np.full(10, 12000.0))
+        mate.note_demand(0, np.full(10, 24000.0))
+        assert job.demand_floor_version == mate.demand_floor_version
+        win = ExecutionWindow("g0s0", 40960, 0.0, 900.0)
+        plans = [plan_segments(j, win, CAT, self.risk, cfg(0.2)) for j in (job, mate)]
+        assert len(job.profile.plan_cache) == 2
+        assert plans[0] != plans[1]
+        for j, got in zip((job, mate), plans):
+            assert got == plan_segments(cold_copy(j), win, CAT, self.risk, cfg(0.2))
 
     def test_note_demand_and_refresh_invalidate(self):
         job = self.job()
@@ -420,19 +453,21 @@ class TestPlanCache:
     @given(st.lists(st.one_of(plan_step, demand_step, move_step, refresh_step),
                     min_size=1, max_size=25))
     def test_every_result_equals_a_cold_plan(self, steps):
-        job = self.job()
+        jobs = self.mates()
         for step in steps:
             kind = step[0]
             if kind == "plan":
-                _, start, duration, cap, correct, pos, delta = step
+                _, i, start, duration, cap, correct, pos, delta = step
                 seg = cfg(delta, tau_min=120.0, tau_max=900.0, smooth=120.0)
                 win = ExecutionWindow("g0s0", cap, start, duration)
                 kw = dict(online_correction=correct, start_position_s=pos)
-                got = plan_segments(job, win, CAT, self.risk, seg, **kw)
-                assert got == plan_segments(cold_copy(job), win, CAT, self.risk, seg, **kw)
+                got = plan_segments(jobs[i], win, CAT, self.risk, seg, **kw)
+                assert got == plan_segments(cold_copy(jobs[i]), win, CAT, self.risk, seg, **kw)
             elif kind == "demand":
-                job.note_demand(step[1], np.full(5, step[2]))
+                jobs[step[1]].note_demand(step[2], np.full(5, step[3]))
             elif kind == "move":
-                job.position_s = step[1]
+                jobs[step[1]].position_s = step[2]
             else:
-                job.profile = refresh_profile(job.profile, np.full(41, step[1]))
+                fresh = refresh_profile(jobs[0].profile, np.full(41, step[1]))
+                for job in jobs:
+                    job.profile = fresh
