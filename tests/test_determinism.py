@@ -12,6 +12,8 @@ priorities, so outside priority-inversion preempt_migrate never preempts;
 PRIORITY_MIX_DIGESTS re-runs three scenarios with priority = index % 3.
 Nor do two jobs of one ensemble carry different demand floors into the
 same re-plan; OOM_FLOOR_DIGEST pins a run where they do.
+Nor do they run EDF with chained grants; EDF_CHAINED_DIGEST pins deadline(40)
+under sja with two chains per job, where 47 offers carry a pipelined bidder.
 """
 import hashlib
 from dataclasses import replace
@@ -21,7 +23,7 @@ import pytest
 
 from sjasim import run
 from sjasim.cli import events_text, metrics_csv_text
-from sjasim.scenarios import SCENARIO_BUILDERS
+from sjasim.scenarios import SCENARIO_BUILDERS, make_deadline_scenario
 from sjasim.simcore import SCHEDULERS, Scenario, SimConfig
 from sjasim.workload import JobSpec, Phase, PhaseModel, synth_ensemble
 
@@ -167,6 +169,8 @@ PRIORITY_MIX_DIGESTS = {
 # differ, so a plan-cache key that confuses the two floors changes the log.
 OOM_FLOOR_DIGEST = "02e4897c76c7518f73699a694203b5ac9acf9f2329f6154c77ea3f7e84e75683"
 
+EDF_CHAINED_DIGEST = "e97085edb9451d89c41028ed944236d1053a0a70d5db314102676a23fce56115"
+
 
 def _oom_floor_scenario() -> tuple[Scenario, SimConfig]:
     model = PhaseModel(phases=(Phase("steady", 1200.0, 8000.0, 150.0),))
@@ -233,3 +237,10 @@ def test_ensemble_mates_with_different_oom_floors_are_byte_identical():
     ooms = [r for r in log if r["kind"] == "oom_kill"]
     assert [(r["job"], r["kill_pos_s"]) for r in ooms] == [("job-0", 600.0), ("job-1", 600.0)]
     assert _digest(scenario, "sja", cfg) == OOM_FLOOR_DIGEST
+
+
+def test_edf_with_chained_grants_is_byte_identical():
+    scenario, cfg = make_deadline_scenario(40)
+    cfg = replace(cfg, max_concurrent_subjobs_per_job=2)
+    assert cfg.policy.kind == "edf"
+    assert _digest(scenario, "sja", cfg) == EDF_CHAINED_DIGEST

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sjasim.policies import GrantPolicy
 from sjasim.simcore import (
     SCHEDULERS,
     Scenario,
@@ -287,6 +288,29 @@ class TestChainedGrants:
             elif r["kind"] in ("subjob_end", "oom_kill", "failure_inject", "subjob_cancelled"):
                 live.pop(r.get("unit"), None)
         assert checked > 0
+
+    def test_edf_screens_a_pipelined_bidder_at_its_resume_position(self):
+        # job-0 runs 4800 s with a deadline at 4900 s; its first chain plans
+        # [0, 1800). At t=600 the one slice offers [1800, 2400) to job-0
+        # (pipelined) and job-1 (no deadline). Counted from its resume
+        # position job-0 needs 3000 s of its 4300 s slack, so EDF picks it;
+        # counted from its completed work (none yet) it needs 4800 s and
+        # the screen would hand the offer to job-1.
+        scn = tiny_scenario(n_jobs=2, work=4800.0, jitter=0.0)
+        scn.jobs[0] = dataclasses.replace(scn.jobs[0], deadline_s=4900.0)
+        scn.jobs[1] = dataclasses.replace(scn.jobs[1], arrival_s=600.0)
+        cfg = SimConfig(gpus=1, slices_per_gpu=(10240,), max_concurrent_subjobs_per_job=2,
+                        policy=GrantPolicy(kind="edf"))
+        _, log = run(scn, "sja", cfg, seed=0)
+        grants = [(r["t"], r["offer"], r["job"]) for r in log if r["kind"] == "grant"]
+        bidders = {r["job"] for r in log if r["kind"] == "interest" and r["offer"] == grants[1][1]}
+        assert grants[:2] == [(0.0, "offer-000000", "job-0"), (600.0, "offer-000001", "job-0")]
+        assert bidders == {"job-0", "job-1"}
+        first_chain_end = max(
+            r["window_start"] + r["window_s"]
+            for r in log if r["kind"] == "subjob_created" and r["offer"] == "offer-000000"
+        )
+        assert first_chain_end > 600.0
 
 
 class TestMaxWait:
