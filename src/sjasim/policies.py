@@ -76,16 +76,19 @@ def offer_cost_tokens(offer: Offer, cost_rate: float) -> float:
 
 @dataclass
 class SelectionContext:
-    """What a policy may consult about the candidates."""
+    """What a policy may consult about the candidates. `reachable` memoizes
+    edf screen verdicts: one context serves many selections while `now` and
+    each job's entries stay fixed; a caller that changes a job drops its."""
 
     now: float
-    arrivals: dict[str, float]
-    priorities: dict[str, int]
-    deadlines: dict[str, float | None]
-    tenants: dict[str, str]
-    remaining_fraction: dict[str, float]
-    profiles: dict[str, object]
+    arrivals: dict[str, float] = field(default_factory=dict)
+    priorities: dict[str, int] = field(default_factory=dict)
+    deadlines: dict[str, float | None] = field(default_factory=dict)
+    tenants: dict[str, str] = field(default_factory=dict)
+    remaining_fraction: dict[str, float] = field(default_factory=dict)
+    profiles: dict[str, object] = field(default_factory=dict)
     alpha_t: float = 0.05
+    reachable: dict[str, bool] = field(default_factory=dict)
 
 
 def select(
@@ -99,10 +102,11 @@ def select(
 
     fifo: earliest arrival. priority: highest priority first. edf: earliest
     deadline among jobs whose deadline is still probabilistically reachable
-    (deadline_admissible at alpha_t); jobs without deadlines rank last and
-    jobs with unreachable deadlines are skipped. fair_tokens: among tenants
-    whose budget covers the offer, the one with the largest remaining
-    budget, fifo within the tenant.
+    (deadline_admissible at alpha_t, screened once per context and kept in
+    ctx.reachable); jobs without deadlines rank last and jobs with
+    unreachable deadlines are skipped. fair_tokens: among tenants whose
+    budget covers the offer, the one with the largest remaining budget,
+    fifo within the tenant.
     """
     candidates = [s.job_id for s in interests if s.kind == "interest"]
     if not candidates:
@@ -123,13 +127,15 @@ def select(
             if deadline is None:
                 free.append(j)
                 continue
-            d = deadline_admissible(
-                ctx.profiles[j],
-                ctx.remaining_fraction[j],
-                deadline - ctx.now,
-                ctx.alpha_t,
-            )
-            if d.admissible:
+            ok = ctx.reachable.get(j)
+            if ok is None:
+                ok = ctx.reachable[j] = deadline_admissible(
+                    ctx.profiles[j],
+                    ctx.remaining_fraction[j],
+                    deadline - ctx.now,
+                    ctx.alpha_t,
+                ).admissible
+            if ok:
                 with_deadline.append(j)
         if with_deadline:
             return min(with_deadline, key=lambda j: (ctx.deadlines[j], ctx.arrivals[j], j))

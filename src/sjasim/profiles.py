@@ -317,9 +317,10 @@ def memory_admissible(
     padded = profile.source.padded_matrix()
     lo, hi = grid_indices(window, profile.grid_step, profile.n_points)
     segment = padded[:, lo : hi + 1]
-    # A run with no samples in the window has already finished: success.
-    maxes = np.where(np.isnan(segment), -np.inf, segment).max(axis=1)
-    prob = int(np.count_nonzero(maxes <= capacity_mb)) / len(maxes)
+    # A run fails when a sample in the window exceeds capacity. NaN (past the
+    # run's end) compares False, so a run that has already finished succeeds.
+    failures = int(np.count_nonzero((segment > capacity_mb).any(axis=1)))
+    prob = (len(segment) - failures) / len(segment)
     return AdmissionDecision(prob >= 1.0 - eps, prob)
 
 

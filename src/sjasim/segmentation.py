@@ -143,12 +143,15 @@ def segment_window(
     if n < tmin:
         raise InfeasiblePlan("no tau_min prefix fits the offered capacity")
 
-    covers = np.array([catalog.smallest_covering(v) for v in smoothed[:n]], dtype=int)
+    # Smallest covering capacity per sample (side="left" takes an equal one);
+    # covering is monotone, so a span's cover is the max of its covers.
+    caps = np.asarray(catalog.capacities_mb)
+    covers = caps[np.searchsorted(caps, smoothed[:n], side="left")]
     prefix = np.concatenate([[0.0], np.cumsum(smoothed[:n])])
 
     def cover_of(a: int, b: int) -> int:
-        c = catalog.smallest_covering(float(smoothed[a:b].max()))
-        assert c is not None and c <= offered_capacity_mb
+        c = int(covers[a:b].max())
+        assert c <= offered_capacity_mb
         return c
 
     def split(a: int, b: int) -> list[Fragment]:

@@ -736,22 +736,24 @@ class _Engine:
                 self._reject(job, "no feasible placement; queue quiescent")
 
     def _selection_context(
-        self, candidates: list[JobRuntime], resume: dict[str, float]
-    ) -> SelectionContext:
-        def rem(j: JobRuntime) -> float:
-            pos = resume.get(j.spec.job_id)
-            return 1.0 - (j.completed_fraction if pos is None else j.fraction_at(pos))
-
-        return SelectionContext(
-            now=self.now,
-            arrivals={j.spec.job_id: j.spec.arrival_s for j in candidates},
-            priorities={j.spec.job_id: j.spec.priority for j in candidates},
-            deadlines={j.spec.job_id: j.spec.deadline_s for j in candidates},
-            tenants={j.spec.job_id: j.spec.tenant_id for j in candidates},
-            remaining_fraction={j.spec.job_id: rem(j) for j in candidates},
-            profiles={j.spec.job_id: j.profile for j in candidates},
-            alpha_t=self.cfg.alpha_t,
-        )
+        self, ctx: SelectionContext, jobs: list[JobRuntime], resume: dict[str, float]
+    ) -> None:
+        """Enter jobs into the round's context, at their resume positions if
+        any, and drop their screen verdicts. One context serves a whole sja
+        round: `now`, profiles and queued jobs' remaining fractions change
+        only in event handlers, and grants only take jobs out of the queue.
+        A pipelined bidder's resume position moves with its grants, so
+        _grant_one re-enters it before each selection."""
+        for j in jobs:
+            jid = j.spec.job_id
+            done = j.fraction_at(resume[jid]) if jid in resume else j.completed_fraction
+            ctx.arrivals[jid] = j.spec.arrival_s
+            ctx.priorities[jid] = j.spec.priority
+            ctx.deadlines[jid] = j.spec.deadline_s
+            ctx.tenants[jid] = j.spec.tenant_id
+            ctx.remaining_fraction[jid] = 1.0 - done
+            ctx.profiles[jid] = j.profile
+            ctx.reachable.pop(jid, None)
 
     def _pipeline_candidates(self, window_start: float) -> tuple[list[JobRuntime], dict[str, float]]:
         """Scheduled jobs that may take a further grant beyond their pending
@@ -800,6 +802,8 @@ class _Engine:
             gaps.sort(key=lambda w: (w.start, -w.duration, w.slice_id))
             offers = advertise(gaps, self.now, self.cfg.offer_ttl_s, self._offer_seq)
             self._offer_seq += len(offers)
+            ctx = SelectionContext(now=self.now, alpha_t=self.cfg.alpha_t)
+            self._selection_context(ctx, [j for j in waiting if j.spec.atomizable], {})
             for offer in offers:
                 self._log(
                     "offer_issued",
@@ -809,7 +813,7 @@ class _Engine:
                     window_start=round(offer.window.start, 6),
                     window_s=round(offer.window.duration, 6),
                 )
-                if self._grant_one(offer):
+                if self._grant_one(offer, ctx):
                     progress = True
                 else:
                     self._push(offer.expires_at, "offer_expire", {"offer": offer.offer_id})
@@ -820,8 +824,9 @@ class _Engine:
             progress = True
         return progress
 
-    def _grant_one(self, offer) -> bool:
-        """Interest, grant, materialize for a single offer. True on success."""
+    def _grant_one(self, offer, ctx: SelectionContext) -> bool:
+        """Interest, grant, materialize for one offer of the round whose
+        selection context is ctx. True on success."""
         candidates = [j for j in self._waiting() if j.spec.atomizable]
         extra, resume = self._pipeline_candidates(offer.window.start)
         candidates += extra
@@ -845,7 +850,7 @@ class _Engine:
         interested = [s for s in signals if s.kind == INTEREST]
         if not interested:
             return False
-        ctx = self._selection_context([self.jobs[s.job_id] for s in interested], resume)
+        self._selection_context(ctx, extra, resume)
         granted = grant_offer(offer, signals, self.cfg.policy, self.ledger, ctx)
         if granted is None:
             return False

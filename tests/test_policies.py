@@ -1,9 +1,12 @@
 """Grant policy selection and fairness accounting."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjasim.cluster import ExecutionWindow
 from sjasim.policies import (
+    POLICY_KINDS,
     GrantPolicy,
     SelectionContext,
     TenantLedger,
@@ -99,6 +102,45 @@ class TestEdf:
         c = ctx(arrivals={"a": 0.0}, deadlines={"a": 600.0},
                 remaining={"a": 0.1}, profiles={"a": prof})
         assert select(GrantPolicy("edf"), offer(), interests("a"), None, c) == "a"
+
+
+class TestReusedContext:
+    """One context serving several selections, as in an sja round, picks
+    what a fresh context per selection picks, and memoizes edf verdicts for
+    deadline jobs only."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        jobs=st.lists(
+            st.tuples(st.integers(0, 3),  # arrival
+                      st.one_of(st.none(), st.integers(0, 4000)),  # deadline
+                      st.integers(5, 60),  # runtime steps
+                      st.sampled_from([0.25, 1.0])),  # remaining fraction
+            min_size=1, max_size=6),
+        bids=st.lists(st.sets(st.integers(0, 5)), min_size=1, max_size=6),
+        kind=st.sampled_from(POLICY_KINDS),
+    )
+    def test_same_winners_as_fresh_contexts(self, jobs, bids, kind):
+        ids = [f"j{i}" for i in range(len(jobs))]
+        fields = dict(
+            arrivals={j: float(a) for j, (a, _, _, _) in zip(ids, jobs)},
+            deadlines={j: d for j, (_, d, _, _) in zip(ids, jobs)},
+            remaining={j: r for j, (_, _, _, r) in zip(ids, jobs)},
+            profiles={j: flat_profile(s) for j, (_, _, s, _) in zip(ids, jobs)},
+            tenants={j: f"t{i % 2}" for i, j in enumerate(ids)},
+            now=300.0,
+        )
+        policy = GrantPolicy(kind)
+        ledger = TenantLedger({"t0": 500.0, "t1": 80.0})
+        shared = ctx(**fields)
+        screened = set()
+        for bid in bids:
+            bidders = [ids[i] for i in sorted(bid) if i < len(ids)]
+            got = select(policy, offer(), interests(*bidders), ledger, shared)
+            assert got == select(policy, offer(), interests(*bidders), ledger, ctx(**fields))
+            if kind == "edf":
+                screened |= {j for j in bidders if fields["deadlines"][j] is not None}
+            assert set(shared.reachable) == screened
 
 
 class TestFairTokens:

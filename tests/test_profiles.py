@@ -233,6 +233,31 @@ class TestScreenProbabilityFormula:
         assert type(got.probability) is float
         assert got.probability == float(np.mean(mask))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runs=st.lists(st.lists(st.integers(0, 10), min_size=1, max_size=8),
+                      min_size=2, max_size=60),
+        lo=st.integers(0, 12),
+        width=st.integers(0, 12),
+        capacity=st.integers(-1, 11),
+        eps=st.sampled_from([0.05, 0.25, 0.5]),
+    )
+    def test_memory_admissible_equals_max_with_nan_as_minus_inf(
+        self, runs, lo, width, capacity, eps
+    ):
+        # The earlier formula: NaN (past a run's end) -> -inf, then each run's
+        # max over the window against capacity. Runs are ragged, capacities
+        # often equal a sample, and windows may reach past the horizon.
+        prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.05,))
+        window = (lo * 60.0, (lo + width) * 60.0)
+        a, b = pf.grid_indices(window, 60.0, prof.n_points)
+        segment = prof.source.padded_matrix()[:, a : b + 1]
+        maxes = np.where(np.isnan(segment), -np.inf, segment).max(axis=1)
+        prob = int(np.count_nonzero(maxes <= capacity)) / len(maxes)
+        got = pf.memory_admissible(prof, float(capacity), window, eps)
+        assert type(got.probability) is float
+        assert got == pf.AdmissionDecision(prob >= 1.0 - eps, prob)
+
 
 class TestRefresh:
     def test_adding_tenth_value_keeps_ninth_rank(self):

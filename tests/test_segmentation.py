@@ -241,6 +241,37 @@ class TestRandomizedPostconditions:
         assert feasible > 150  # the draw must actually exercise the planner
 
 
+class TestCoverOracle:
+    """Each fragment's capacity is catalog.smallest_covering of its smoothed
+    max; samples equal to a catalog capacity must take that capacity."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.sampled_from(CAT.capacities_mb),
+                                  st.floats(1.0, 40960.0)), min_size=5, max_size=80),
+        offered=st.sampled_from(CAT.capacities_mb),
+        smooth=st.sampled_from([0.0, 120.0, 300.0]),
+        delta=st.sampled_from([0.0, 0.15, 0.5]),
+    )
+    def test_fragment_capacity_covers_its_smoothed_max(self, values, offered, smooth, delta):
+        env = np.array(values, dtype=float)
+        c = cfg(delta, smooth=smooth)
+        try:
+            frags = segment_window(env, H, CAT, offered, c)
+        except InfeasiblePlan:
+            return
+        smoothed = smooth_envelope(env, H, smooth)
+        for f in frags:
+            peak = float(smoothed[f.start_idx : f.end_idx].max())
+            assert f.capacity_mb == CAT.smallest_covering(peak)
+            assert type(f.capacity_mb) is int
+
+    def test_sample_equal_to_a_capacity_takes_that_capacity(self):
+        env = np.array([10240.0] * 6 + [20480.0] * 6)
+        frags = segment_window(env, H, CAT, 20480, cfg(0.0))
+        assert [f.capacity_mb for f in frags] == [10240, 20480]
+
+
 def make_job(env_runs, declared=39000.0, atomizable=True, position=0.0, work=3600.0):
     ens = TrajectoryEnsemble(grid_step=H, runs=[np.asarray(r, float) for r in env_runs])
     prof = build_profile(ens, eps_levels=(0.05,))
