@@ -77,8 +77,8 @@ def offer_cost_tokens(offer: Offer, cost_rate: float) -> float:
 @dataclass
 class SelectionContext:
     """What a policy may consult about the candidates. `reachable` memoizes
-    edf screen verdicts: one context serves many selections while `now` and
-    each job's entries stay fixed; a caller that changes a job drops its."""
+    edf screen verdicts, so a context serves many selections only while `now`
+    and each job's entries stay fixed; re-entering a job drops its verdict."""
 
     now: float
     arrivals: dict[str, float] = field(default_factory=dict)
