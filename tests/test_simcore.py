@@ -215,21 +215,29 @@ class TestAccounting:
             for (a0, a1), (b0, b1) in zip(ivals, ivals[1:]):
                 assert a1 <= b0 + 1e-9
 
-    def test_oom_enforced_at_assigned_class(self):
+    @pytest.mark.parametrize("correction", [True, False], ids=["correction", "no_correction"])
+    def test_oom_enforced_at_assigned_class(self, correction):
         # Actual demand 12 GB with declared 9.5 GB: subjobs sized at 10240
-        # must be killed, with online correction the retry moves up a class.
+        # must be killed. With online correction the retry moves up a class;
+        # without it every retry repeats 10240 until the strike limit.
         model = flat_model(1200.0, 12000.0, 0.0)
         ens = {"m": synth_ensemble(flat_model(1200.0, 9000.0, 100.0), 16, 0.0,
                                    seed=[5, 1], grid_step=H)}
         jobs = [JobSpec("liar", "t0", 0.0, 1200.0, 9500.0, checkpoint_size_mb=64.0,
                         generator=model, duration_jitter=0.0, ensemble_key="m")]
         scn = Scenario(jobs, ens, name="oom")
-        cfg = SimConfig(gpus=1, slices_per_gpu=(20480, 10240))
+        cfg = SimConfig(gpus=1, slices_per_gpu=(20480, 10240), online_correction=correction)
         rpt, log = run(scn, "sja", cfg, seed=0)
         kills = [r for r in log if r["kind"] == "oom_kill"]
         assert kills, "expected at least one capacity kill"
         assert rpt.scalars()["oom_kills"] == len(kills)
-        assert rpt.completed_jobs == 1  # correction re-plans at 20480
+        if correction:
+            assert rpt.completed_jobs == 1  # correction re-plans at 20480
+        else:
+            assert [r["capacity_mb"] for r in kills] == [10240] * (cfg.max_oom_retries + 1)
+            rejected = [r for r in log if r["kind"] == "job_rejected"]
+            assert [r["reason"] for r in rejected] == ["out-of-memory retry budget exhausted"]
+            assert rpt.completed_jobs == 0
 
     def test_injected_failure_rolls_back_to_checkpoint(self):
         scn = tiny_scenario(n_jobs=2)
