@@ -23,7 +23,6 @@ __all__ = [
     "BEST_FIT",
     "MOLDABLE",
     "PREEMPT_MIGRATE",
-    "BASELINE_KINDS",
     "BaselineParams",
     "Placement",
     "estimated_runtime_s",
@@ -38,12 +37,10 @@ FIRST_FIT = "first_fit"
 BEST_FIT = "best_fit"
 MOLDABLE = "moldable"
 PREEMPT_MIGRATE = "preempt_migrate"
-BASELINE_KINDS = (FIRST_FIT, BEST_FIT, MOLDABLE, PREEMPT_MIGRATE)
 
 
 @dataclass(frozen=True)
 class BaselineParams:
-    kind: str = FIRST_FIT  # set per run from the scheduler, so it has no config key
     migrate_bandwidth_mb_s: float = field(
         default=1024.0, metadata={"key": "baseline.migrate_bandwidth_mb_s"}
     )
@@ -58,8 +55,6 @@ class BaselineParams:
     )
 
     def __post_init__(self) -> None:
-        if self.kind not in BASELINE_KINDS:
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
         # Written so that nan fails every check. An infinite interval would
         # keep 0 * inf = nan progress on preemption.
         if not self.migrate_bandwidth_mb_s > 0:
@@ -130,7 +125,7 @@ def monolithic_place(
             continue
         target = fitting[0]
         mult = params.multiplier(target.capacity_mb) if kind == MOLDABLE else 1.0
-        remaining_fraction = 1.0 - job.completed_fraction
+        remaining_fraction = 1.0 - job.fraction_at(job.position_s)
         est = max(
             job.grid_step, estimated_runtime_s(job) * remaining_fraction * mult
         )

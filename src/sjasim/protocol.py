@@ -83,7 +83,6 @@ def collect_interest(
     risk: RiskParams,
     seg: SegmentationConfig,
     now: float,
-    online_correction: bool = True,
     resume_positions: dict[str, float] | None = None,
 ) -> list[InterestSignal]:
     """Dry-run each waiting job against the offer; pure, no state is created.
@@ -91,7 +90,8 @@ def collect_interest(
     A job signals interest iff segmentation yields at least one admissible
     fragment; plan_segments refuses non-atomizable jobs, which take the
     conventional placement path. Only the verdict leaves the dry run: the
-    plan stays memoized on the profile until materialize needs it.
+    plan stays memoized on the profile until materialize needs it. A job's
+    demand floor, when it has one, raises the envelope it is planned on.
     resume_positions lets the caller pipeline a job that already holds
     planned subjobs: its plan starts where the pending work ends.
     """
@@ -101,13 +101,7 @@ def collect_interest(
     for job in waiting:
         start_pos = (resume_positions or {}).get(job.spec.job_id)
         result = plan_segments(
-            job,
-            offer.window,
-            catalog,
-            risk,
-            seg,
-            online_correction=online_correction,
-            start_position_s=start_pos,
+            job, offer.window, catalog, risk, seg, start_position_s=start_pos
         )
         if isinstance(result, PlanRefusal):
             signals.append(
@@ -139,7 +133,6 @@ def materialize(
     catalog: SliceCatalog,
     risk: RiskParams,
     seg: SegmentationConfig,
-    online_correction: bool = True,
     start_position_s: float | None = None,
 ) -> tuple[SubJob, ...] | MaterializeRefusal:
     """Re-validate the plan under the grant and mint its SubJob records.
@@ -152,18 +145,14 @@ def materialize(
     at or past the job's actual completion are not materialized (the job
     side knows its remaining iteration count). Each kept fragment already
     passed joint admission; it is flagged methods_disagree when the
-    envelope peak over its positions exceeds its capacity.
+    envelope peak over its positions exceeds its capacity. Segmentation
+    sizes every fragment to cover that same risk.eps envelope (raised by
+    any demand floor), so no subjob minted here carries the flag.
     """
     if granted.job_id != job.spec.job_id:
         raise ValueError("grant addressed to a different job")
     result = plan_segments(
-        job,
-        window,
-        catalog,
-        risk,
-        seg,
-        online_correction=online_correction,
-        start_position_s=start_position_s,
+        job, window, catalog, risk, seg, start_position_s=start_position_s
     )
     if isinstance(result, PlanRefusal):
         return MaterializeRefusal(result.reason)

@@ -43,14 +43,14 @@ class SegmentationConfig:
     tau_min/tau_max bound fragment durations (seconds); smoothing_window is
     the width of the sliding-maximum applied to the envelope before capacity
     selection; hysteresis_delta is the minimum relative waste reduction a
-    split must achieve; eps selects which envelope drives segmentation.
+    split must achieve. The envelope itself is the risk level's
+    (RiskParams.eps), so segmentation and admission read one curve.
     """
 
     tau_min_s: float = 300.0
     tau_max_s: float = 3600.0
     smoothing_window_s: float = 120.0
     hysteresis_delta: float = 0.15
-    eps: float = 0.05
 
     def __post_init__(self) -> None:
         for name in ("tau_min_s", "tau_max_s", "smoothing_window_s", "hysteresis_delta"):
@@ -62,8 +62,6 @@ class SegmentationConfig:
             raise ValueError("smoothing_window must be >= 0")
         if self.hysteresis_delta < 0:
             raise ValueError("hysteresis_delta must be >= 0")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
 
     def min_steps(self, grid_step: float) -> int:
         return max(1, math.ceil(self.tau_min_s / grid_step - 1e-9))
@@ -264,7 +262,6 @@ def plan_segments(
     catalog: SliceCatalog,
     risk: RiskParams,
     seg: SegmentationConfig,
-    online_correction: bool = True,
     start_position_s: float | None = None,
 ) -> list[FragmentPlan] | PlanRefusal:
     """Map an offered window onto the job's remaining work and segment it.
@@ -280,10 +277,10 @@ def plan_segments(
     Each distinct plan is computed once and memoized in the job's
     `profile.plan_cache`. The key is everything the plan reads besides the
     profile: the job's demand floor, start grid index, whole window steps,
-    offered capacity, seg, risk.eps and the catalog. A floor is read only
-    with online_correction and only once the job has one; it stands in the
-    key as (job id, demand-floor version), and as None otherwise, so jobs
-    without a floor share one plan per profile. Fragments are
+    offered capacity, seg, risk.eps and the catalog. A job has a floor only
+    once the engine noted an OOM kill under online correction; it stands in
+    the key as (job id, demand-floor version), and as None otherwise, so
+    jobs without a floor share one plan per profile. Fragments are
     window-relative, so a hit returns the cached fragment objects
     themselves, whatever the window's start or job; materialize places
     each at window.start + offset_s.
@@ -301,7 +298,7 @@ def plan_segments(
         return PlanRefusal("window shorter than one grid step")
     base_pos = job.position_s if start_position_s is None else start_position_s
     i0 = int(round(base_pos / h))
-    floor = job.demand_floor if online_correction else None
+    floor = job.demand_floor
     key = (
         None if floor is None else (job.spec.job_id, job.demand_floor_version),
         i0,
@@ -333,7 +330,7 @@ def _plan(
     """Uncached body of plan_segments; `floor` is the demand floor it
     raises the envelope to, or None."""
     h = profile.grid_step
-    curve = profile.envelope(seg.eps)
+    curve = profile.envelope(risk.eps)
     u = curve[i0 : i0 + n_steps]
     if len(u) < n_steps:
         # Past the profile horizon: extrapolate the last supported value.

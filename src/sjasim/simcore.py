@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -214,7 +214,6 @@ class SimConfig:
             tau_max_s=self.tau_max_s,
             smoothing_window_s=self.smoothing_window_s,
             hysteresis_delta=self.hysteresis_delta,
-            eps=self.eps,
         )
 
 
@@ -325,7 +324,6 @@ class _Engine:
     def __init__(self, scenario: Scenario, scheduler: str, cfg: SimConfig, seed: int):
         if scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {scheduler!r}, pick from {SCHEDULERS}")
-        self.scenario = scenario
         self.scheduler = scheduler
         self.cfg = cfg
         self.seed = seed
@@ -334,9 +332,6 @@ class _Engine:
         )
         self.risk = cfg.risk()
         self.seg = cfg.seg()
-        self.base_params = replace(
-            cfg.baseline, kind=scheduler if scheduler in (MOLDABLE, PREEMPT_MIGRATE) else FIRST_FIT
-        )
         self.ledger = TenantLedger(cfg.policy.token_budgets)
 
         steps = {e.grid_step for e in scenario.ensembles.values()}
@@ -369,7 +364,6 @@ class _Engine:
         self._seq = 0
         self._round_due = False
         self._offer_seq = 0
-        self._granted_offers: set[str] = set()
         self._arrivals_pending = len(self._order)
         self._n_terminal = 0
         self.units: dict[str, SubJob] = {}
@@ -450,8 +444,7 @@ class _Engine:
         elif kind == "failure_inject":
             self._on_failure()
         elif kind == "offer_expire":
-            if p["offer"] not in self._granted_offers:
-                self._log("offer_expire", offer=p["offer"])
+            self._log("offer_expire", offer=p["offer"])
         elif kind == "round_timer":
             self._round_due = True
             if p.get("periodic") and self._n_terminal < len(self._order):
@@ -498,12 +491,11 @@ class _Engine:
         )
         if self.cfg.online_correction:
             key = job.spec.ensemble_key
-            if key is not None and key in self.profiles:
-                fresh = refresh_profile(self.profiles[key], job.actual)
-                self.profiles[key] = fresh
-                for other in self._order:
-                    if other.spec.ensemble_key == key:
-                        other.profile = fresh
+            fresh = refresh_profile(self.profiles[key], job.actual)
+            self.profiles[key] = fresh
+            for other in self._order:
+                if other.spec.ensemble_key == key:
+                    other.profile = fresh
 
     def _reached_idx(self, unit: SubJob) -> int:
         """Grid index of job progress a running unit has reached by now."""
@@ -552,7 +544,7 @@ class _Engine:
         pos = idx * self.h
         kept = 0.0
         if unit.kind == "monolithic" and self.scheduler == PREEMPT_MIGRATE:
-            kept = checkpointed_progress_s(pos - unit.pos_from_s, self.base_params)
+            kept = checkpointed_progress_s(pos - unit.pos_from_s, self.cfg.baseline)
         job.position_s = unit.pos_from_s + kept
         lost = pos - job.position_s
         job.reexecuted_s += lost
@@ -674,6 +666,7 @@ class _Engine:
         self.n_oom += 1
         i0 = int(round(unit.pos_from_s / self.h))
         observed = float(job.actual[kill_idx])
+        # Plans read any floor a job has, so this is correction's one gate.
         if self.cfg.online_correction:
             job.note_demand(i0, job.actual[i0 : kill_idx + 1])
         self._kill_unit(
@@ -746,7 +739,7 @@ class _Engine:
         _grant_one re-enters it before each selection."""
         for j in jobs:
             jid = j.spec.job_id
-            done = j.fraction_at(resume[jid]) if jid in resume else j.completed_fraction
+            done = j.fraction_at(resume.get(jid, j.position_s))
             ctx.arrivals[jid] = j.spec.arrival_s
             ctx.priorities[jid] = j.spec.priority
             ctx.deadlines[jid] = j.spec.deadline_s
@@ -769,7 +762,7 @@ class _Engine:
                 by_job.setdefault(u.job_id, []).append(u)
         for job in self._order:
             units = by_job.get(job.spec.job_id)
-            if not units or not job.spec.atomizable:
+            if not units:
                 continue
             chains = len({u.offer_id for u in units})
             if chains >= self.cfg.max_concurrent_subjobs_per_job:
@@ -839,7 +832,6 @@ class _Engine:
             self.risk,
             self.seg,
             self.now,
-            online_correction=self.cfg.online_correction,
             resume_positions=resume,
         )
         for s in signals:
@@ -872,7 +864,6 @@ class _Engine:
             self.cfg.catalog,
             self.risk,
             self.seg,
-            online_correction=self.cfg.online_correction,
             start_position_s=resume.get(granted.job_id),
         )
         if isinstance(result, MaterializeRefusal):
@@ -885,7 +876,6 @@ class _Engine:
                 reason=result.reason,
             )
             return False
-        self._granted_offers.add(offer.offer_id)
         for sj in result:
             self._book(sj, sj.reserved_end_s)
             self.frag_admissions += 1
@@ -910,12 +900,12 @@ class _Engine:
 
     def _place_monolithic(self, queue: list[JobRuntime], kind: str) -> bool:
         placements = monolithic_place(
-            queue, self.cluster, self.now, kind, self.base_params
+            queue, self.cluster, self.now, kind, self.cfg.baseline
         )
         for p in placements:
             job = self.jobs[p.job_id]
             mult = (
-                self.base_params.multiplier(p.capacity_mb) if kind == MOLDABLE else 1.0
+                self.cfg.baseline.multiplier(p.capacity_mb) if kind == MOLDABLE else 1.0
             )
             remaining = job.actual_duration_s - job.position_s
             # When the estimate undershoots, book the job's real occupancy
@@ -983,7 +973,7 @@ class _Engine:
         cur_idx = self._reached_idx(unit)
         kept, lost = self._stop(unit, cur_idx)
         live_mb = float(job.actual[cur_idx]) if cur_idx < len(job.actual) else 0.0
-        delay = transfer_delay_s(live_mb, self.base_params)
+        delay = transfer_delay_s(live_mb, self.cfg.baseline)
         job.earliest_resume_s = self.now + delay
         self._set_queued(job, True)
         self.n_preemptions += 1

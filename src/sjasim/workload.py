@@ -209,7 +209,7 @@ class SubJob:
     work_to: float = 1.0
     predicted_peak_mb: float = 0.0
     admission_probability: float = 1.0
-    methods_disagree: bool = False  # passed joint admission, envelope peak above capacity
+    methods_disagree: bool = False  # envelope peak above capacity; never true from materialize
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.work_from < self.work_to <= 1.0:
@@ -252,12 +252,6 @@ class JobRuntime:
     @property
     def actual_duration_s(self) -> float:
         return (len(self.actual) - 1) * self.grid_step
-
-    @property
-    def completed_fraction(self) -> float:
-        if self.actual_duration_s <= 0:
-            return 1.0
-        return min(1.0, self.position_s / self.actual_duration_s)
 
     def fraction_at(self, position_s: float) -> float:
         if self.actual_duration_s <= 0:

@@ -48,7 +48,7 @@ class TestMonolithicPlace:
     def test_best_fit_minimizes_spare(self):
         cluster = ClusterState.from_layout(1, (5120, 20480, 10240))
         job = make_job("j", 9000.0)
-        p, = monolithic_place([job], cluster, 0.0, "best_fit", BaselineParams(kind="best_fit"))
+        p, = monolithic_place([job], cluster, 0.0, "best_fit", BaselineParams())
         assert p.slice_id == "g0s2"  # 10240 leaves least spare
 
     def test_arrival_order_then_id(self):
@@ -126,7 +126,7 @@ def oracle_place(queue, cluster, now, kind, params):
         target = fitting[0]
         mult = params.multiplier(target.capacity_mb) if kind == "moldable" else 1.0
         est = max(job.grid_step,
-                  estimated_runtime_s(job) * (1.0 - job.completed_fraction) * mult)
+                  estimated_runtime_s(job) * (1.0 - job.fraction_at(job.position_s)) * mult)
         placements.append(
             Placement(job.spec.job_id, target.slice_id, target.capacity_mb, now, now + est)
         )
@@ -170,7 +170,7 @@ class TestPlacementOracle:
             make_job(f"j{i}", peak, arrival=60.0 * minute, runtimes=rts, position=pos)
             for i, (peak, minute, rts, pos) in enumerate(specs)
         ]
-        params = BaselineParams(kind=kind, speedup_table={10240: 1.25, 40960: 0.8})
+        params = BaselineParams(speedup_table={10240: 1.25, 40960: 0.8})
         waiting = list(jobs)
         for now in (0.0, 300.0, 900.0, 1800.0, 3600.0):
             before = timelines(clusters[0])
@@ -196,7 +196,7 @@ class TestMoldable:
         # 120 s of estimated work at x1.5 books 180 s of wall time.
         cluster = ClusterState.from_layout(1, (10240,))
         job = make_job("j", 9000.0, runtimes=(120.0,) * 4)
-        params = BaselineParams(kind="moldable", speedup_table={10240: 1.5})
+        params = BaselineParams(speedup_table={10240: 1.5})
         p, = monolithic_place([job], cluster, 0.0, "moldable", params)
         assert p.est_end_s == pytest.approx(180.0)
 
@@ -205,17 +205,16 @@ class TestMoldable:
         cluster = ClusterState.from_layout(1, (10240, 20480))
         cluster.slice("g0s0").reserve(0.0, 1000.0, "other")
         job = make_job("j", 9000.0)
-        got = monolithic_place([job], cluster, 0.0, "moldable", BaselineParams(kind="moldable"))
+        got = monolithic_place([job], cluster, 0.0, "moldable", BaselineParams())
         assert got == []
 
 
 class TestMigrationCosts:
     def test_transfer_delay_formula(self):
         # 20 GB over 1 GB/s plus 5 s restart = 25 s
-        params = BaselineParams(kind="preempt_migrate")
+        params = BaselineParams()
         assert transfer_delay_s(20480.0, params) == pytest.approx(25.0)
-        slow = BaselineParams(kind="preempt_migrate", migrate_bandwidth_mb_s=512.0,
-                              migrate_fixed_overhead_s=2.0)
+        slow = BaselineParams(migrate_bandwidth_mb_s=512.0, migrate_fixed_overhead_s=2.0)
         assert transfer_delay_s(1024.0, slow) == pytest.approx(4.0)
 
     def test_checkpoint_floor(self):
@@ -226,8 +225,6 @@ class TestMigrationCosts:
         assert checkpointed_progress_s(1799.0, params) == 1200.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BaselineParams(kind="surprise")
         with pytest.raises(ValueError):
             BaselineParams(migrate_bandwidth_mb_s=0.0)
         with pytest.raises(ValueError):

@@ -267,8 +267,7 @@ class TestKeyCoverage:
                     yield f"{path}{f.name}", f.metadata.get("key")
 
         found = dict(leaves(SimConfig(), ""))
-        # The engine sets the baseline kind per scheduler.
-        assert [name for name, key in found.items() if key is None] == ["baseline.kind"]
+        assert [name for name, key in found.items() if key is None] == []
         keys = [key for key in found.values() if key is not None]
         assert len(keys) == len(set(keys))
         run_keys = {"run.scenario", "run.scheduler", "run.seeds", "run.output_dir"}

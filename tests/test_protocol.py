@@ -1,6 +1,8 @@
 """Offer / interest / grant / materialize contract tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sjasim.cluster import ExecutionWindow, SliceCatalog
 from sjasim.policies import GrantPolicy, SelectionContext, TenantLedger
@@ -46,7 +48,7 @@ def ctx_for(jobs, now=0.0):
         priorities={j.spec.job_id: j.spec.priority for j in jobs},
         deadlines={j.spec.job_id: j.spec.deadline_s for j in jobs},
         tenants={j.spec.job_id: j.spec.tenant_id for j in jobs},
-        remaining_fraction={j.spec.job_id: 1.0 - j.completed_fraction for j in jobs},
+        remaining_fraction={j.spec.job_id: 1.0 - j.fraction_at(j.position_s) for j in jobs},
         profiles={j.spec.job_id: j.profile for j in jobs},
         alpha_t=0.05,
     )
@@ -167,13 +169,10 @@ class TestMaterialize:
         out = materialize(job, self._grant_for(job, win), win, CAT, RISK, SEG)
         assert isinstance(out, MaterializeRefusal)
 
-    def test_methods_disagree_marks_kept_fragments_failing_envelope(self):
+    def test_kept_fragments_pass_joint_admission_under_the_envelope(self):
         # Eight runs end at 300 s; of the two that go on, one climbs to 12 GB
         # at 600 s. Past 300 s only those two are alive, so the 80% envelope
-        # reads 12 GB, while jointly 9 of 10 runs stay under 10 GB (finished
-        # runs count as successes). Segmenting on the 50% envelope assigns
-        # 10 GB everywhere, so the later fragments pass joint admission but
-        # their envelope peak exceeds the capacity.
+        # reads 12 GB from 600 s on and the fragments there take 20 GB.
         runs = [np.full(6, 8000.0) for _ in range(8)]
         runs += [np.full(31, 8000.0), np.array([8000.0] * 10 + [12000.0] * 21)]
         prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(0.05,))
@@ -181,21 +180,62 @@ class TestMaterialize:
         # The actual run ends at 900 s, so the 900-1200 s fragment is dropped.
         job = JobRuntime(spec=spec, profile=prof, actual=np.full(16, 8000.0), grid_step=H)
         risk = RiskParams(eps=0.2)
-        seg = SegmentationConfig(tau_min_s=300.0, tau_max_s=300.0, smoothing_window_s=0.0,
-                                 eps=0.5)
-        win = ExecutionWindow("g0s0", 10240, 0.0, 1200.0)
+        seg = SegmentationConfig(tau_min_s=300.0, tau_max_s=300.0, smoothing_window_s=0.0)
+        win = ExecutionWindow("g0s0", 20480, 0.0, 1200.0)
         subjobs = materialize(job, self._grant_for(job, win), win, CAT, risk, seg)
         assert [(s.pos_from_s, s.slice_capacity_mb) for s in subjobs] == [
-            (0.0, 10240), (300.0, 10240), (600.0, 10240)
+            (0.0, 10240), (300.0, 10240), (600.0, 20480)
         ]
         for s in subjobs:
             window = (s.pos_from_s, s.pos_to_s - H)
             cap = s.slice_capacity_mb
             assert memory_admissible(prof, cap, window, risk.eps).admissible
-            assert s.methods_disagree == (envelope_peak(prof, risk.eps, window) > cap)
-        assert [s.methods_disagree for s in subjobs] == [False, False, True]
+            assert envelope_peak(prof, risk.eps, window) <= cap
+            assert not s.methods_disagree
         # The dry run plans all four fragments; materialize keeps three.
         assert len(plan_segments(job, win, CAT, risk, seg)) == 4
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        runs=st.lists(
+            st.lists(st.sampled_from([0.0, 3000.0, 7000.0, 9500.0, 15000.0, 26000.0]),
+                     min_size=1, max_size=40),
+            min_size=2, max_size=6,
+        ),
+        actual_len=st.integers(5, 45),
+        eps=st.sampled_from([0.05, 0.2, 0.5]),
+        window=st.tuples(st.sampled_from([5120, 10240, 20480, 40960, 40960]),
+                         st.sampled_from([0.0, 137.5]),
+                         st.sampled_from([300.0, 900.0, 2400.0, 3000.0])),
+        floor=st.none() | st.tuples(st.integers(0, 30), st.integers(1, 10),
+                                    st.sampled_from([6000.0, 12000.0, 20000.0])),
+        start=st.sampled_from([None, 90.0, 600.0]),
+        seg=st.builds(SegmentationConfig, tau_min_s=st.sampled_from([60.0, 300.0]),
+                      tau_max_s=st.sampled_from([600.0, 3600.0]),
+                      smoothing_window_s=st.sampled_from([0.0, 240.0]),
+                      hysteresis_delta=st.sampled_from([0.0, 0.15, 0.6])),
+    )
+    def test_no_minted_subjob_has_envelope_peak_above_capacity(
+        self, runs, actual_len, eps, window, floor, start, seg
+    ):
+        # Segmentation sizes each fragment on the risk.eps envelope (raised by
+        # any demand floor), the curve methods_disagree reads, so the flag
+        # can never be set on a subjob that materialize mints.
+        prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(eps,))
+        spec = JobSpec("j1", "t0", 0.0, 1800.0, 40000.0)
+        job = JobRuntime(spec=spec, profile=prof, actual=np.full(actual_len, 1000.0),
+                         grid_step=H)
+        if floor is not None:
+            job.note_demand(floor[0], np.full(floor[1], floor[2]))
+        win = ExecutionWindow("g0s0", *window)
+        risk = RiskParams(eps=eps)
+        out = materialize(job, self._grant_for(job, win), win, CAT, risk, seg,
+                          start_position_s=start)
+        for s in out if isinstance(out, tuple) else ():
+            window_s = (s.pos_from_s, s.pos_to_s - H)
+            assert envelope_peak(prof, eps, window_s) <= s.slice_capacity_mb
+            assert memory_admissible(prof, s.slice_capacity_mb, window_s, eps).admissible
+            assert not s.methods_disagree
 
     def test_grant_for_other_job_rejected(self):
         job = make_job()

@@ -162,8 +162,6 @@ class TestConfigBounds:
             SegmentationConfig(tau_min_s=600.0, tau_max_s=300.0)
         with pytest.raises(ValueError):
             SegmentationConfig(hysteresis_delta=-0.1)
-        with pytest.raises(ValueError):
-            SegmentationConfig(eps=0.0)
 
     @pytest.mark.parametrize(
         "name", ["tau_min_s", "tau_max_s", "smoothing_window_s", "hysteresis_delta"]
@@ -329,16 +327,16 @@ class TestPlanSegments:
         assert isinstance(out, PlanRefusal)
 
     def test_demand_floor_raises_assigned_capacity(self):
-        # Profile says 8 GB but observed demand hit 12 GB: with correction on
-        # the fragment must ride the floor up to the 20 GB class.
+        # Profile says 8 GB but observed demand hit 12 GB: once the floor is
+        # noted, the fragment must ride it up to the 20 GB class.
         runs = [[8000.0] * 31 for _ in range(4)]
         job = make_job(runs, work=1800.0)
-        job.note_demand(0, np.full(31, 12000.0))
         win = ExecutionWindow("g0s0", 20480, 0.0, 600.0)
-        on = plan_segments(job, win, CAT, self.risk, cfg(0.2), online_correction=True)
-        off = plan_segments(job, win, CAT, self.risk, cfg(0.2), online_correction=False)
-        assert all(p.capacity_mb == 20480 for p in on)
-        assert all(p.capacity_mb == 10240 for p in off)
+        before = plan_segments(job, win, CAT, self.risk, cfg(0.2))
+        job.note_demand(0, np.full(31, 12000.0))
+        after = plan_segments(job, win, CAT, self.risk, cfg(0.2))
+        assert all(p.capacity_mb == 10240 for p in before)
+        assert all(p.capacity_mb == 20480 for p in after)
 
     def test_admission_stops_plan_at_first_failure(self):
         # Half the runs blow past 10 GB in the second half of the window, so
@@ -370,7 +368,6 @@ plan_step = st.tuples(
     st.sampled_from([0.0, 90.0, 600.0]),  # window start
     st.sampled_from([240.0, 600.0, 1000.0, 2400.0]),  # window duration
     st.sampled_from([10240, 20480]),
-    st.booleans(),  # online_correction
     st.sampled_from([None, 300.0]),  # start_position_s
     st.sampled_from([0.2, 0.6]),  # hysteresis_delta
 )
@@ -381,10 +378,11 @@ move_step = st.tuples(st.just("move"), who, st.sampled_from([0.0, 300.0, 660.0, 
 refresh_step = st.tuples(st.just("refresh"), st.sampled_from([6000.0, 11000.0]))
 
 
-# Segmenting on the 70% envelope ignores the two high runs, so joint
-# admission at risk.eps decides how far a 10 GB plan may reach.
-SEG_EPS30 = SegmentationConfig(tau_min_s=120.0, tau_max_s=900.0, smoothing_window_s=0.0,
-                               hysteresis_delta=0.2, eps=0.3)
+# Fragments of 2 to 15 minutes, unsmoothed. The 90% envelope (risk.eps 0.1)
+# follows the two high runs from 1200 s on and the 70% one does not, so the
+# risk level alone changes the assigned classes.
+SEG_SHORT = SegmentationConfig(tau_min_s=120.0, tau_max_s=900.0, smoothing_window_s=0.0,
+                               hysteresis_delta=0.2)
 
 
 class TestPlanCache:
@@ -453,25 +451,22 @@ class TestPlanCache:
         assert len(job.profile.plan_cache) == 1 and len(old.plan_cache) == 2
 
     BASE = dict(window=ExecutionWindow("g0s0", 20480, 0.0, 2400.0), risk=RiskParams(eps=0.1),
-                seg=SEG_EPS30, online_correction=True,
-                start_position_s=None, catalog=CAT)
+                seg=SEG_SHORT, start_position_s=None, catalog=CAT)
 
     @pytest.mark.parametrize("change", [
         dict(window=ExecutionWindow("g0s0", 10240, 0.0, 2400.0)),
         dict(window=ExecutionWindow("g0s0", 20480, 0.0, 1000.0)),
         dict(risk=RiskParams(eps=0.3)),
-        dict(seg=replace(SEG_EPS30, tau_max_s=600.0)),
-        dict(online_correction=False),
+        dict(seg=replace(SEG_SHORT, tau_max_s=600.0)),
         dict(start_position_s=300.0),
         dict(catalog=SliceCatalog((5120, 10240, 16384, 40960))),
-    ], ids=["capacity", "steps", "risk_eps", "seg", "online_correction", "start", "catalog"])
+    ], ids=["capacity", "steps", "risk_eps", "seg", "start", "catalog"])
     def test_each_key_input_separates_plans(self, change):
         job = self.job()
         job.note_demand(0, np.full(10, 12000.0))
 
         def plan(j, args):
             return plan_segments(j, args["window"], args["catalog"], args["risk"], args["seg"],
-                                 online_correction=args["online_correction"],
                                  start_position_s=args["start_position_s"])
 
         varied = {**self.BASE, **change}
@@ -488,12 +483,12 @@ class TestPlanCache:
         for step in steps:
             kind = step[0]
             if kind == "plan":
-                _, i, start, duration, cap, correct, pos, delta = step
+                _, i, start, duration, cap, pos, delta = step
                 seg = cfg(delta, tau_min=120.0, tau_max=900.0, smooth=120.0)
                 win = ExecutionWindow("g0s0", cap, start, duration)
-                kw = dict(online_correction=correct, start_position_s=pos)
-                got = plan_segments(jobs[i], win, CAT, self.risk, seg, **kw)
-                assert got == plan_segments(cold_copy(jobs[i]), win, CAT, self.risk, seg, **kw)
+                got = plan_segments(jobs[i], win, CAT, self.risk, seg, start_position_s=pos)
+                assert got == plan_segments(cold_copy(jobs[i]), win, CAT, self.risk, seg,
+                                            start_position_s=pos)
             elif kind == "demand":
                 jobs[step[1]].note_demand(step[2], np.full(5, step[3]))
             elif kind == "move":
