@@ -1,7 +1,8 @@
 """Byte-identical output gate.
 
-Every bundled scenario under every scheduler at seed 0 must reproduce the
-event log and metrics exactly. The digests are sha256 of
+Every bundled scenario under every scheduler at seeds 0-2 must reproduce
+the event log and metrics exactly (DIGESTS at seed 0, SEED_DIGESTS at seeds
+1 and 2). The digests are sha256 of
 events_text(log) + metrics_csv_text(report). A change that alters them on
 purpose must say why and regenerate the table.
 
@@ -63,6 +64,79 @@ DIGESTS = {
     ("fragmented", "best_fit"): "c9d72b08856f7e41df296b9fba7491fad2f906a99499610b43b390423b59c67d",
     ("fragmented", "moldable"): "039e271b474035e5acc7fd05f52bb91b22ca22bda3ef72a6a7fd72d4951713f7",
     ("fragmented", "preempt_migrate"): "d2c08ccb2fcb31cbacf7b2505a3cb62c8b8698dace901776402a4878614b8d1e",
+}
+
+SEED_DIGESTS = {
+    ("smoke", "sja", 1): "0f01c26c4f30f4980a1285796774a37cf0da71f84e50568005c5b62ed24d27fb",
+    ("smoke", "sja", 2): "1585519471e6903f6c3537be88b480815dda8020b40efa0bfddeb8e2e1ce0f03",
+    ("smoke", "first_fit", 1): "1d2dc4312e8a6141e938bd36b0ddcdddebabb69c33fb60e969b9606ac14f0b3d",
+    ("smoke", "first_fit", 2): "529b0cbc0fe24fd53bcced926fb33610892bc5792c7cdfdd538609fa5632c525",
+    ("smoke", "best_fit", 1): "1b4734cc9f643004bb7f5f4aa6cebbd8a940f81c54a640ab67487f5f934e7794",
+    ("smoke", "best_fit", 2): "c097c36c07a1c99793eb774dd0e1d4ffc64135410053c4ff7f17fe297bfb1120",
+    ("smoke", "moldable", 1): "1b4734cc9f643004bb7f5f4aa6cebbd8a940f81c54a640ab67487f5f934e7794",
+    ("smoke", "moldable", 2): "c097c36c07a1c99793eb774dd0e1d4ffc64135410053c4ff7f17fe297bfb1120",
+    ("smoke", "preempt_migrate", 1): "1d2dc4312e8a6141e938bd36b0ddcdddebabb69c33fb60e969b9606ac14f0b3d",
+    ("smoke", "preempt_migrate", 2): "529b0cbc0fe24fd53bcced926fb33610892bc5792c7cdfdd538609fa5632c525",
+    ("calibration", "sja", 1): "1e4aa98f02d9c7eeaa53c9557c2a02d15dc80563c818e0ef23ba8892829339bf",
+    ("calibration", "sja", 2): "f9e65ae541d6e8cb111df03ca0c1367e55623a1e37f23c14cd1de535358fd57e",
+    ("calibration", "first_fit", 1): "71bb4a7b6d9be3c2091ed5f3c159184f14acf2514d7b71b3abf9e96d0390b9a7",
+    ("calibration", "first_fit", 2): "8474fd1a24cd2c48c95ab04a3bed0b2da83607f436ea8a8f9557617d61597d74",
+    ("calibration", "best_fit", 1): "0e265e6451608234aa5fc81903c9dacc03e1573e7fb08d196a07d3ae6da63ed9",
+    ("calibration", "best_fit", 2): "f0a71b0b134f72d2dae460bf62a83a79ac670551b7383219e60050501c7b50c0",
+    ("calibration", "moldable", 1): "dd5ca8841cb5c393fc16a34b19b499737689687843278a7f35b75ac3e9bdd893",
+    ("calibration", "moldable", 2): "20481ea528a0ac57a9fdaa360fe073c91816fe05cce8edee010ffebf46ec48c6",
+    ("calibration", "preempt_migrate", 1): "71bb4a7b6d9be3c2091ed5f3c159184f14acf2514d7b71b3abf9e96d0390b9a7",
+    ("calibration", "preempt_migrate", 2): "8474fd1a24cd2c48c95ab04a3bed0b2da83607f436ea8a8f9557617d61597d74",
+    ("gap-reclaim", "sja", 1): "bc8cf0b25517e591411f203d0ee403872b66e8c87878b4453b953908d2cbeab4",
+    ("gap-reclaim", "sja", 2): "bc8cf0b25517e591411f203d0ee403872b66e8c87878b4453b953908d2cbeab4",
+    ("gap-reclaim", "first_fit", 1): "21e22a20e9c5ac78674adca8f1ea17154218b88f4984d866eaeb8af613e037a0",
+    ("gap-reclaim", "first_fit", 2): "21e22a20e9c5ac78674adca8f1ea17154218b88f4984d866eaeb8af613e037a0",
+    ("gap-reclaim", "best_fit", 1): "21e22a20e9c5ac78674adca8f1ea17154218b88f4984d866eaeb8af613e037a0",
+    ("gap-reclaim", "best_fit", 2): "21e22a20e9c5ac78674adca8f1ea17154218b88f4984d866eaeb8af613e037a0",
+    ("gap-reclaim", "moldable", 1): "21e22a20e9c5ac78674adca8f1ea17154218b88f4984d866eaeb8af613e037a0",
+    ("gap-reclaim", "moldable", 2): "21e22a20e9c5ac78674adca8f1ea17154218b88f4984d866eaeb8af613e037a0",
+    ("gap-reclaim", "preempt_migrate", 1): "21e22a20e9c5ac78674adca8f1ea17154218b88f4984d866eaeb8af613e037a0",
+    ("gap-reclaim", "preempt_migrate", 2): "21e22a20e9c5ac78674adca8f1ea17154218b88f4984d866eaeb8af613e037a0",
+    ("priority-inversion", "sja", 1): "a5f56d29dbf850d46778ea3dc96366e8803a3fca74fddbb141a46f089471ce72",
+    ("priority-inversion", "sja", 2): "a5f56d29dbf850d46778ea3dc96366e8803a3fca74fddbb141a46f089471ce72",
+    ("priority-inversion", "first_fit", 1): "a5f56d29dbf850d46778ea3dc96366e8803a3fca74fddbb141a46f089471ce72",
+    ("priority-inversion", "first_fit", 2): "a5f56d29dbf850d46778ea3dc96366e8803a3fca74fddbb141a46f089471ce72",
+    ("priority-inversion", "best_fit", 1): "a5f56d29dbf850d46778ea3dc96366e8803a3fca74fddbb141a46f089471ce72",
+    ("priority-inversion", "best_fit", 2): "a5f56d29dbf850d46778ea3dc96366e8803a3fca74fddbb141a46f089471ce72",
+    ("priority-inversion", "moldable", 1): "a5f56d29dbf850d46778ea3dc96366e8803a3fca74fddbb141a46f089471ce72",
+    ("priority-inversion", "moldable", 2): "a5f56d29dbf850d46778ea3dc96366e8803a3fca74fddbb141a46f089471ce72",
+    ("priority-inversion", "preempt_migrate", 1): "276c6e7a8d38e760ff7637eee47f207c33b57aa8e0c409bd106f6d23eb982e13",
+    ("priority-inversion", "preempt_migrate", 2): "276c6e7a8d38e760ff7637eee47f207c33b57aa8e0c409bd106f6d23eb982e13",
+    ("deadline", "sja", 1): "d80e9a73c93c60eb67a1241a7c9886c041e03c012778379f6548e5bfc4c2b311",
+    ("deadline", "sja", 2): "312c834b20559632b33bbf0b2a013c8ed8fb850de3194cc1f18c66d654058e4e",
+    ("deadline", "first_fit", 1): "c76131a6ec6540ce1fbb4b57952886f21741342bfabe641637a5ff80b32dd22f",
+    ("deadline", "first_fit", 2): "844520437e3e0e198b6d8d94b16daf667f2020171482132cce3477363c64b71c",
+    ("deadline", "best_fit", 1): "4ddd140b07d5d3c86c5e76eed94e5153cec2a7149f2360ae3e1b447996555010",
+    ("deadline", "best_fit", 2): "abb6e79d27c909ded698aba38aebfe3a973f094be312d63b726a56e5ade18ef8",
+    ("deadline", "moldable", 1): "54cbb7e2cc9ee185e5c3454373b5d1df9b90777e18acc9520a669ef02ec64ae8",
+    ("deadline", "moldable", 2): "58855cf29345dd3500c6e43f82ece0c8ef0fc04b403743b930c6afbd0f151aed",
+    ("deadline", "preempt_migrate", 1): "c76131a6ec6540ce1fbb4b57952886f21741342bfabe641637a5ff80b32dd22f",
+    ("deadline", "preempt_migrate", 2): "844520437e3e0e198b6d8d94b16daf667f2020171482132cce3477363c64b71c",
+    ("two-tenant", "sja", 1): "3a6b80839d506d4d56d082705cc093578c53dc6aeed95bc064033ae1168ec67b",
+    ("two-tenant", "sja", 2): "5973d7ada1f0a7be2d178a388cdb61e66e4ec06be264a0b1eab84356ceb4af67",
+    ("two-tenant", "first_fit", 1): "110eb3be32dd56c6f2f3ccf7d707734875d8c57eacb30585987d9bef264d5ec2",
+    ("two-tenant", "first_fit", 2): "a076d8ac8a8010ad9527d1770d629ca8431d9705f3e6e305b9433e0c1270d5cd",
+    ("two-tenant", "best_fit", 1): "78aef7422a72b15e4262b41d75a93c619badd1866d3049f5be0a50bb500614aa",
+    ("two-tenant", "best_fit", 2): "747a3a64ee9112958d95aefe363a2c3bed9af102d41c37137d681692055052be",
+    ("two-tenant", "moldable", 1): "a558562121fad466069eee970929a0f73954a88a2f66e927a74559dca695ddc1",
+    ("two-tenant", "moldable", 2): "91c21b12c53737f81aa18f2d076abedc752badcc7ba1ab9fd1752954c31d00ed",
+    ("two-tenant", "preempt_migrate", 1): "110eb3be32dd56c6f2f3ccf7d707734875d8c57eacb30585987d9bef264d5ec2",
+    ("two-tenant", "preempt_migrate", 2): "a076d8ac8a8010ad9527d1770d629ca8431d9705f3e6e305b9433e0c1270d5cd",
+    ("fragmented", "sja", 1): "342444753fafe3b0dd289371d53249fe2a32ec036a6c272751c62ec3d93e4683",
+    ("fragmented", "sja", 2): "0c22a40c94718617723e1f9e0c3e65fc9adca7edf8c9896d427f59f2378be662",
+    ("fragmented", "first_fit", 1): "63a5d0becffe0d5c0547c306edf720f721b604bd80ba5370bad353e48f8b78f3",
+    ("fragmented", "first_fit", 2): "d79f2c58957ade41cf7515d8cf76925ccfec8578adf305f313eac70337b36a66",
+    ("fragmented", "best_fit", 1): "a9d1fb87b33e3c8477e41e4c342058b1ed4af31a147bdc1ca269c8f2c7ad0554",
+    ("fragmented", "best_fit", 2): "82b8b7d6b0c42ebcf03da0969c0e5c792a5b8caf2e86dbf45880e0d8b1dbf10e",
+    ("fragmented", "moldable", 1): "b4e988a84c8263bbc540609aa45a48efadb0920e1652eaa01d40d982405d1d39",
+    ("fragmented", "moldable", 2): "b69bc5a4ed82d5bf89273b8eeac4237e3e4843626b792f4e138d217dccbd6416",
+    ("fragmented", "preempt_migrate", 1): "63a5d0becffe0d5c0547c306edf720f721b604bd80ba5370bad353e48f8b78f3",
+    ("fragmented", "preempt_migrate", 2): "d79f2c58957ade41cf7515d8cf76925ccfec8578adf305f313eac70337b36a66",
 }
 
 
@@ -188,8 +262,8 @@ def _oom_floor_scenario() -> tuple[Scenario, SimConfig]:
     return Scenario(jobs, ensembles, truths, name="oom-floors"), cfg
 
 
-def _digest(scenario, scheduler, cfg) -> str:
-    report, log = run(scenario, scheduler, cfg, seed=0)
+def _digest(scenario, scheduler, cfg, seed=0) -> str:
+    report, log = run(scenario, scheduler, cfg, seed=seed)
     text = events_text(log) + metrics_csv_text(report)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -203,6 +277,21 @@ def test_outputs_are_byte_identical(name):
     scenario, cfg = SCENARIO_BUILDERS[name]()
     for scheduler in SCHEDULERS:
         assert _digest(scenario, scheduler, cfg) == DIGESTS[(name, scheduler)], scheduler
+
+
+def test_seed_table_covers_every_scenario_scheduler_and_seed():
+    assert set(SEED_DIGESTS) == {
+        (n, s, seed) for n in SCENARIO_BUILDERS for s in SCHEDULERS for seed in (1, 2)
+    }
+
+
+@pytest.mark.parametrize("name", list(SCENARIO_BUILDERS))
+def test_later_seeds_are_byte_identical(name):
+    scenario, cfg = SCENARIO_BUILDERS[name]()
+    for scheduler in SCHEDULERS:
+        for seed in (1, 2):
+            digest = _digest(scenario, scheduler, cfg, seed)
+            assert digest == SEED_DIGESTS[(name, scheduler, seed)], (scheduler, seed)
 
 
 def test_variant_table_covers_every_case():
