@@ -48,16 +48,9 @@ for s in signals:
     print(f"  {s.job_id}: {s.kind}" + (f" ({s.reason})" if s.reason else ""))
 
 # 3. A policy picks among interested jobs; fifo takes the earliest arrival.
-ctx = SelectionContext(
-    now=60.0,
-    arrivals={j.spec.job_id: j.spec.arrival_s for j in jobs},
-    priorities={j.spec.job_id: j.spec.priority for j in jobs},
-    deadlines={j.spec.job_id: None for j in jobs},
-    tenants={j.spec.job_id: j.spec.tenant_id for j in jobs},
-    remaining_fraction={j.spec.job_id: 1.0 for j in jobs},
-    profiles={j.spec.job_id: j.profile for j in jobs},
-    alpha_t=0.05,
-)
+#    It reads each candidate's arrival, priority, deadline, tenant and
+#    profile from the job itself.
+ctx = SelectionContext(now=60.0, alpha_t=0.05, jobs={j.spec.job_id: j for j in jobs})
 grant = grant_offer(offer, signals, GrantPolicy(kind="fifo"), TenantLedger({}), ctx)
 print(f"granted to {grant.job_id}")
 

@@ -13,6 +13,7 @@ from .profiles import deadline_admissible
 
 if TYPE_CHECKING:  # protocol imports this module; keep the cycle type-only
     from .protocol import InterestSignal, Offer
+    from .workload import JobRuntime
 
 __all__ = [
     "GrantPolicy",
@@ -76,19 +77,15 @@ def offer_cost_tokens(offer: Offer, cost_rate: float) -> float:
 
 @dataclass
 class SelectionContext:
-    """What a policy may consult about the candidates. `reachable` memoizes
-    edf screen verdicts, so a context serves many selections only while `now`
-    and each job's entries stay fixed; re-entering a job drops its verdict."""
+    """What a policy may consult: the jobs, and each chained bidder's start
+    (others start at position_s). `reachable` memoizes edf verdicts by (job
+    id, start); each holds while `now` and the profiles stay fixed, as in a round."""
 
     now: float
-    arrivals: dict[str, float] = field(default_factory=dict)
-    priorities: dict[str, int] = field(default_factory=dict)
-    deadlines: dict[str, float | None] = field(default_factory=dict)
-    tenants: dict[str, str] = field(default_factory=dict)
-    remaining_fraction: dict[str, float] = field(default_factory=dict)
-    profiles: dict[str, object] = field(default_factory=dict)
-    alpha_t: float = 0.05
-    reachable: dict[str, bool] = field(default_factory=dict)
+    alpha_t: float
+    jobs: dict[str, JobRuntime]
+    starts: dict[str, float] = field(default_factory=dict)
+    reachable: dict[tuple[str, float], bool] = field(default_factory=dict)
 
 
 def select(
@@ -102,43 +99,46 @@ def select(
 
     fifo: earliest arrival. priority: highest priority first. edf: earliest
     deadline among jobs whose deadline is still probabilistically reachable
-    (deadline_admissible at alpha_t, screened once per context and kept in
-    ctx.reachable); jobs without deadlines rank last and jobs with
-    unreachable deadlines are skipped. fair_tokens: among tenants whose
-    budget covers the offer, the one with the largest remaining budget,
-    fifo within the tenant.
+    (deadline_admissible at alpha_t on the work left from the job's start,
+    screened once per (job, start) and kept in ctx.reachable); jobs without
+    deadlines rank last and jobs with unreachable deadlines are skipped.
+    fair_tokens: among tenants whose budget covers the offer, the one with
+    the largest remaining budget, fifo within the tenant.
     """
     candidates = [s.job_id for s in interests if s.kind == "interest"]
     if not candidates:
         return None
-    fifo_key = lambda j: (ctx.arrivals[j], j)
+    specs = {j: ctx.jobs[j].spec for j in candidates}
+    fifo_key = lambda j: (specs[j].arrival_s, j)
 
     if policy.kind == "fifo":
         return min(candidates, key=fifo_key)
 
     if policy.kind == "priority":
-        return min(candidates, key=lambda j: (-ctx.priorities[j], ctx.arrivals[j], j))
+        return min(candidates, key=lambda j: (-specs[j].priority, specs[j].arrival_s, j))
 
     if policy.kind == "edf":
         with_deadline = []
         free = []
         for j in candidates:
-            deadline = ctx.deadlines.get(j)
+            deadline = specs[j].deadline_s
             if deadline is None:
                 free.append(j)
                 continue
-            ok = ctx.reachable.get(j)
+            job = ctx.jobs[j]
+            start = ctx.starts.get(j, job.position_s)
+            ok = ctx.reachable.get((j, start))
             if ok is None:
-                ok = ctx.reachable[j] = deadline_admissible(
-                    ctx.profiles[j],
-                    ctx.remaining_fraction[j],
+                ok = ctx.reachable[j, start] = deadline_admissible(
+                    job.profile,
+                    1.0 - job.fraction_at(start),
                     deadline - ctx.now,
                     ctx.alpha_t,
                 ).admissible
             if ok:
                 with_deadline.append(j)
         if with_deadline:
-            return min(with_deadline, key=lambda j: (ctx.deadlines[j], ctx.arrivals[j], j))
+            return min(with_deadline, key=lambda j: (specs[j].deadline_s, specs[j].arrival_s, j))
         if free:
             return min(free, key=fifo_key)
         return None
@@ -147,14 +147,14 @@ def select(
         if ledger is None:
             raise ValueError("fair_tokens needs a tenant ledger")
         cost = offer_cost_tokens(offer, policy.cost_rate)
-        affordable = [j for j in candidates if ledger.can_afford(ctx.tenants[j], cost)]
+        affordable = [j for j in candidates if ledger.can_afford(specs[j].tenant_id, cost)]
         if not affordable:
             return None
         richest = max(
-            {ctx.tenants[j] for j in affordable},
+            {specs[j].tenant_id for j in affordable},
             key=lambda t: (ledger.remaining(t), t),
         )
-        return min((j for j in affordable if ctx.tenants[j] == richest), key=fifo_key)
+        return min((j for j in affordable if specs[j].tenant_id == richest), key=fifo_key)
 
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 

@@ -78,10 +78,6 @@ class TrajectoryEnsemble:
     def max_len(self) -> int:
         return max(len(r) for r in self.runs)
 
-    @property
-    def run_durations(self) -> np.ndarray:
-        return np.array([(len(r) - 1) * self.grid_step for r in self.runs])
-
     def padded_matrix(self) -> np.ndarray:
         """(n_runs, max_len) matrix, NaN where a run has already ended."""
         if self._padded is None or self._padded.shape[0] != self.n_runs:
@@ -149,6 +145,7 @@ class FunctionalProfile:
     runtime_samples: np.ndarray
     support: np.ndarray
     source: TrajectoryEnsemble
+    inflation: float  # scales every envelope; > 1 only from single_run_profile
     # Dry-run plans memoized by segmentation.plan_segments, shared by every
     # job on this profile. It lives here so that a refreshed profile (a new
     # object) starts empty and the old entries are freed together with the
@@ -160,11 +157,11 @@ class FunctionalProfile:
         return len(self.median_curve)
 
     def envelope(self, eps: float) -> np.ndarray:
-        """Pointwise (1 - eps)-quantile curve; computed on demand and cached."""
+        """Pointwise (1 - eps)-quantile curve times inflation; cached on demand."""
         _check_eps(eps)
         key = float(eps)
         if key not in self.envelope_cache:
-            self.envelope_cache[key] = _column_quantiles(
+            self.envelope_cache[key] = self.inflation * _column_quantiles(
                 np.sort(self.source.padded_matrix(), axis=0), self.support, 1.0 - key
             )
         return self.envelope_cache[key]
@@ -202,7 +199,7 @@ def build_profile(
 
 
 def _summarize(
-    ensemble: TrajectoryEnsemble, eps_levels: tuple[float, ...]
+    ensemble: TrajectoryEnsemble, eps_levels: tuple[float, ...], inflation: float = 1.0
 ) -> FunctionalProfile:
     """Profile of an ensemble from one column sort of its padded matrix."""
     for eps in eps_levels:
@@ -214,7 +211,8 @@ def _summarize(
     durations = (np.sum(alive, axis=1) - 1) * ensemble.grid_step
     sorted_cols = np.sort(padded, axis=0)  # NaN sorts to the end
     cache = {
-        float(e): _column_quantiles(sorted_cols, support, 1.0 - e) for e in eps_levels
+        float(e): inflation * _column_quantiles(sorted_cols, support, 1.0 - e)
+        for e in eps_levels
     }
     return FunctionalProfile(
         grid_step=ensemble.grid_step,
@@ -224,6 +222,7 @@ def _summarize(
         runtime_samples=np.sort(durations),
         support=support,
         source=ensemble,
+        inflation=inflation,
     )
 
 
@@ -241,23 +240,13 @@ def single_run_profile(
 ) -> FunctionalProfile:
     """Deterministic fallback profile from a single run.
 
-    Every envelope is the run scaled by `inflation`; the median is the run
-    itself. Used when an ensemble has only one member, which build_profile
-    rejects.
+    Every envelope, at eps_levels or at any level asked for later, is the run
+    scaled by `inflation`; the median is the run itself. Used when an
+    ensemble has only one member, which build_profile rejects.
     """
     ensemble = TrajectoryEnsemble(grid_step=grid_step, runs=[np.asarray(run, float)])
     check_inflation(inflation)
-    base = ensemble.runs[0]
-    cache = {float(e): base * inflation for e in eps_levels}
-    return FunctionalProfile(
-        grid_step=grid_step,
-        horizon=float((len(base) - 1) * grid_step),
-        median_curve=base.copy(),
-        envelope_cache=cache,
-        runtime_samples=ensemble.run_durations,
-        support=np.ones(len(base), dtype=int),
-        source=ensemble,
-    )
+    return _summarize(ensemble, eps_levels, inflation)
 
 
 def grid_indices(

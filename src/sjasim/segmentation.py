@@ -104,7 +104,7 @@ def plan_waste(fragments: list[Fragment], smoothed: np.ndarray) -> tuple[float, 
     return reserved, reserved - area
 
 
-def _waste(smoothed: np.ndarray, prefix: np.ndarray, a: int, b: int, cap: float) -> float:
+def _waste(prefix: np.ndarray, a: int, b: int, cap: float) -> float:
     return cap * (b - a) - (prefix[b] - prefix[a])
 
 
@@ -155,15 +155,15 @@ def segment_window(
     def split(a: int, b: int) -> list[Fragment]:
         cap = cover_of(a, b)
         parent_reserved = cap * (b - a)
-        parent_waste = _waste(smoothed, prefix, a, b, cap)
+        parent_waste = _waste(prefix, a, b, cap)
         best_gain, best_cut = -1.0, None
         level_change = covers[a + 1 : b] != covers[a : b - 1]
         for off in np.flatnonzero(level_change):
             i = a + 1 + int(off)
             if i - a < tmin or b - i < tmin:
                 continue
-            w = _waste(smoothed, prefix, a, i, cover_of(a, i)) + _waste(
-                smoothed, prefix, i, b, cover_of(i, b)
+            w = _waste(prefix, a, i, cover_of(a, i)) + _waste(
+                prefix, i, b, cover_of(i, b)
             )
             gain = (parent_waste - w) / parent_reserved
             if gain > best_gain + 1e-12:
@@ -208,10 +208,10 @@ def segment_window(
             if total > tmax:
                 continue
             cap = cover_of(left.start_idx, right.end_idx)
-            merged_waste = _waste(smoothed, prefix, left.start_idx, right.end_idx, cap)
+            merged_waste = _waste(prefix, left.start_idx, right.end_idx, cap)
             child_waste = _waste(
-                smoothed, prefix, left.start_idx, left.end_idx, left.capacity_mb
-            ) + _waste(smoothed, prefix, right.start_idx, right.end_idx, right.capacity_mb)
+                prefix, left.start_idx, left.end_idx, left.capacity_mb
+            ) + _waste(prefix, right.start_idx, right.end_idx, right.capacity_mb)
             gain = (merged_waste - child_waste) / (cap * total)
             if gain < seg.hysteresis_delta - 1e-12:
                 fragments[i : i + 2] = [Fragment(left.start_idx, right.end_idx, cap)]

@@ -372,7 +372,7 @@ class _Engine:
         self._queue: dict[str, int] = {}
 
         self.event_log: list[dict] = []
-        self.archive: list[tuple[str, int, float, float, str, str]] = []
+        self.archive: list[tuple[str, int, float, float, str]] = []
         self.used_mem_time = 0.0
         self.queue_intervals: list[tuple[float, float]] = []
         self._queue_since: float | None = None
@@ -519,7 +519,6 @@ class _Engine:
                     unit.physical_capacity_mb,
                     unit.window_start_s,
                     self.now,
-                    unit.job_id,
                     job.spec.tenant_id,
                 )
             )
@@ -728,26 +727,6 @@ class _Engine:
             for job in list(self._waiting()):
                 self._reject(job, "no feasible placement; queue quiescent")
 
-    def _selection_context(
-        self, ctx: SelectionContext, jobs: list[JobRuntime], resume: dict[str, float]
-    ) -> None:
-        """Enter jobs into the round's context, at their resume positions if
-        any, and drop their screen verdicts. One context serves a whole sja
-        round: `now`, profiles and queued jobs' remaining fractions change
-        only in event handlers, and grants only take jobs out of the queue.
-        A pipelined bidder's resume position moves with its grants, so
-        _grant_one re-enters it before each selection."""
-        for j in jobs:
-            jid = j.spec.job_id
-            done = j.fraction_at(resume.get(jid, j.position_s))
-            ctx.arrivals[jid] = j.spec.arrival_s
-            ctx.priorities[jid] = j.spec.priority
-            ctx.deadlines[jid] = j.spec.deadline_s
-            ctx.tenants[jid] = j.spec.tenant_id
-            ctx.remaining_fraction[jid] = 1.0 - done
-            ctx.profiles[jid] = j.profile
-            ctx.reachable.pop(jid, None)
-
     def _pipeline_candidates(self, window_start: float) -> tuple[list[JobRuntime], dict[str, float]]:
         """Scheduled jobs that may take a further grant beyond their pending
         plan (bounded by max_concurrent_subjobs_per_job; the new window must
@@ -795,8 +774,7 @@ class _Engine:
             gaps.sort(key=lambda w: (w.start, -w.duration, w.slice_id))
             offers = advertise(gaps, self.now, self.cfg.offer_ttl_s, self._offer_seq)
             self._offer_seq += len(offers)
-            ctx = SelectionContext(now=self.now, alpha_t=self.cfg.alpha_t)
-            self._selection_context(ctx, [j for j in waiting if j.spec.atomizable], {})
+            ctx = SelectionContext(self.now, self.cfg.alpha_t, self.jobs)
             for offer in offers:
                 self._log(
                     "offer_issued",
@@ -818,8 +796,8 @@ class _Engine:
         return progress
 
     def _grant_one(self, offer, ctx: SelectionContext) -> bool:
-        """Interest, grant, materialize for one offer of the round whose
-        selection context is ctx. True on success."""
+        """Interest, grant, materialize for one offer of the round's context
+        ctx, whose starts become this offer's resume positions. True on success."""
         candidates = [j for j in self._waiting() if j.spec.atomizable]
         extra, resume = self._pipeline_candidates(offer.window.start)
         candidates += extra
@@ -842,7 +820,7 @@ class _Engine:
         interested = [s for s in signals if s.kind == INTEREST]
         if not interested:
             return False
-        self._selection_context(ctx, extra, resume)
+        ctx.starts = resume
         granted = grant_offer(offer, signals, self.cfg.policy, self.ledger, ctx)
         if granted is None:
             return False
@@ -996,11 +974,11 @@ class _Engine:
         horizon = self.now
         cap_total = float(self.cluster.total_capacity_mb)
         denom = cap_total * horizon
-        reserved = sum(cap * (e - s) for _, cap, s, e, _, _ in self.archive)
+        reserved = sum(cap * (e - s) for _, cap, s, e, _ in self.archive)
 
         tenants = sorted({j.spec.tenant_id for j in self._order})
         per_tenant = {t: 0.0 for t in tenants}
-        for _, cap, s, e, _, tenant in self.archive:
+        for _, cap, s, e, tenant in self.archive:
             per_tenant[tenant] += cap * (e - s)
 
         delays = [
@@ -1013,7 +991,7 @@ class _Engine:
         frag_loss = 0.0
         if denom > 0 and self.queue_intervals:
             busy_by_slice: dict[str, list[tuple[float, float]]] = {}
-            for sid, _, s, e, _, _ in self.archive:
+            for sid, _, s, e, _ in self.archive:
                 busy_by_slice.setdefault(sid, []).append((s, e))
             for s in self.cluster.slices:
                 busy = sorted(busy_by_slice.get(s.slice_id, []))

@@ -16,6 +16,7 @@ from sjasim.policies import (
 )
 from sjasim.profiles import TrajectoryEnsemble, build_profile
 from sjasim.protocol import InterestSignal, Offer
+from sjasim.workload import JobRuntime, JobSpec
 
 
 def offer(capacity=10240, duration=600.0):
@@ -31,19 +32,22 @@ def flat_profile(runtime_steps=31, level=1000.0, n_runs=8):
     return build_profile(TrajectoryEnsemble(grid_step=60.0, runs=runs), eps_levels=(0.05,))
 
 
+ACTUAL = np.zeros(31)  # a 1800 s ground-truth run; policies read only its length
+
+
 def ctx(arrivals=None, priorities=None, deadlines=None, tenants=None,
-        remaining=None, profiles=None, now=0.0, alpha_t=0.05):
-    jobs = arrivals or {}
-    return SelectionContext(
-        now=now,
-        arrivals=jobs,
-        priorities=priorities or {j: 0 for j in jobs},
-        deadlines=deadlines or {j: None for j in jobs},
-        tenants=tenants or {j: "t0" for j in jobs},
-        remaining_fraction=remaining or {j: 1.0 for j in jobs},
-        profiles=profiles or {j: flat_profile() for j in jobs},
-        alpha_t=alpha_t,
-    )
+        remaining=None, profiles=None, now=0.0, alpha_t=0.05, starts=None):
+    """A context over one JobRuntime per arrival key; `remaining` sets each
+    job's position_s to leave that fraction of its run."""
+    jobs = {}
+    for j, arrival in (arrivals or {}).items():
+        spec = JobSpec(j, (tenants or {}).get(j, "t0"), arrival, 1800.0, 1000.0,
+                       priority=(priorities or {}).get(j, 0),
+                       deadline_s=(deadlines or {}).get(j))
+        position = (1.0 - (remaining or {}).get(j, 1.0)) * 1800.0
+        jobs[j] = JobRuntime(spec=spec, profile=(profiles or {}).get(j) or flat_profile(),
+                             actual=ACTUAL, grid_step=60.0, position_s=position)
+    return SelectionContext(now, alpha_t, jobs, dict(starts or {}))
 
 
 class TestFifoAndPriority:
@@ -106,8 +110,9 @@ class TestEdf:
 
 class TestReusedContext:
     """One context serving several selections, as in an sja round, picks
-    what a fresh context per selection picks, and memoizes edf verdicts for
-    deadline jobs only."""
+    what a fresh context per selection picks, even when the bidders' starts
+    change between selections, and memoizes edf verdicts for the screened
+    (deadline job, start) pairs only."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -117,7 +122,11 @@ class TestReusedContext:
                       st.integers(5, 60),  # runtime steps
                       st.sampled_from([0.25, 1.0])),  # remaining fraction
             min_size=1, max_size=6),
-        bids=st.lists(st.sets(st.integers(0, 5)), min_size=1, max_size=6),
+        bids=st.lists(
+            st.dictionaries(st.integers(0, 5),  # bidder -> start (None: position_s)
+                            st.sampled_from([None, 0.0, 900.0, 1350.0, 1800.0]),
+                            max_size=6),
+            min_size=1, max_size=6),
         kind=st.sampled_from(POLICY_KINDS),
     )
     def test_same_winners_as_fresh_contexts(self, jobs, bids, kind):
@@ -136,11 +145,27 @@ class TestReusedContext:
         screened = set()
         for bid in bids:
             bidders = [ids[i] for i in sorted(bid) if i < len(ids)]
+            starts = {ids[i]: s for i, s in bid.items() if i < len(ids) and s is not None}
+            shared.starts = starts
             got = select(policy, offer(), interests(*bidders), ledger, shared)
-            assert got == select(policy, offer(), interests(*bidders), ledger, ctx(**fields))
+            fresh = ctx(**fields, starts=starts)
+            assert got == select(policy, offer(), interests(*bidders), ledger, fresh)
             if kind == "edf":
-                screened |= {j for j in bidders if fields["deadlines"][j] is not None}
+                screened |= {
+                    (j, starts.get(j, shared.jobs[j].position_s))
+                    for j in bidders if fields["deadlines"][j] is not None
+                }
             assert set(shared.reachable) == screened
+
+    def test_later_start_flips_an_unreachable_deadline(self):
+        # 1800 s of work from position 0 misses a 900 s deadline; from a
+        # start 1350 s in, 450 s are left and it fits.
+        c = ctx(arrivals={"a": 0.0}, deadlines={"a": 900.0})
+        policy = GrantPolicy("edf")
+        assert select(policy, offer(), interests("a"), None, c) is None
+        c.starts = {"a": 1350.0}
+        assert select(policy, offer(), interests("a"), None, c) == "a"
+        assert c.reachable == {("a", 0.0): False, ("a", 1350.0): True}
 
 
 class TestFairTokens:

@@ -106,6 +106,13 @@ class TestQuantileEnvelope:
         np.testing.assert_array_equal(prof.median_curve, [100.0, 200.0])
         assert prof.horizon == 60.0
 
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.01])
+    def test_single_run_envelope_inflates_at_every_eps(self, eps):
+        # Only 0.05 is prefilled; the other levels are computed on demand.
+        run = np.array([100.0, 250.0, 40.0])
+        prof = pf.single_run_profile(run, 60.0, 1.10, (0.05,))
+        np.testing.assert_array_equal(prof.envelope(eps), run * 1.10)
+
 
 def step_profile(grid_step=60.0, low=4096.0, high=18432.0, n_runs=4):
     """All runs identical: low for the first 10 minutes, high for the next 10."""
@@ -279,6 +286,7 @@ def assert_same_profile(got, want):
     """Field-by-field equality, NaN == NaN, including the padded matrix."""
     assert got.grid_step == want.grid_step
     assert got.horizon == want.horizon
+    assert got.inflation == want.inflation
     for name in ("median_curve", "runtime_samples", "support"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name

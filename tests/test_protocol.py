@@ -42,16 +42,7 @@ def make_job(job_id="j1", level=8000.0, n=31, work=1800.0, declared=9000.0,
 
 
 def ctx_for(jobs, now=0.0):
-    return SelectionContext(
-        now=now,
-        arrivals={j.spec.job_id: j.spec.arrival_s for j in jobs},
-        priorities={j.spec.job_id: j.spec.priority for j in jobs},
-        deadlines={j.spec.job_id: j.spec.deadline_s for j in jobs},
-        tenants={j.spec.job_id: j.spec.tenant_id for j in jobs},
-        remaining_fraction={j.spec.job_id: 1.0 - j.fraction_at(j.position_s) for j in jobs},
-        profiles={j.spec.job_id: j.profile for j in jobs},
-        alpha_t=0.05,
-    )
+    return SelectionContext(now, 0.05, {j.spec.job_id: j for j in jobs})
 
 
 class TestAdvertise:
