@@ -147,10 +147,11 @@ class FunctionalProfile:
     source: TrajectoryEnsemble
     inflation: float  # scales every envelope; > 1 only from single_run_profile
     # Dry-run plans memoized by segmentation.plan_segments, shared by every
-    # job on this profile. It lives here so that a refreshed profile (a new
-    # object) starts empty and the old entries are freed together with the
-    # old profile.
+    # job on this profile, and memory_admissible's index per capacity. They
+    # live here, not on the source (extended() shallow-copies it), so that a
+    # refreshed profile starts empty and the old entries go with the old one.
     plan_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    exceedance_index: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_points(self) -> int:
@@ -300,16 +301,21 @@ def memory_admissible(
     The estimated probability is the fraction of source runs whose maximum
     over the window stays at or below capacity; runs that end before the
     window contribute a success. Admit when that fraction is at least
-    1 - eps.
+    1 - eps. profile.exceedance_index[capacity_mb][r, j] is the first grid
+    index k >= j where run r exceeds capacity (the width if none; int32).
     """
     _check_eps(eps)
-    padded = profile.source.padded_matrix()
     lo, hi = grid_indices(window, profile.grid_step, profile.n_points)
-    segment = padded[:, lo : hi + 1]
-    # A run fails when a sample in the window exceeds capacity. NaN (past the
-    # run's end) compares False, so a run that has already finished succeeds.
-    failures = int(np.count_nonzero((segment > capacity_mb).any(axis=1)))
-    prob = (len(segment) - failures) / len(segment)
+    nxt = profile.exceedance_index.get(capacity_mb)
+    if nxt is None:
+        # NaN (past a run's end) compares False: a finished run never fails.
+        padded = profile.source.padded_matrix()
+        width = np.int32(padded.shape[1])
+        at = np.where(padded > capacity_mb, np.arange(width, dtype=np.int32), width)
+        nxt = np.minimum.accumulate(at[:, ::-1], axis=1)[:, ::-1]
+        profile.exceedance_index[capacity_mb] = nxt
+    failures = int(np.count_nonzero(nxt[:, lo] <= hi))
+    prob = (len(nxt) - failures) / len(nxt)
     return AdmissionDecision(prob >= 1.0 - eps, prob)
 
 

@@ -10,10 +10,11 @@ keeps plans from chasing short-lived dips.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .cluster import ExecutionWindow, SliceCatalog
 from .profiles import FunctionalProfile, RiskParams, memory_admissible
@@ -84,14 +85,21 @@ class Fragment:
 
 
 def smooth_envelope(envelope: np.ndarray, grid_step: float, smoothing_window_s: float) -> np.ndarray:
-    """Centered sliding maximum of total width ~smoothing_window_s.
-
-    Never below the raw envelope, so smoothing only ever adds safety margin.
+    """Centered sliding maximum of total width ~smoothing_window_s, clamped
+    at both ends. Never below the raw envelope, so smoothing only ever adds
+    safety margin. segment_window smooths a plain list the same way.
     """
+    x = np.asarray(envelope, dtype=float).tolist()
+    return np.array(_sliding_max(x, grid_step, smoothing_window_s), dtype=float)
+
+
+def _sliding_max(x: list[float], grid_step: float, smoothing_window_s: float) -> list[float]:
+    # `half` passes of a clamped 3-sample max reach `half` samples each way;
+    # after len(x) - 1 passes every sample holds the maximum.
     half = int(round(smoothing_window_s / (2.0 * grid_step)))
-    if half <= 0 or len(envelope) <= 1:
-        return np.asarray(envelope, dtype=float)
-    return maximum_filter1d(np.asarray(envelope, dtype=float), size=2 * half + 1, mode="nearest")
+    for _ in range(min(half, len(x) - 1)):
+        x = list(map(max, [x[0], *x[:-1]], x, [*x[1:], x[-1]]))
+    return x
 
 
 def plan_waste(fragments: list[Fragment], smoothed: np.ndarray) -> tuple[float, float]:
@@ -104,12 +112,12 @@ def plan_waste(fragments: list[Fragment], smoothed: np.ndarray) -> tuple[float, 
     return reserved, reserved - area
 
 
-def _waste(prefix: np.ndarray, a: int, b: int, cap: float) -> float:
+def _waste(prefix: list[float], a: int, b: int, cap: float) -> float:
     return cap * (b - a) - (prefix[b] - prefix[a])
 
 
 def segment_window(
-    envelope: np.ndarray,
+    envelope: np.ndarray | list[float],
     grid_step: float,
     catalog: SliceCatalog,
     offered_capacity_mb: int,
@@ -121,34 +129,34 @@ def segment_window(
     semantics: sample i covers [i, i+1) grid steps). The returned fragments
     tile a prefix of the window contiguously; the prefix ends early only
     when the smoothed envelope exceeds the offered capacity (nothing behind
-    that point is reachable, work being sequential) or when duration bounds
-    make the tail untileable. Raises InfeasiblePlan when not even a tau_min
-    prefix fits the offered capacity.
+    that point is reachable, work being sequential) or at a fragment longer
+    than tau_max that no pieces of tau_min to tau_max steps tile, after its
+    whole tau_max pieces. Raises InfeasiblePlan when not even a tau_min
+    prefix fits the offered capacity. Windows are short: this runs on lists.
     """
     u = np.asarray(envelope, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise InfeasiblePlan("empty window envelope")
     if offered_capacity_mb not in catalog:
         raise InfeasiblePlan(f"offered capacity {offered_capacity_mb} not in catalog")
-    smoothed = smooth_envelope(u, grid_step, seg.smoothing_window_s)
+    smoothed = _sliding_max(u.tolist(), grid_step, seg.smoothing_window_s)
     tmin = seg.min_steps(grid_step)
     tmax = seg.max_steps(grid_step)
 
     # Feasible prefix: everything strictly before the first sample whose
     # covering capacity exceeds the offer.
-    feasible = smoothed <= offered_capacity_mb
-    n = int(np.argmin(feasible)) if not feasible.all() else len(u)
+    n = next((i for i, v in enumerate(smoothed) if not v <= offered_capacity_mb), len(smoothed))
     if n < tmin:
         raise InfeasiblePlan("no tau_min prefix fits the offered capacity")
 
-    # Smallest covering capacity per sample (side="left" takes an equal one);
+    # Smallest covering capacity per sample (bisect_left takes an equal one);
     # covering is monotone, so a span's cover is the max of its covers.
-    caps = np.asarray(catalog.capacities_mb)
-    covers = caps[np.searchsorted(caps, smoothed[:n], side="left")]
-    prefix = np.concatenate([[0.0], np.cumsum(smoothed[:n])])
+    caps = catalog.capacities_mb
+    covers = [caps[bisect_left(caps, v)] for v in smoothed[:n]]
+    prefix = list(accumulate(smoothed[:n], initial=0.0))  # adds in order, as np.cumsum does
 
     def cover_of(a: int, b: int) -> int:
-        c = int(covers[a:b].max())
+        c = int(max(covers[a:b]))
         assert c <= offered_capacity_mb
         return c
 
@@ -157,14 +165,11 @@ def segment_window(
         parent_reserved = cap * (b - a)
         parent_waste = _waste(prefix, a, b, cap)
         best_gain, best_cut = -1.0, None
-        level_change = covers[a + 1 : b] != covers[a : b - 1]
-        for off in np.flatnonzero(level_change):
-            i = a + 1 + int(off)
-            if i - a < tmin or b - i < tmin:
+        # Cut only where the cover changes and both sides keep tau_min.
+        for i in range(a + tmin, b - tmin + 1):
+            if covers[i] == covers[i - 1]:
                 continue
-            w = _waste(prefix, a, i, cover_of(a, i)) + _waste(
-                prefix, i, b, cover_of(i, b)
-            )
+            w = _waste(prefix, a, i, cover_of(a, i)) + _waste(prefix, i, b, cover_of(i, b))
             gain = (parent_waste - w) / parent_reserved
             if gain > best_gain + 1e-12:
                 best_gain, best_cut = gain, i
@@ -172,30 +177,20 @@ def segment_window(
             return split(a, best_cut) + split(best_cut, b)
         return [Fragment(a, b, cap)]
 
-    fragments = split(0, n) if n >= tmin else []
-
-    # Duration bounds: fragments longer than tau_max are cut; pieces must
-    # stay >= tau_min. When a fragment cannot be tiled within the bounds the
-    # plan is truncated there (coverage stays a contiguous prefix).
-    bounded: list[Fragment] = []
-    for f in fragments:
+    # Duration bounds: fragments longer than tau_max are cut into pieces of
+    # at least tau_min. One that cannot be keeps its whole tau_max pieces
+    # (they always tile), and the plan ends there: coverage stays a prefix.
+    fragments: list[Fragment] = []
+    for f in split(0, n):
         if f.n_steps <= tmax:
-            bounded.append(f)
+            fragments.append(f)
             continue
         pieces = _chop(f.start_idx, f.end_idx, tmin, tmax)
         if pieces is None:
-            # Keep the largest tileable prefix of this fragment, then stop.
-            k = (f.n_steps // tmax) * tmax
-            if k >= tmin:
-                pieces = _chop(f.start_idx, f.start_idx + k, tmin, tmax)
-            if pieces is None:
-                break
-            bounded.extend(Fragment(a, b, cover_of(a, b)) for a, b in pieces)
+            whole = range(f.start_idx, f.end_idx - tmax + 1, tmax)
+            fragments.extend(Fragment(a, a + tmax, cover_of(a, a + tmax)) for a in whole)
             break
-        bounded.extend(Fragment(a, b, cover_of(a, b)) for a, b in pieces)
-    fragments = bounded
-    if not fragments:
-        raise InfeasiblePlan("duration bounds leave no plannable prefix")
+        fragments.extend(Fragment(a, b, cover_of(a, b)) for a, b in pieces)
 
     # Merge stabilization: collapse adjacent pairs whose separation is not
     # worth hysteresis_delta (unless the merge would break tau_max).
@@ -221,12 +216,9 @@ def segment_window(
 
 
 def _chop(a: int, b: int, tmin: int, tmax: int) -> list[tuple[int, int]] | None:
-    """Tile [a, b) into pieces each within [tmin, tmax], or None."""
+    """Tile [a, b), b - a > tmax, into the fewest near-equal pieces of at
+    most tmax steps, or None when those pieces fall below tmin."""
     length = b - a
-    if length < tmin:
-        return None
-    if length <= tmax:
-        return [(a, b)]
     k = math.ceil(length / tmax)
     if k * tmin > length:
         return None
@@ -341,16 +333,18 @@ def _plan(
         if len(floor) < n_steps:
             floor = np.concatenate([floor, np.zeros(n_steps - len(floor))])
         u = np.maximum(u, floor)
+    # Both calls go through the module globals, where tracers hook them.
     try:
         fragments = segment_window(u, h, catalog, capacity_mb, seg)
     except InfeasiblePlan as exc:
         return PlanRefusal(str(exc))
 
+    u = u.tolist()
     plans: list[FragmentPlan] = []
     for f in fragments:
         pos_from = (i0 + f.start_idx) * h
         pos_to = (i0 + f.end_idx) * h
-        peak = float(u[f.start_idx : f.end_idx].max())
+        peak = max(u[f.start_idx : f.end_idx])
         # Fragment samples are [start, end): query the inclusive grid window
         # [pos_from, pos_to - h] so admission sees exactly those samples.
         decision = memory_admissible(profile, f.capacity_mb, (pos_from, pos_to - h), risk.eps)

@@ -31,6 +31,14 @@ def oracle_joint(runs, lo, hi, capacity):
     return ok / len(runs)
 
 
+def mean_of_mask(runs, lo, hi, capacity):
+    """float(np.mean(mask)), where a run passes when it has no sample in grid
+    columns [lo, hi] or none of them above capacity."""
+    mask = np.array([len(r[lo : hi + 1]) == 0 or max(r[lo : hi + 1]) <= capacity
+                     for r in runs])
+    return float(np.mean(mask))
+
+
 def make_ensemble(runs, grid_step=60.0):
     return pf.TrajectoryEnsemble(grid_step=grid_step, runs=[np.asarray(r, float) for r in runs])
 
@@ -221,11 +229,9 @@ class TestScreenProbabilityFormula:
         prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.05,))
         hi = min(lo + width, prof.n_points - 1)
         lo = min(lo, hi)
-        mask = np.array([len(r[lo : hi + 1]) == 0 or max(r[lo : hi + 1]) <= capacity
-                         for r in runs])
         got = pf.memory_admissible(prof, float(capacity), (lo * 60.0, hi * 60.0), 0.05)
         assert type(got.probability) is float
-        assert got.probability == float(np.mean(mask))
+        assert got.probability == mean_of_mask(runs, lo, hi, capacity)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -264,6 +270,54 @@ class TestScreenProbabilityFormula:
         got = pf.memory_admissible(prof, float(capacity), window, eps)
         assert type(got.probability) is float
         assert got == pf.AdmissionDecision(prob >= 1.0 - eps, prob)
+
+
+class TestExceedanceIndex:
+    """memory_admissible answers from an index cached on the profile. Along a
+    chain of refreshes, the old and the new profile each answer for their
+    own runs, before and after the refresh, as the mean of the mask does."""
+
+    @staticmethod
+    def check(prof, runs, capacity, lo, width):
+        hi = min(lo + width, prof.n_points - 1)
+        got = pf.memory_admissible(prof, capacity, (lo * 60.0, (lo + width) * 60.0), 0.05)
+        assert got.probability == mean_of_mask(runs, min(lo, hi), hi, capacity)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        runs=st.lists(st.lists(st.integers(0, 10), min_size=1, max_size=8),
+                      min_size=1, max_size=6),
+        added=st.lists(st.lists(st.integers(0, 10), min_size=1, max_size=10),
+                       min_size=1, max_size=4),
+        lo=st.integers(0, 12),  # often past the horizon
+        width=st.integers(0, 4),
+        capacity=st.integers(-1, 11),
+    )
+    def test_refresh_chain_answers_equal_the_mask_oracle(self, runs, added, lo, width,
+                                                         capacity):
+        if len(runs) == 1:
+            prof = pf.single_run_profile(np.asarray(runs[0], float), 60.0)
+        else:
+            prof = pf.build_profile(make_ensemble(runs))
+        for run in added:
+            self.check(prof, runs, capacity, lo, width)
+            new, new_runs = pf.refresh_profile(prof, np.asarray(run, float)), [*runs, run]
+            self.check(new, new_runs, capacity, lo, width)
+            self.check(prof, runs, capacity, lo, width)
+            prof, runs = new, new_runs
+        self.check(prof, runs, capacity, lo, width)
+
+    def test_single_run_profile_and_window_past_the_horizon(self):
+        prof = pf.single_run_profile(np.array([1.0, 5.0, 2.0]), 60.0)
+        assert pf.memory_admissible(prof, 4.0, (0.0, 60.0), 0.05).probability == 0.0
+        # Past the horizon the window clamps to the last grid point (2.0).
+        assert pf.memory_admissible(prof, 4.0, (120.0, 600.0), 0.05).probability == 1.0
+        new = pf.refresh_profile(prof, np.array([1.0, 1.0, 1.0, 1.0, 9.0]))
+        # Column 4 holds only the new run's 9.0; the first run has ended.
+        assert pf.memory_admissible(new, 4.0, (300.0, 900.0), 0.05).probability == 0.5
+        assert pf.memory_admissible(prof, 4.0, (300.0, 900.0), 0.05).probability == 1.0
+        assert new.exceedance_index.keys() == prof.exceedance_index.keys() == {4.0}
+        assert new.exceedance_index[4.0].dtype == np.int32
 
 
 class TestRefresh:

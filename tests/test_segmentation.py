@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sjasim.cluster import ExecutionWindow, SliceCatalog
@@ -120,6 +120,20 @@ class TestDurationBounds:
         env = np.array([18432.0] * 2 + [4096.0] * 10)
         frags = segment_window(env, H, CAT, 20480, cfg(0.0, tau_min=300.0))
         assert frags == [Fragment(0, 12, 20480)]
+
+    def test_untileable_fragment_keeps_its_whole_tau_max_pieces(self):
+        # tau_min 7 and tau_max 10 steps: 13 steps cannot be cut into pieces
+        # of 7 to 10, so the plan keeps the first 10 steps and ends there.
+        # The 30 GB tail lies past the 20 GB offer: the feasible prefix is 13.
+        seg = cfg(0.15, tau_min=420.0, tau_max=600.0)
+        env = np.array([8000.0] * 13 + [30000.0] * 2)
+        assert segment_window(env, H, CAT, 20480, seg) == [Fragment(0, 10, 10240)]
+        # Behind an 8-step 4 GB fragment (the cut gains 0.19 >= 0.15), the
+        # 13-step 8 GB fragment is cut the same way.
+        env = np.array([4000.0] * 8 + [8000.0] * 13 + [30000.0] * 2)
+        assert segment_window(env, H, CAT, 20480, seg) == [
+            Fragment(0, 8, 5120), Fragment(8, 18, 10240)
+        ]
 
 
 class TestSmoothing:
@@ -270,6 +284,167 @@ class TestCoverOracle:
         assert [f.capacity_mb for f in frags] == [10240, 20480]
 
 
+def numpy_smooth_envelope(envelope, grid_step, smoothing_window_s):
+    """smooth_envelope as it was written on scipy's maximum_filter1d."""
+    from scipy.ndimage import maximum_filter1d
+
+    half = int(round(smoothing_window_s / (2.0 * grid_step)))
+    if half <= 0 or len(envelope) <= 1:
+        return np.asarray(envelope, dtype=float)
+    return maximum_filter1d(np.asarray(envelope, dtype=float), size=2 * half + 1,
+                            mode="nearest")
+
+
+def numpy_segment_window(envelope, grid_step, catalog, offered_capacity_mb, seg):
+    """segment_window as it was written on numpy arrays, kept as the oracle
+    the list version must equal."""
+
+    def _waste(prefix, a, b, cap):
+        return cap * (b - a) - (prefix[b] - prefix[a])
+
+    def _chop(a, b, tmin, tmax):
+        length = b - a
+        if length < tmin:
+            return None
+        if length <= tmax:
+            return [(a, b)]
+        k = math.ceil(length / tmax)
+        if k * tmin > length:
+            return None
+        base, extra = divmod(length, k)
+        cuts = [a]
+        for i in range(k):
+            cuts.append(cuts[-1] + base + (1 if i < extra else 0))
+        return [(cuts[i], cuts[i + 1]) for i in range(k)]
+
+    u = np.asarray(envelope, dtype=float)
+    if u.ndim != 1 or u.size == 0:
+        raise InfeasiblePlan("empty window envelope")
+    if offered_capacity_mb not in catalog:
+        raise InfeasiblePlan(f"offered capacity {offered_capacity_mb} not in catalog")
+    smoothed = numpy_smooth_envelope(u, grid_step, seg.smoothing_window_s)
+    tmin = seg.min_steps(grid_step)
+    tmax = seg.max_steps(grid_step)
+    feasible = smoothed <= offered_capacity_mb
+    n = int(np.argmin(feasible)) if not feasible.all() else len(u)
+    if n < tmin:
+        raise InfeasiblePlan("no tau_min prefix fits the offered capacity")
+    caps = np.asarray(catalog.capacities_mb)
+    covers = caps[np.searchsorted(caps, smoothed[:n], side="left")]
+    prefix = np.concatenate([[0.0], np.cumsum(smoothed[:n])])
+
+    def cover_of(a, b):
+        c = int(covers[a:b].max())
+        assert c <= offered_capacity_mb
+        return c
+
+    def split(a, b):
+        cap = cover_of(a, b)
+        parent_reserved = cap * (b - a)
+        parent_waste = _waste(prefix, a, b, cap)
+        best_gain, best_cut = -1.0, None
+        level_change = covers[a + 1 : b] != covers[a : b - 1]
+        for off in np.flatnonzero(level_change):
+            i = a + 1 + int(off)
+            if i - a < tmin or b - i < tmin:
+                continue
+            w = _waste(prefix, a, i, cover_of(a, i)) + _waste(prefix, i, b, cover_of(i, b))
+            gain = (parent_waste - w) / parent_reserved
+            if gain > best_gain + 1e-12:
+                best_gain, best_cut = gain, i
+        if best_cut is not None and best_gain >= seg.hysteresis_delta - 1e-12:
+            return split(a, best_cut) + split(best_cut, b)
+        return [Fragment(a, b, cap)]
+
+    fragments = split(0, n) if n >= tmin else []
+    bounded = []
+    for f in fragments:
+        if f.n_steps <= tmax:
+            bounded.append(f)
+            continue
+        pieces = _chop(f.start_idx, f.end_idx, tmin, tmax)
+        if pieces is None:
+            k = (f.n_steps // tmax) * tmax
+            if k >= tmin:
+                pieces = _chop(f.start_idx, f.start_idx + k, tmin, tmax)
+            if pieces is None:
+                break
+            bounded.extend(Fragment(a, b, cover_of(a, b)) for a, b in pieces)
+            break
+        bounded.extend(Fragment(a, b, cover_of(a, b)) for a, b in pieces)
+    fragments = bounded
+    if not fragments:
+        raise InfeasiblePlan("duration bounds leave no plannable prefix")
+    changed = True
+    while changed and len(fragments) > 1:
+        changed = False
+        for i in range(len(fragments) - 1):
+            left, right = fragments[i], fragments[i + 1]
+            total = right.end_idx - left.start_idx
+            if total > tmax:
+                continue
+            cap = cover_of(left.start_idx, right.end_idx)
+            merged_waste = _waste(prefix, left.start_idx, right.end_idx, cap)
+            child_waste = _waste(
+                prefix, left.start_idx, left.end_idx, left.capacity_mb
+            ) + _waste(prefix, right.start_idx, right.end_idx, right.capacity_mb)
+            gain = (merged_waste - child_waste) / (cap * total)
+            if gain < seg.hysteresis_delta - 1e-12:
+                fragments[i : i + 2] = [Fragment(left.start_idx, right.end_idx, cap)]
+                changed = True
+                break
+    return fragments
+
+
+def outcome(fn, *args):
+    """A call's result, or the message of the InfeasiblePlan it raised."""
+    try:
+        return fn(*args)
+    except InfeasiblePlan as exc:
+        return f"InfeasiblePlan: {exc}"
+
+
+class TestNumpyOracle:
+    """The list segment_window equals the numpy one: the same fragments, or
+    the same InfeasiblePlan message, and smooth_envelope the same array."""
+
+    @seed(12)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(st.one_of(st.sampled_from([float(c) for c in CAT.capacities_mb]),
+                                           st.floats(0.0, 24000.0), st.floats(0.0, 45000.0)),
+                                 st.integers(1, 12)), min_size=1, max_size=8),
+        offered=st.sampled_from([*CAT.capacities_mb * 2, 7000, 30000]),
+        half=st.integers(0, 3),
+        tmin=st.integers(1, 8),
+        tmax_extra=st.integers(0, 10),
+        delta=st.floats(0.0, 0.5),
+        as_list=st.booleans(),
+    )
+    def test_same_fragments_and_messages(self, steps, offered, half, tmin, tmax_extra,
+                                         delta, as_list):
+        # Envelopes of 1 to 40 samples made of flat steps, so that covers
+        # change level and splits, chops and merges all happen.
+        values = [v for v, repeat in steps for _ in range(repeat)][:40]
+        seg = cfg(delta, tau_min=tmin * H, tau_max=(tmin + tmax_extra) * H, smooth=2 * half * H)
+        env = values if as_list else np.array(values)
+        assert outcome(segment_window, env, H, CAT, offered, seg) == outcome(
+            numpy_segment_window, env, H, CAT, offered, seg
+        )
+        smoothed = smooth_envelope(env, H, seg.smoothing_window_s)
+        want = numpy_smooth_envelope(env, H, seg.smoothing_window_s)
+        assert smoothed.dtype == want.dtype and np.array_equal(smoothed, want)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_smoothing_wider_than_the_window(self, n):
+        # Half-widths up to twice the window: every sample may reach both ends.
+        env = np.random.default_rng(n).uniform(0.0, 40000.0, size=n)
+        for half in range(2 * n + 2):
+            smoothed = smooth_envelope(env, H, 2 * half * H)
+            want = numpy_smooth_envelope(env, H, 2 * half * H)
+            assert smoothed.dtype == want.dtype and np.array_equal(smoothed, want), half
+
+
 def make_job(env_runs, declared=39000.0, atomizable=True, position=0.0, work=3600.0):
     ens = TrajectoryEnsemble(grid_step=H, runs=[np.asarray(r, float) for r in env_runs])
     prof = build_profile(ens, eps_levels=(0.05,))
@@ -353,9 +528,11 @@ class TestPlanSegments:
 
 
 def cold_copy(job):
-    """Deep copy of job and profile whose plan cache starts empty."""
+    """Deep copy of job and profile whose plan cache and admission index
+    start empty."""
     fresh = copy.deepcopy(job)
     fresh.profile.plan_cache.clear()
+    fresh.profile.exceedance_index.clear()
     return fresh
 
 
