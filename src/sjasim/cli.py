@@ -68,20 +68,8 @@ def _fmt(v: float) -> str:
     return format(float(v), ".10g")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def events_text(log: list[dict]) -> str:
-    return "".join(
-        json.dumps(rec, sort_keys=True, default=_json_default) + "\n" for rec in log
-    )
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in log)
 
 
 def metrics_csv_text(report: MetricsReport) -> str:

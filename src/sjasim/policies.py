@@ -105,27 +105,27 @@ def select(
     fair_tokens: among tenants whose budget covers the offer, the one with
     the largest remaining budget, fifo within the tenant.
     """
-    candidates = [s.job_id for s in interests if s.kind == "interest"]
-    if not candidates:
+    jobs = ctx.jobs
+    specs = {s.job_id: jobs[s.job_id].spec for s in interests if s.kind == "interest"}
+    if not specs:
         return None
-    specs = {j: ctx.jobs[j].spec for j in candidates}
     fifo_key = lambda j: (specs[j].arrival_s, j)
 
     if policy.kind == "fifo":
-        return min(candidates, key=fifo_key)
+        return min(specs, key=fifo_key)
 
     if policy.kind == "priority":
-        return min(candidates, key=lambda j: (-specs[j].priority, specs[j].arrival_s, j))
+        return min(specs, key=lambda j: (-specs[j].priority, specs[j].arrival_s, j))
 
     if policy.kind == "edf":
         with_deadline = []
         free = []
-        for j in candidates:
-            deadline = specs[j].deadline_s
+        for j, spec in specs.items():
+            deadline = spec.deadline_s
             if deadline is None:
                 free.append(j)
                 continue
-            job = ctx.jobs[j]
+            job = jobs[j]
             start = ctx.starts.get(j, job.position_s)
             ok = ctx.reachable.get((j, start))
             if ok is None:
@@ -147,7 +147,7 @@ def select(
         if ledger is None:
             raise ValueError("fair_tokens needs a tenant ledger")
         cost = offer_cost_tokens(offer, policy.cost_rate)
-        affordable = [j for j in candidates if ledger.can_afford(specs[j].tenant_id, cost)]
+        affordable = [j for j, spec in specs.items() if ledger.can_afford(spec.tenant_id, cost)]
         if not affordable:
             return None
         richest = max(

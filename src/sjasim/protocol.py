@@ -9,6 +9,7 @@ No subjob state is created until a grant is issued.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import policies as _policies
 from .cluster import ExecutionWindow, SliceCatalog
@@ -45,8 +46,9 @@ class Offer:
             raise ValueError(f"{self.offer_id}: expiry must follow issue time")
 
 
-@dataclass(frozen=True)
-class InterestSignal:
+class InterestSignal(NamedTuple):
+    """One job's answer to one offer; a plain tuple, as each pair makes one."""
+
     offer_id: str
     job_id: str
     kind: str  # interest | decline
@@ -97,18 +99,18 @@ def collect_interest(
     """
     if now >= offer.expires_at:
         raise ValueError(f"{offer.offer_id} has expired")
+    offer_id, window = offer.offer_id, offer.window
+    resume = resume_positions or {}
     signals: list[InterestSignal] = []
     for job in waiting:
-        start_pos = (resume_positions or {}).get(job.spec.job_id)
+        job_id = job.spec.job_id
         result = plan_segments(
-            job, offer.window, catalog, risk, seg, start_position_s=start_pos
+            job, window, catalog, risk, seg, start_position_s=resume.get(job_id)
         )
         if isinstance(result, PlanRefusal):
-            signals.append(
-                InterestSignal(offer.offer_id, job.spec.job_id, DECLINE, reason=result.reason)
-            )
-            continue
-        signals.append(InterestSignal(offer.offer_id, job.spec.job_id, INTEREST))
+            signals.append(InterestSignal(offer_id, job_id, DECLINE, result.reason))
+        else:
+            signals.append(InterestSignal(offer_id, job_id, INTEREST))
     return signals
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -63,6 +63,9 @@ class SegmentationConfig:
             raise ValueError("smoothing_window must be >= 0")
         if self.hysteresis_delta < 0:
             raise ValueError("hysteresis_delta must be >= 0")
+        # plan_segments keys its cache on this, not on self: a str keeps its
+        # hash, while the generated __hash__ rehashes every field per lookup.
+        object.__setattr__(self, "plan_key", repr(astuple(self)))
 
     def min_steps(self, grid_step: float) -> int:
         return max(1, math.ceil(self.tau_min_s / grid_step - 1e-9))
@@ -116,6 +119,30 @@ def _waste(prefix: list[float], a: int, b: int, cap: float) -> float:
     return cap * (b - a) - (prefix[b] - prefix[a])
 
 
+def _split(
+    covers: list[int], prefix: list[float], tmin: int, delta: float, a: int, b: int
+) -> list[Fragment]:
+    """Fragments of [a, b): split at the cut that saves the most waste, when
+    it saves at least `delta` of the parent's reservation, and recurse."""
+    cap = max(covers[a:b])
+    parent_reserved = cap * (b - a)
+    parent_waste = _waste(prefix, a, b, cap)
+    best_gain, best_cut = -1.0, None
+    # Cut only where the cover changes and both sides keep tau_min.
+    for i in range(a + tmin, b - tmin + 1):
+        if covers[i] == covers[i - 1]:
+            continue
+        w = _waste(prefix, a, i, max(covers[a:i])) + _waste(prefix, i, b, max(covers[i:b]))
+        gain = (parent_waste - w) / parent_reserved
+        if gain > best_gain + 1e-12:
+            best_gain, best_cut = gain, i
+    if best_cut is not None and best_gain >= delta - 1e-12:
+        return _split(covers, prefix, tmin, delta, a, best_cut) + _split(
+            covers, prefix, tmin, delta, best_cut, b
+        )
+    return [Fragment(a, b, cap)]
+
+
 def segment_window(
     envelope: np.ndarray | list[float],
     grid_step: float,
@@ -149,48 +176,28 @@ def segment_window(
     if n < tmin:
         raise InfeasiblePlan("no tau_min prefix fits the offered capacity")
 
-    # Smallest covering capacity per sample (bisect_left takes an equal one);
-    # covering is monotone, so a span's cover is the max of its covers.
-    caps = catalog.capacities_mb
+    # Smallest covering capacity per sample, as an int for the event log
+    # (bisect_left takes an equal one); covering is monotone, so a span's
+    # cover is the max of its covers.
+    caps = [int(c) for c in catalog.capacities_mb]
     covers = [caps[bisect_left(caps, v)] for v in smoothed[:n]]
+    assert max(covers) <= offered_capacity_mb
     prefix = list(accumulate(smoothed[:n], initial=0.0))  # adds in order, as np.cumsum does
-
-    def cover_of(a: int, b: int) -> int:
-        c = int(max(covers[a:b]))
-        assert c <= offered_capacity_mb
-        return c
-
-    def split(a: int, b: int) -> list[Fragment]:
-        cap = cover_of(a, b)
-        parent_reserved = cap * (b - a)
-        parent_waste = _waste(prefix, a, b, cap)
-        best_gain, best_cut = -1.0, None
-        # Cut only where the cover changes and both sides keep tau_min.
-        for i in range(a + tmin, b - tmin + 1):
-            if covers[i] == covers[i - 1]:
-                continue
-            w = _waste(prefix, a, i, cover_of(a, i)) + _waste(prefix, i, b, cover_of(i, b))
-            gain = (parent_waste - w) / parent_reserved
-            if gain > best_gain + 1e-12:
-                best_gain, best_cut = gain, i
-        if best_cut is not None and best_gain >= seg.hysteresis_delta - 1e-12:
-            return split(a, best_cut) + split(best_cut, b)
-        return [Fragment(a, b, cap)]
 
     # Duration bounds: fragments longer than tau_max are cut into pieces of
     # at least tau_min. One that cannot be keeps its whole tau_max pieces
     # (they always tile), and the plan ends there: coverage stays a prefix.
     fragments: list[Fragment] = []
-    for f in split(0, n):
+    for f in _split(covers, prefix, tmin, seg.hysteresis_delta, 0, n):
         if f.n_steps <= tmax:
             fragments.append(f)
             continue
         pieces = _chop(f.start_idx, f.end_idx, tmin, tmax)
         if pieces is None:
             whole = range(f.start_idx, f.end_idx - tmax + 1, tmax)
-            fragments.extend(Fragment(a, a + tmax, cover_of(a, a + tmax)) for a in whole)
+            fragments.extend(Fragment(a, a + tmax, max(covers[a : a + tmax])) for a in whole)
             break
-        fragments.extend(Fragment(a, b, cover_of(a, b)) for a, b in pieces)
+        fragments.extend(Fragment(a, b, max(covers[a:b])) for a, b in pieces)
 
     # Merge stabilization: collapse adjacent pairs whose separation is not
     # worth hysteresis_delta (unless the merge would break tau_max).
@@ -202,7 +209,7 @@ def segment_window(
             total = right.end_idx - left.start_idx
             if total > tmax:
                 continue
-            cap = cover_of(left.start_idx, right.end_idx)
+            cap = max(covers[left.start_idx : right.end_idx])
             merged_waste = _waste(prefix, left.start_idx, right.end_idx, cap)
             child_waste = _waste(
                 prefix, left.start_idx, left.end_idx, left.capacity_mb
@@ -269,7 +276,8 @@ def plan_segments(
     Each distinct plan is computed once and memoized in the job's
     `profile.plan_cache`. The key is everything the plan reads besides the
     profile: the job's demand floor, start grid index, whole window steps,
-    offered capacity, seg, risk.eps and the catalog. A job has a floor only
+    offered capacity, seg (by its plan_key), risk.eps and the catalog's
+    capacities. A job has a floor only
     once the engine noted an OOM kill under online correction; it stands in
     the key as (job id, demand-floor version), and as None otherwise, so
     jobs without a floor share one plan per profile. Fragments are
@@ -296,9 +304,9 @@ def plan_segments(
         i0,
         n_steps,
         window.capacity_mb,
-        seg,
+        seg.plan_key,
         risk.eps,
-        catalog,
+        catalog.capacities_mb,
     )
     planned = profile.plan_cache.get(key)
     if planned is None:

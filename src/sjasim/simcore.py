@@ -414,9 +414,7 @@ class _Engine:
         self._seq += 1
 
     def _log(self, kind: str, **fields) -> None:
-        rec = {"t": round(self.now, 6), "kind": kind}
-        rec.update(fields)
-        self.event_log.append(rec)
+        self.event_log.append({"t": round(self.now, 6), "kind": kind, **fields})
 
     def run(self) -> tuple[MetricsReport, list[dict]]:
         while self.heap and self._n_terminal < len(self._order):
@@ -812,12 +810,16 @@ class _Engine:
             self.now,
             resume_positions=resume,
         )
-        for s in signals:
-            if s.kind == INTEREST:
-                self._log("interest", offer=offer.offer_id, job=s.job_id)
+        # One record per signal, as _log writes it, all at one rounded t.
+        t = round(self.now, 6)
+        append = self.event_log.append
+        interested = False
+        for offer_id, job_id, kind, reason in signals:
+            if kind == INTEREST:
+                interested = True
+                append({"t": t, "kind": kind, "offer": offer_id, "job": job_id})
             else:
-                self._log("decline", offer=offer.offer_id, job=s.job_id, reason=s.reason)
-        interested = [s for s in signals if s.kind == INTEREST]
+                append({"t": t, "kind": kind, "offer": offer_id, "job": job_id, "reason": reason})
         if not interested:
             return False
         ctx.starts = resume

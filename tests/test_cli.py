@@ -1,9 +1,10 @@
 """Command-line behavior: artifact layout, rerun identity, error paths."""
 import json
 
+import numpy as np
 import pytest
 
-from sjasim.cli import OUTPUT_ROOT_ENV, main
+from sjasim.cli import OUTPUT_ROOT_ENV, events_text, main
 from sjasim.scenarios import export_scenario
 from sjasim.simcore import Scenario, SimConfig, run
 from sjasim.workload import JobSpec, Phase, PhaseModel, synth_ensemble
@@ -72,6 +73,13 @@ class TestRun:
             for r in (out / "seed_0000" / "metrics.csv").read_text().splitlines()[1:]
         )
         assert len(per_job) - 1 == int(float(metrics["completed_jobs"]))
+
+    def test_events_refuse_numpy_scalars(self):
+        # The engine logs Python scalars only; a numpy one fails loudly
+        # instead of being converted behind the log's back.
+        with pytest.raises(TypeError):
+            events_text([{"t": 0.0, "kind": "grant", "offer": "offer-000000",
+                          "job": "job-0", "cost_tokens": np.int64(3)}])
 
     def test_rerun_writes_identical_bytes(self, scenario_file, tmp_path):
         out = tmp_path / "out"

@@ -1,4 +1,6 @@
 """Offer / interest / grant / materialize contract tests."""
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,14 @@ from sjasim.profiles import (
 )
 from sjasim.protocol import (
     Grant,
+    InterestSignal,
     MaterializeRefusal,
     advertise,
     collect_interest,
     grant_offer,
     materialize,
 )
-from sjasim.segmentation import SegmentationConfig, plan_segments
+from sjasim.segmentation import PlanRefusal, SegmentationConfig, plan_segments
 from sjasim.workload import JobRuntime, JobSpec
 
 CAT = SliceCatalog()
@@ -94,6 +97,79 @@ class TestCollectInterest:
         offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)], 0.0, 60.0)[0]
         with pytest.raises(ValueError, match="expired"):
             collect_interest(offer, [], CAT, RISK, SEG, 60.0)
+
+
+def loop_interest(offer, waiting, catalog, risk, seg, resume_positions=None):
+    """collect_interest written as one plain plan_segments call per job."""
+    signals = []
+    for job in waiting:
+        start = (resume_positions or {}).get(job.spec.job_id)
+        result = plan_segments(job, offer.window, catalog, risk, seg, start_position_s=start)
+        if isinstance(result, PlanRefusal):
+            signals.append(InterestSignal(offer.offer_id, job.spec.job_id, "decline",
+                                          reason=result.reason))
+        else:
+            signals.append(InterestSignal(offer.offer_id, job.spec.job_id, "interest"))
+    return signals
+
+
+def staggered_profile():
+    """20 runs at 8 GB, each spiking to 12 GB at its own step: the envelope
+    stays at 8 GB, but a window of a few steps exceeds 10 GB in more than
+    eps of the runs, so joint admission refuses the fragment."""
+    runs = [np.full(31, 8000.0) for _ in range(20)]
+    for r, run in enumerate(runs):
+        run[r + 5] = 12000.0
+    return build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(0.05,))
+
+
+# One waiting job: its profile (a flat level or "staggered"), whether it may
+# be split, its position, an optional resume position and demand floor.
+job_draw = st.tuples(
+    st.sampled_from([4000.0, 8000.0, 14000.0, 25600.0, "staggered"]),
+    st.sampled_from([True, True, True, False]),
+    st.sampled_from([0.0, 300.0, 600.0, 1500.0]),
+    st.sampled_from([None, 0.0, 600.0, 1200.0]),
+    st.one_of(st.none(), st.tuples(st.integers(0, 30), st.sampled_from([9000.0, 16000.0]))),
+)
+
+
+class TestCollectInterestOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        drawn=st.lists(job_draw, max_size=6),
+        start=st.sampled_from([0.0, 90.0, 600.0]),
+        # 45 s is under one 60 s grid step, 120 s under the larger tau_min.
+        duration=st.sampled_from([45.0, 120.0, 300.0, 600.0, 1800.0]),
+        capacity=st.sampled_from(CAT.capacities_mb),
+        tau_min=st.sampled_from([30.0, 300.0]),
+    )
+    def test_signals_equal_the_per_job_loop(self, drawn, start, duration, capacity, tau_min):
+        seg = SegmentationConfig(tau_min_s=tau_min, tau_max_s=900.0,
+                                 smoothing_window_s=0.0, hysteresis_delta=0.15)
+        # Jobs drawn with one profile read one profile object, as
+        # ensemble-mates do, so they share its plan cache.
+        profiles = {}
+        jobs, resume = [], {}
+        for k, (level, atomizable, position, resume_at, floor) in enumerate(drawn):
+            job = make_job(f"j{k}", level=8000.0 if level == "staggered" else level,
+                           declared=39000.0, atomizable=atomizable, position=position)
+            if level not in profiles:
+                profiles[level] = staggered_profile() if level == "staggered" else job.profile
+            job.profile = profiles[level]
+            if resume_at is not None:
+                resume[job.spec.job_id] = resume_at
+            if floor is not None:
+                job.note_demand(floor[0], np.full(5, floor[1]))
+            jobs.append(job)
+        offer = advertise([ExecutionWindow("g0s0", capacity, start, duration)], 0.0, 60.0)[0]
+        cold = copy.deepcopy(jobs)
+        for job in cold:
+            job.profile.plan_cache.clear()
+            job.profile.exceedance_index.clear()
+        want = loop_interest(offer, cold, CAT, RISK, seg, resume)
+        assert collect_interest(offer, jobs, CAT, RISK, seg, 0.0, resume) == want
+        assert collect_interest(offer, jobs, CAT, RISK, seg, 0.0, resume) == want  # warm
 
 
 class TestGrantOffer:

@@ -5,8 +5,9 @@ arithmetic done inline here (GB*minute bookkeeping), independent of the
 implementation's internals.
 """
 import copy
+import gc
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -168,6 +169,15 @@ class TestConfigBounds:
         assert c.min_steps(90.0) == 4  # ceil(300/90)
         c2 = cfg(0.1, tau_min=50.0, tau_max=70.0)
         assert c2.min_steps(60.0) == 1 and c2.max_steps(60.0) == 1
+
+    def test_plan_key_holds_every_field(self):
+        # plan_segments keys cached plans on plan_key: a field it missed
+        # would let configs that plan differently share one plan.
+        base = SegmentationConfig()
+        assert replace(base).plan_key == base.plan_key
+        for f in fields(SegmentationConfig):
+            changed = replace(base, **{f.name: 2 * getattr(base, f.name) + 1})
+            assert changed.plan_key != base.plan_key, f.name
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -443,6 +453,22 @@ class TestNumpyOracle:
             smoothed = smooth_envelope(env, H, 2 * half * H)
             want = numpy_smooth_envelope(env, H, 2 * half * H)
             assert smoothed.dtype == want.dtype and np.array_equal(smoothed, want), half
+
+
+class TestNoReferenceCycles:
+    def test_feasible_call_leaves_nothing_for_the_cyclic_gc(self):
+        # Covers change level, so the plan splits, chops and merges.
+        env = [4000.0] * 12 + [15000.0] * 20 + [30000.0] * 6 + [4000.0] * 12
+        seg = cfg(0.1, tau_min=120.0, tau_max=900.0)
+        gc.collect()
+        gc.disable()
+        try:
+            frags = segment_window(env, H, CAT, 40960, seg)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert len(frags) > 2
+        assert found == 0
 
 
 def make_job(env_runs, declared=39000.0, atomizable=True, position=0.0, work=3600.0):
