@@ -4,9 +4,9 @@ One offer round, step by step
 
 The scheduler advertises free windows as offers; waiting jobs answer with
 interest or a decline after a pure dry-run plan; a policy picks one
-winner; materialization re-validates the memoized plan under the grant
-and mints the subjobs, the records the engine then runs to their end.
-No job state exists until that last step.
+winner; materialization mints subjobs from the winner's dry-run plan,
+and the engine then runs those records to their end. No job state exists
+until that last step.
 """
 import numpy as np
 
@@ -42,7 +42,8 @@ offer, = advertise([gap], now=60.0, ttl=60.0)
 print(f"offer {offer.offer_id}: {gap.capacity_mb / 1024:.0f} GB "
       f"[{gap.start:.0f} s, {gap.end:.0f} s), expires {offer.expires_at:.0f} s")
 
-# 2. Every waiting job answers. The 30 GB job cannot fit and declines.
+# 2. Every waiting job answers. The 30 GB job cannot fit and declines; an
+#    interested job's signal carries its dry-run plan.
 signals = collect_interest(offer, jobs, catalog, risk, seg, now=60.0)
 for s in signals:
     print(f"  {s.job_id}: {s.kind}" + (f" ({s.reason})" if s.reason else ""))
@@ -54,9 +55,10 @@ ctx = SelectionContext(now=60.0, alpha_t=0.05, jobs={j.spec.job_id: j for j in j
 grant = grant_offer(offer, signals, GrantPolicy(kind="fifo"), TenantLedger({}), ctx)
 print(f"granted to {grant.job_id}")
 
-# 4. Materialize: plan again under the grant, mint bounded subjobs.
+# 4. Materialize: mint bounded subjobs from the winner's dry-run plan.
 winner = next(j for j in jobs if j.spec.job_id == grant.job_id)
-subjobs = materialize(winner, grant, offer.window, catalog, risk, seg)
+plan = next(s.plan for s in signals if s.job_id == grant.job_id)
+subjobs = materialize(winner, grant, offer.window, plan, risk)
 for sj in subjobs:
     print(f"  {sj.subjob_id}: wall [{sj.window_start_s:.0f} s, "
           f"{sj.reserved_end_s:.0f} s), "

@@ -9,6 +9,7 @@ intervals on slice timelines.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -25,6 +26,13 @@ __all__ = [
 ]
 
 MAX_SLICES_PER_GPU = 7
+
+
+def _int_capacities(values, what: str) -> tuple[int, ...]:
+    try:  # operator.index takes ints and numpy integers, not floats
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} capacities must be integers") from None
 
 
 class ReservationConflict(ValueError):
@@ -44,7 +52,7 @@ class SliceCatalog:
     )
 
     def __post_init__(self) -> None:
-        caps = tuple(self.capacities_mb)
+        caps = _int_capacities(self.capacities_mb, "catalog")
         if not caps or list(caps) != sorted(set(caps)):
             raise ValueError("catalog capacities must be ascending and unique")
         if any(c <= 0 for c in caps):
@@ -168,7 +176,7 @@ class ClusterState:
         catalog: SliceCatalog = DEFAULT_CATALOG,
     ) -> "ClusterState":
         """Homogeneous cluster: every GPU carved into slices_per_gpu."""
-        check_layout(gpus, slices_per_gpu, catalog)
+        slices_per_gpu = check_layout(gpus, slices_per_gpu, catalog)
         return cls(
             tuple(
                 SliceInstance(f"g{g}s{k}", cap)
@@ -190,15 +198,17 @@ class ClusterState:
 
 def check_layout(
     gpus: int, slices_per_gpu: tuple[int, ...], catalog: SliceCatalog = DEFAULT_CATALOG
-) -> None:
-    """Reject a homogeneous layout that ClusterState would refuse."""
+) -> tuple[int, ...]:
+    """Reject a layout that ClusterState would refuse; return it as plain ints."""
     if gpus <= 0:
         raise ValueError("need at least one GPU")
-    if len(slices_per_gpu) > MAX_SLICES_PER_GPU:
+    caps = _int_capacities(slices_per_gpu, "slices_per_gpu")
+    if len(caps) > MAX_SLICES_PER_GPU:
         raise ValueError(f"slices_per_gpu: more than {MAX_SLICES_PER_GPU} slices")
-    for cap in slices_per_gpu:
+    for cap in caps:
         if cap not in catalog:
             raise ValueError(f"slices_per_gpu: slice capacity {cap} not in catalog")
+    return caps
 
 
 @dataclass(frozen=True)

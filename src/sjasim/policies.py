@@ -48,7 +48,8 @@ class GrantPolicy:
 
 
 class TenantLedger:
-    """Token budgets per tenant; a grant debits its cost, a refusal refunds it."""
+    """Token budgets per tenant; a grant debits its cost for good, as
+    materialize mints subjobs from the winner's dry-run plan and never refuses."""
 
     def __init__(self, budgets: dict[str, float] | None = None):
         self.budgets: dict[str, float] = dict(budgets or {})
@@ -63,9 +64,6 @@ class TenantLedger:
         if not self.can_afford(tenant, cost):
             raise ValueError(f"tenant {tenant} cannot afford {cost}")
         self.budgets[tenant] = self.remaining(tenant) - cost
-
-    def refund(self, tenant: str, cost: float) -> None:
-        self.budgets[tenant] = self.remaining(tenant) + cost
 
 
 def offer_cost_tokens(offer: Offer, cost_rate: float) -> float:

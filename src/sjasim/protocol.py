@@ -3,8 +3,8 @@
 The scheduler advertises free execution windows; waiting jobs signal
 interest or decline after a dry-run segmentation of the window against
 their memory profile; a grant policy picks one interested job per offer;
-only then does the chosen job materialize subjob state and reservations.
-No subjob state is created until a grant is issued.
+only then are subjobs minted from the winner's dry-run plan, which its
+interest signal carries. No subjob state is created before the grant.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import NamedTuple
 from . import policies as _policies
 from .cluster import ExecutionWindow, SliceCatalog
 from .profiles import RiskParams, envelope_peak
-from .segmentation import PlanRefusal, SegmentationConfig, plan_segments
+from .segmentation import FragmentPlan, PlanRefusal, SegmentationConfig, plan_segments
 from .workload import JobRuntime, SubJob
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "collect_interest",
     "grant_offer",
     "materialize",
-    "MaterializeRefusal",
 ]
 
 INTEREST = "interest"
@@ -53,17 +52,13 @@ class InterestSignal(NamedTuple):
     job_id: str
     kind: str  # interest | decline
     reason: str = ""
+    plan: list[FragmentPlan] | None = None  # the dry-run plan; None on a decline
 
 
 @dataclass(frozen=True)
 class Grant:
     offer_id: str
     job_id: str
-
-
-@dataclass(frozen=True)
-class MaterializeRefusal:
-    reason: str
 
 
 def advertise(
@@ -90,11 +85,10 @@ def collect_interest(
     """Dry-run each waiting job against the offer; pure, no state is created.
 
     A job signals interest iff segmentation yields at least one admissible
-    fragment; plan_segments refuses non-atomizable jobs, which take the
-    conventional placement path. Only the verdict leaves the dry run: the
-    plan stays memoized on the profile until materialize needs it. A job's
-    demand floor, when it has one, raises the envelope it is planned on.
-    resume_positions lets the caller pipeline a job that already holds
+    fragment, and the signal carries that plan; plan_segments refuses
+    non-atomizable jobs, which take the conventional placement path. A
+    job's demand floor, when it has one, raises the envelope it is planned
+    on. resume_positions lets the caller pipeline a job that already holds
     planned subjobs: its plan starts where the pending work ends.
     """
     if now >= offer.expires_at:
@@ -110,7 +104,7 @@ def collect_interest(
         if isinstance(result, PlanRefusal):
             signals.append(InterestSignal(offer_id, job_id, DECLINE, result.reason))
         else:
-            signals.append(InterestSignal(offer_id, job_id, INTEREST))
+            signals.append(InterestSignal(offer_id, job_id, INTEREST, "", result))
     return signals
 
 
@@ -132,39 +126,26 @@ def materialize(
     job: JobRuntime,
     granted: Grant,
     window: ExecutionWindow,
-    catalog: SliceCatalog,
+    plan: list[FragmentPlan],
     risk: RiskParams,
-    seg: SegmentationConfig,
-    start_position_s: float | None = None,
-) -> tuple[SubJob, ...] | MaterializeRefusal:
-    """Re-validate the plan under the grant and mint its SubJob records.
+) -> tuple[SubJob, ...]:
+    """Mint the granted job's subjobs from the winner's dry-run plan.
 
-    The plan is looked up again with plan_segments. When nothing changed
-    since interest was signaled this is a cache hit on the job's profile;
-    when the profile was refreshed or the demand floor moved, the plan is
-    recomputed, and a refusal returns the offer to the pool. Each fragment
-    becomes a subjob at window.start + offset_s. Fragments that would start
-    at or past the job's actual completion are not materialized (the job
-    side knows its remaining iteration count). Each kept fragment already
-    passed joint admission; it is flagged methods_disagree when the
-    envelope peak over its positions exceeds its capacity. Segmentation
-    sizes every fragment to cover that same risk.eps envelope (raised by
-    any demand floor), so no subjob minted here carries the flag.
+    plan is what the job's interest signal carried; nothing between dry
+    run and grant moves a profile, demand floor or position. Each fragment
+    becomes a subjob at window.start + offset_s, except any at or past the
+    job's actual end; never the first, which starts at an unfinished
+    position. Segmentation sizes fragments on the risk.eps envelope (raised
+    by any demand floor) that methods_disagree checks: the flag is never set.
     """
     if granted.job_id != job.spec.job_id:
         raise ValueError("grant addressed to a different job")
-    result = plan_segments(
-        job, window, catalog, risk, seg, start_position_s=start_position_s
-    )
-    if isinstance(result, PlanRefusal):
-        return MaterializeRefusal(result.reason)
-    span = job.actual_duration_s
     subjobs: list[SubJob] = []
-    for plan in result:
-        if plan.pos_from_s >= span - 1e-9:
+    for frag in plan:
+        if frag.pos_from_s >= job.actual_duration_s - 1e-9:
             break
         peak = envelope_peak(
-            job.profile, risk.eps, (plan.pos_from_s, plan.pos_to_s - job.profile.grid_step)
+            job.profile, risk.eps, (frag.pos_from_s, frag.pos_to_s - job.profile.grid_step)
         )
         subjobs.append(
             SubJob(
@@ -172,19 +153,17 @@ def materialize(
                 job_id=job.spec.job_id,
                 slice_id=window.slice_id,
                 physical_capacity_mb=window.capacity_mb,
-                slice_capacity_mb=plan.capacity_mb,
-                window_start_s=window.start + plan.offset_s,
-                window_duration_s=plan.duration_s,
-                pos_from_s=plan.pos_from_s,
-                pos_to_s=plan.pos_to_s,
+                slice_capacity_mb=frag.capacity_mb,
+                window_start_s=window.start + frag.offset_s,
+                window_duration_s=frag.duration_s,
+                pos_from_s=frag.pos_from_s,
+                pos_to_s=frag.pos_to_s,
                 offer_id=granted.offer_id,
-                work_from=job.fraction_at(plan.pos_from_s),
-                work_to=job.fraction_at(plan.pos_to_s),
-                predicted_peak_mb=plan.predicted_peak_mb,
-                admission_probability=plan.admission_probability,
-                methods_disagree=peak > plan.capacity_mb,
+                work_from=job.fraction_at(frag.pos_from_s),
+                work_to=job.fraction_at(frag.pos_to_s),
+                predicted_peak_mb=frag.predicted_peak_mb,
+                admission_probability=frag.admission_probability,
+                methods_disagree=peak > frag.capacity_mb,
             )
         )
-    if not subjobs:
-        return MaterializeRefusal("no materializable fragment before job end")
     return tuple(subjobs)

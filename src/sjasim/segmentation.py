@@ -282,8 +282,8 @@ def plan_segments(
     the key as (job id, demand-floor version), and as None otherwise, so
     jobs without a floor share one plan per profile. Fragments are
     window-relative, so a hit returns the cached fragment objects
-    themselves, whatever the window's start or job; materialize places
-    each at window.start + offset_s.
+    themselves, whatever the window's start or job; materialize mints
+    subjobs from the winner's dry-run plan, each at window.start + offset_s.
     """
     if not job.spec.atomizable:
         return PlanRefusal("non-atomizable job, conventional placement only")

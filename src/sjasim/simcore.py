@@ -59,7 +59,6 @@ from .profiles import (
 )
 from .protocol import (
     INTEREST,
-    MaterializeRefusal,
     advertise,
     collect_interest,
     grant_offer,
@@ -198,7 +197,8 @@ class SimConfig:
             raise ValueError("max_concurrent_subjobs_per_job must be >= 1")
         # Both are otherwise first used mid-run: the layout when the engine
         # builds its cluster, the inflation when a one-run profile is built.
-        check_layout(self.gpus, self.slices_per_gpu, self.catalog)
+        layout = check_layout(self.gpus, self.slices_per_gpu, self.catalog)
+        object.__setattr__(self, "slices_per_gpu", layout)
         check_inflation(self.single_run_inflation)
         # Force the derived parameter objects so bad combinations (inverted
         # tau bounds, eps outside (0,1)) surface at construction, not mid-run.
@@ -813,14 +813,14 @@ class _Engine:
         # One record per signal, as _log writes it, all at one rounded t.
         t = round(self.now, 6)
         append = self.event_log.append
-        interested = False
-        for offer_id, job_id, kind, reason in signals:
+        plans = {}
+        for offer_id, job_id, kind, reason, plan in signals:
             if kind == INTEREST:
-                interested = True
+                plans[job_id] = plan
                 append({"t": t, "kind": kind, "offer": offer_id, "job": job_id})
             else:
                 append({"t": t, "kind": kind, "offer": offer_id, "job": job_id, "reason": reason})
-        if not interested:
+        if not plans:
             return False
         ctx.starts = resume
         granted = grant_offer(offer, signals, self.cfg.policy, self.ledger, ctx)
@@ -837,26 +837,7 @@ class _Engine:
             job=granted.job_id,
             cost_tokens=round(cost, 6),
         )
-        result = materialize(
-            job,
-            granted,
-            offer.window,
-            self.cfg.catalog,
-            self.risk,
-            self.seg,
-            start_position_s=resume.get(granted.job_id),
-        )
-        if isinstance(result, MaterializeRefusal):
-            if cost:
-                self.ledger.refund(job.spec.tenant_id, cost)
-            self._log(
-                "materialize_refusal",
-                offer=offer.offer_id,
-                job=granted.job_id,
-                reason=result.reason,
-            )
-            return False
-        for sj in result:
+        for sj in materialize(job, granted, offer.window, plans[granted.job_id], self.risk):
             self._book(sj, sj.reserved_end_s)
             self.frag_admissions += 1
             self.frag_disagreements += int(sj.methods_disagree)

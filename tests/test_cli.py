@@ -1,11 +1,13 @@
 """Command-line behavior: artifact layout, rerun identity, error paths."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sjasim.cli import OUTPUT_ROOT_ENV, events_text, main
-from sjasim.scenarios import export_scenario
+from sjasim.cli import OUTPUT_ROOT_ENV, events_text, main, metrics_csv_text
+from sjasim.cluster import SliceCatalog
+from sjasim.scenarios import export_scenario, make_deadline_scenario
 from sjasim.simcore import Scenario, SimConfig, run
 from sjasim.workload import JobSpec, Phase, PhaseModel, synth_ensemble
 
@@ -80,6 +82,23 @@ class TestRun:
         with pytest.raises(TypeError):
             events_text([{"t": 0.0, "kind": "grant", "offer": "offer-000000",
                           "job": "job-0", "cost_tokens": np.int64(3)}])
+
+    def test_numpy_capacities_give_the_int_artifacts(self):
+        # Capacities become ints when the config is built, so a catalog and
+        # layout from numpy arrays log and score exactly as plain ints do.
+        scn, cfg = make_deadline_scenario(25)
+        np_cfg = dataclasses.replace(
+            cfg,
+            catalog=SliceCatalog(tuple(np.array(cfg.catalog.capacities_mb))),
+            slices_per_gpu=tuple(np.array(cfg.slices_per_gpu)),
+        )
+        want, got = run(scn, "sja", cfg, seed=0), run(scn, "sja", np_cfg, seed=0)
+        assert events_text(got[1]) == events_text(want[1])
+        assert metrics_csv_text(got[0]) == metrics_csv_text(want[0])
+
+    def test_float_layout_capacity_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="integers"):
+            SimConfig(slices_per_gpu=(20480.0, 10240))
 
     def test_rerun_writes_identical_bytes(self, scenario_file, tmp_path):
         out = tmp_path / "out"

@@ -3,6 +3,7 @@
 Free-interval expectations come from a brute-force occupancy scan over a
 fine grid, not from the timeline code itself.
 """
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,16 @@ class TestCatalog:
         cat = SliceCatalog((5120, 20480))
         assert 5120 in cat and 20480 in cat and 10240 not in cat
 
+    def test_numpy_integers_become_ints(self):
+        cat = SliceCatalog(tuple(np.array([5120, 10240])))
+        assert cat.capacities_mb == (5120, 10240)
+        assert all(type(c) is int for c in cat.capacities_mb)
+
+    @pytest.mark.parametrize("caps", [(5120.5, 10240), (5120.0, 10240), (np.float64(5120), 10240)])
+    def test_non_integer_capacity_rejected(self, caps):
+        with pytest.raises(ValueError, match="integers"):
+            SliceCatalog(caps)
+
 
 class TestLayout:
     def test_ids_are_node_slice_ordinals(self):
@@ -100,6 +111,18 @@ class TestLayout:
     def test_check_layout_accepts_what_from_layout_builds(self):
         check_layout(2, (20480, 10240, 5120, 5120))
         check_layout(1, (5120,) * 7)
+
+    def test_layout_capacities_become_ints(self):
+        layout = tuple(np.array([20480, 5120]))
+        assert check_layout(1, layout) == (20480, 5120)
+        cluster = ClusterState.from_layout(1, layout)
+        assert all(type(s.capacity_mb) is int for s in cluster.slices)
+
+    def test_non_integer_layout_capacity_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            check_layout(1, (20480, 5120.5))
+        with pytest.raises(ValueError, match="integers"):
+            ClusterState.from_layout(1, (20480.0,))
 
     def test_unknown_slice_lookup(self):
         cluster = ClusterState.from_layout(1, (5120,))

@@ -201,10 +201,10 @@ class TestFairTokens:
     def test_ledger_conservation(self):
         led = TenantLedger(budgets={"acme": 100.0})
         led.debit("acme", 60.0)
-        led.refund("acme", 10.0)
-        assert led.remaining("acme") == pytest.approx(50.0)
+        assert led.remaining("acme") == pytest.approx(40.0)
         with pytest.raises(ValueError):
-            led.debit("acme", 51.0)
+            led.debit("acme", 41.0)
+        assert led.remaining("acme") == pytest.approx(40.0)
         assert led.remaining("nobody") == 0.0
 
 

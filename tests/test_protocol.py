@@ -18,7 +18,6 @@ from sjasim.profiles import (
 from sjasim.protocol import (
     Grant,
     InterestSignal,
-    MaterializeRefusal,
     advertise,
     collect_interest,
     grant_offer,
@@ -109,7 +108,8 @@ def loop_interest(offer, waiting, catalog, risk, seg, resume_positions=None):
             signals.append(InterestSignal(offer.offer_id, job.spec.job_id, "decline",
                                           reason=result.reason))
         else:
-            signals.append(InterestSignal(offer.offer_id, job.spec.job_id, "interest"))
+            signals.append(InterestSignal(offer.offer_id, job.spec.job_id, "interest",
+                                          plan=result))
     return signals
 
 
@@ -167,6 +167,8 @@ class TestCollectInterestOracle:
         for job in cold:
             job.profile.plan_cache.clear()
             job.profile.exceedance_index.clear()
+        # Interest signals carry their plans, so the signals match only when
+        # each carried plan equals a fresh plan_segments call on a cold copy.
         want = loop_interest(offer, cold, CAT, RISK, seg, resume)
         assert collect_interest(offer, jobs, CAT, RISK, seg, 0.0, resume) == want
         assert collect_interest(offer, jobs, CAT, RISK, seg, 0.0, resume) == want  # warm
@@ -199,15 +201,20 @@ class TestGrantOffer:
         assert g.job_id == "j1"
 
 
-class TestMaterialize:
-    def _grant_for(self, job, window):
-        offer = advertise([window], 0.0, 60.0)[0]
-        return Grant(offer.offer_id, job.spec.job_id)
+def mint(job, win, risk=RISK, seg=SEG, start=None):
+    """Dry-run job against win, then materialize that plan under a grant."""
+    plan = plan_segments(job, win, CAT, risk, seg, start_position_s=start)
+    if isinstance(plan, PlanRefusal):
+        return plan
+    offer = advertise([win], 0.0, 60.0)[0]
+    return materialize(job, Grant(offer.offer_id, job.spec.job_id), win, plan, risk)
 
+
+class TestMaterialize:
     def test_creates_planned_subjobs_with_contiguous_reservation_spans(self):
         job = make_job(level=8000.0, n=31, work=1800.0)
         win = ExecutionWindow("g0s0", 10240, 100.0, 1200.0)
-        out = materialize(job, self._grant_for(job, win), win, CAT, RISK, SEG)
+        out = mint(job, win)
         assert isinstance(out, tuple)  # the bench tracer counts anything else as a refusal
         subjobs = out
         assert all(s.job_id == "j1" and s.offer_id == "offer-000000" for s in subjobs)
@@ -225,16 +232,26 @@ class TestMaterialize:
         spec = JobSpec("j1", "t0", 0.0, 1800.0, 9000.0)
         job = JobRuntime(spec=spec, profile=prof, actual=np.full(11, 8000.0), grid_step=H)
         win = ExecutionWindow("g0s0", 10240, 0.0, 1800.0)
-        subjobs = materialize(job, self._grant_for(job, win), win, CAT, RISK,
-                              SegmentationConfig(tau_min_s=300.0, tau_max_s=300.0,
-                                                 smoothing_window_s=0.0))
+        subjobs = mint(job, win, seg=SegmentationConfig(tau_min_s=300.0, tau_max_s=300.0,
+                                                        smoothing_window_s=0.0))
         assert subjobs[-1].pos_from_s < 600.0
 
-    def test_refusal_when_profile_no_longer_admits(self):
-        job = make_job(level=25600.0, declared=26000.0)
-        win = ExecutionWindow("g0s0", 20480, 0.0, 600.0)
-        out = materialize(job, self._grant_for(job, win), win, CAT, RISK, SEG)
-        assert isinstance(out, MaterializeRefusal)
+    @pytest.mark.parametrize("position, start", [(540.0, None), (0.0, 540.0)],
+                             ids=["position", "pipelined_resume"])
+    def test_plan_one_step_before_the_end_mints_one_subjob(self, position, start):
+        # A 600 s run whose next work starts one grid step before its end:
+        # a queued job's position, or a pipelined bidder's resume position.
+        # The plan's first fragment starts there, so it is never dropped.
+        runs = [np.full(31, 8000.0) for _ in range(4)]
+        prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(0.05,))
+        spec = JobSpec("j1", "t0", 0.0, 1800.0, 9000.0)
+        job = JobRuntime(spec=spec, profile=prof, actual=np.full(11, 8000.0), grid_step=H,
+                         position_s=position)
+        assert job.actual_duration_s - H == 540.0
+        win = ExecutionWindow("g0s0", 10240, 0.0, 1800.0)
+        subjobs = mint(job, win, seg=SegmentationConfig(tau_min_s=300.0, tau_max_s=300.0,
+                                                        smoothing_window_s=0.0), start=start)
+        assert [(s.pos_from_s, s.pos_to_s) for s in subjobs] == [(540.0, 840.0)]
 
     def test_kept_fragments_pass_joint_admission_under_the_envelope(self):
         # Eight runs end at 300 s; of the two that go on, one climbs to 12 GB
@@ -249,7 +266,7 @@ class TestMaterialize:
         risk = RiskParams(eps=0.2)
         seg = SegmentationConfig(tau_min_s=300.0, tau_max_s=300.0, smoothing_window_s=0.0)
         win = ExecutionWindow("g0s0", 20480, 0.0, 1200.0)
-        subjobs = materialize(job, self._grant_for(job, win), win, CAT, risk, seg)
+        subjobs = mint(job, win, risk, seg)
         assert [(s.pos_from_s, s.slice_capacity_mb) for s in subjobs] == [
             (0.0, 10240), (300.0, 10240), (600.0, 20480)
         ]
@@ -296,9 +313,8 @@ class TestMaterialize:
             job.note_demand(floor[0], np.full(floor[1], floor[2]))
         win = ExecutionWindow("g0s0", *window)
         risk = RiskParams(eps=eps)
-        out = materialize(job, self._grant_for(job, win), win, CAT, risk, seg,
-                          start_position_s=start)
-        for s in out if isinstance(out, tuple) else ():
+        out = mint(job, win, risk, seg, start)
+        for s in out if isinstance(out, tuple) else ():  # skip refused plans
             window_s = (s.pos_from_s, s.pos_to_s - H)
             assert envelope_peak(prof, eps, window_s) <= s.slice_capacity_mb
             assert memory_admissible(prof, s.slice_capacity_mb, window_s, eps).admissible
@@ -307,5 +323,6 @@ class TestMaterialize:
     def test_grant_for_other_job_rejected(self):
         job = make_job()
         win = ExecutionWindow("g0s0", 10240, 0.0, 600.0)
+        plan = plan_segments(job, win, CAT, RISK, SEG)
         with pytest.raises(ValueError):
-            materialize(job, Grant("offer-000000", "imposter"), win, CAT, RISK, SEG)
+            materialize(job, Grant("offer-000000", "imposter"), win, plan, RISK)

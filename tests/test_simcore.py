@@ -191,12 +191,19 @@ class TestAccounting:
         cfg = SimConfig(gpus=1, slices_per_gpu=(10240, 10240))
         for seed in range(5):
             _, log = run(scn, "sja", cfg, seed=seed)
-            granted = set()
+            interested, granted, created = set(), set(), set()
             for r in log:
-                if r["kind"] == "grant":
+                if r["kind"] == "interest":
+                    interested.add((r["offer"], r["job"]))
+                elif r["kind"] == "grant":
+                    # Only a job that signaled interest in the offer wins it.
+                    assert (r["offer"], r["job"]) in interested
                     granted.add((r["offer"], r["job"]))
                 elif r["kind"] == "subjob_created":
                     assert (r["offer"], r["job"]) in granted
+                    created.add((r["offer"], r["job"]))
+            # Every grant mints at least one subjob: none is refused.
+            assert granted and granted == created
 
     def test_slice_occupancy_never_overlaps(self):
         scn = tiny_scenario(n_jobs=4)
