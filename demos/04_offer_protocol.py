@@ -4,8 +4,9 @@ One offer round, step by step
 
 The scheduler advertises free windows as offers; waiting jobs answer with
 interest or a decline after a pure dry-run plan; a policy picks one
-winner; materialization mints subjobs from the winner's dry-run plan,
-and the engine then runs those records to their end. No job state exists
+winner in the same round, so an offer needs no expiry; materialization
+mints subjobs from the winner's dry-run plan, and the engine then runs
+those records to their end. No job state exists
 until that last step.
 """
 import numpy as np
@@ -38,13 +39,13 @@ jobs = [
 
 # 1. A 20 GB slice is free for 30 minutes: advertise it.
 gap = ExecutionWindow("g0s1", 20480, start=120.0, duration=1800.0)
-offer, = advertise([gap], now=60.0, ttl=60.0)
+offer, = advertise([gap])
 print(f"offer {offer.offer_id}: {gap.capacity_mb / 1024:.0f} GB "
-      f"[{gap.start:.0f} s, {gap.end:.0f} s), expires {offer.expires_at:.0f} s")
+      f"[{gap.start:.0f} s, {gap.end:.0f} s)")
 
 # 2. Every waiting job answers. The 30 GB job cannot fit and declines; an
 #    interested job's signal carries its dry-run plan.
-signals = collect_interest(offer, jobs, catalog, risk, seg, now=60.0)
+signals = collect_interest(offer, jobs, catalog, risk, seg)
 for s in signals:
     print(f"  {s.job_id}: {s.kind}" + (f" ({s.reason})" if s.reason else ""))
 

@@ -45,7 +45,6 @@ _OVERRIDE_FLAGS = [
     ("--smoothing-window", "segmentation.smoothing_window_s", "envelope sliding-max width, s"),
     ("--hysteresis-delta", "segmentation.hysteresis_delta", "min relative waste gain to split"),
     ("--lookahead", "protocol.lookahead_s", "gap discovery horizon, s"),
-    ("--offer-ttl", "protocol.offer_ttl_s", "offer time-to-live, s"),
     ("--round-cadence", "protocol.round_cadence_s", "periodic round interval, s"),
     ("--max-chained-grants", "protocol.max_concurrent_subjobs_per_job",
      "max outstanding grant chains per job"),
@@ -55,6 +54,8 @@ _OVERRIDE_FLAGS = [
     ("--slices-per-gpu", "cluster.slices_per_gpu", "comma-separated slice MBs per GPU"),
     ("--catalog", "cluster.catalog", "comma-separated capacity classes, MB"),
     ("--failure-rate", "engine.failure_rate_per_hour", "injected failures per hour"),
+    ("--online-correction", "engine.online_correction",
+     "fold observed demand back into planning: on or off"),
     ("--max-oom-retries", "engine.max_oom_retries", "OOM strikes before rejection"),
     ("--n-historical-runs", "engine.n_historical_runs", "profile runs to keep ('none' = all)"),
     ("--single-run-inflation", "engine.single_run_inflation", "envelope factor for 1-run profiles"),
@@ -237,10 +238,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", "--seeds", dest="seeds", help="comma-separated seed list")
     sp.add_argument("--out", help=f"output directory (default under ${OUTPUT_ROOT_ENV})")
     sp.add_argument(
-        "--online-correction", choices=("on", "off"),
-        help="fold observed demand back into planning",
-    )
-    sp.add_argument(
         "--budget", action="append", default=[], metavar="TENANT=TOKENS",
         help="token budget for one tenant (repeatable)",
     )
@@ -264,8 +261,6 @@ def _build_config(args: argparse.Namespace, command: str) -> RunConfig:
         set_key(cfg, "run.seeds", args.seeds)
     if args.out:
         set_key(cfg, "run.output_dir", args.out)
-    if args.online_correction:
-        set_key(cfg, "engine.online_correction", args.online_correction)
     for flag, key, _help in _OVERRIDE_FLAGS:
         raw = getattr(args, f"k_{key}")
         if raw is not None:

@@ -33,16 +33,10 @@ DECLINE = "decline"
 
 @dataclass(frozen=True)
 class Offer:
-    """An advertised execution window with an expiry."""
+    """An advertised execution window, decided in the round that issues it."""
 
     offer_id: str
     window: ExecutionWindow
-    issued_at: float
-    expires_at: float
-
-    def __post_init__(self) -> None:
-        if self.expires_at <= self.issued_at:
-            raise ValueError(f"{self.offer_id}: expiry must follow issue time")
 
 
 class InterestSignal(NamedTuple):
@@ -61,16 +55,9 @@ class Grant:
     job_id: str
 
 
-def advertise(
-    gaps: list[ExecutionWindow], now: float, ttl: float, seq_start: int = 0
-) -> list[Offer]:
+def advertise(gaps: list[ExecutionWindow], seq_start: int = 0) -> list[Offer]:
     """One offer per discovered gap; ids are deterministic sequence numbers."""
-    if ttl <= 0:
-        raise ValueError("offer ttl must be positive")
-    return [
-        Offer(f"offer-{seq_start + i:06d}", w, now, now + ttl)
-        for i, w in enumerate(gaps)
-    ]
+    return [Offer(f"offer-{seq_start + i:06d}", w) for i, w in enumerate(gaps)]
 
 
 def collect_interest(
@@ -79,7 +66,6 @@ def collect_interest(
     catalog: SliceCatalog,
     risk: RiskParams,
     seg: SegmentationConfig,
-    now: float,
     resume_positions: dict[str, float] | None = None,
 ) -> list[InterestSignal]:
     """Dry-run each waiting job against the offer; pure, no state is created.
@@ -91,8 +77,6 @@ def collect_interest(
     on. resume_positions lets the caller pipeline a job that already holds
     planned subjobs: its plan starts where the pending work ends.
     """
-    if now >= offer.expires_at:
-        raise ValueError(f"{offer.offer_id} has expired")
     offer_id, window = offer.offer_id, offer.window
     resume = resume_positions or {}
     signals: list[InterestSignal] = []

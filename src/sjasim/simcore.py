@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,13 @@ _KPRIO = {
 
 _EPS = 1e-9
 
+# An offer is decided in the round that issues it, so nothing reads an
+# expiry. Each offer without a grant still logs an offer_expire record this
+# long after issue, because bench/references.json and the determinism table
+# in tests/test_determinism.py pin every sja log byte for byte; deleting the
+# record is a log change that must re-take both.
+_OFFER_EXPIRE_AFTER_S = 60.0
+
 
 class SimulationTimeout(RuntimeError):
     """The event clock passed the configured wall cap; likely a livelock."""
@@ -146,7 +154,6 @@ class SimConfig:
     )
     lookahead_s: float = field(default=1800.0, metadata={"key": "protocol.lookahead_s"})
     round_cadence_s: float = field(default=60.0, metadata={"key": "protocol.round_cadence_s"})
-    offer_ttl_s: float = field(default=60.0, metadata={"key": "protocol.offer_ttl_s"})
     max_concurrent_subjobs_per_job: int = field(
         default=1, metadata={"key": "protocol.max_concurrent_subjobs_per_job"}
     )
@@ -172,12 +179,12 @@ class SimConfig:
     baseline: BaselineParams = field(default_factory=BaselineParams)
 
     def __post_init__(self) -> None:
-        # max_wait_s may be inf (never give up); these three may not.
-        for name in ("lookahead_s", "round_cadence_s", "offer_ttl_s"):
+        # max_wait_s may be inf (never give up); these two may not.
+        for name in ("lookahead_s", "round_cadence_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.round_cadence_s <= 0 or self.offer_ttl_s <= 0:
-            raise ValueError("round cadence and offer ttl must be positive")
+        if self.round_cadence_s <= 0:
+            raise ValueError("round cadence must be positive")
         if self.lookahead_s <= 0:
             raise ValueError("lookahead must be positive")
         # An infinite rate re-arms failures at zero delay, so the clock never
@@ -376,12 +383,6 @@ class _Engine:
         self.used_mem_time = 0.0
         self.queue_intervals: list[tuple[float, float]] = []
         self._queue_since: float | None = None
-        self.n_preemptions = 0
-        self.n_oom = 0
-        self.n_injected = 0
-        self.n_rejected = 0
-        self.admitted_units = 0
-        self.frag_admissions = 0
         self.frag_disagreements = 0
 
         self._failure_rng = np.random.default_rng([seed, _FAILURE_STREAM])
@@ -474,7 +475,6 @@ class _Engine:
 
     def _reject(self, job: JobRuntime, reason: str) -> None:
         self._n_terminal += 1
-        self.n_rejected += 1
         self._log("job_rejected", job=job.spec.job_id, reason=reason)
         self._set_queued(job, False)
 
@@ -583,7 +583,6 @@ class _Engine:
             return  # plan was cancelled before its window opened
         job = self.jobs[unit.job_id]
         unit.started = True
-        self.admitted_units += 1
         if job.first_start_s is None:
             job.first_start_s = self.now
         i0 = int(round(unit.pos_from_s / self.h))
@@ -660,7 +659,6 @@ class _Engine:
         if unit is None:
             return
         job = self.jobs[unit.job_id]
-        self.n_oom += 1
         i0 = int(round(unit.pos_from_s / self.h))
         observed = float(job.actual[kill_idx])
         # Plans read any floor a job has, so this is correction's one gate.
@@ -688,7 +686,6 @@ class _Engine:
         if running:
             victim_id = running[int(self._failure_rng.integers(len(running)))]
             unit = self.units.pop(victim_id)
-            self.n_injected += 1
             self._kill_unit(unit, self._reached_idx(unit), "failure_inject", {})
         if self._n_terminal < len(self._order):
             self._push(
@@ -770,7 +767,7 @@ class _Engine:
             # Grant earliest-starting gaps first (longest on ties) so a job
             # never books a far-future stub while another slice idles now.
             gaps.sort(key=lambda w: (w.start, -w.duration, w.slice_id))
-            offers = advertise(gaps, self.now, self.cfg.offer_ttl_s, self._offer_seq)
+            offers = advertise(gaps, self._offer_seq)
             self._offer_seq += len(offers)
             ctx = SelectionContext(self.now, self.cfg.alpha_t, self.jobs)
             for offer in offers:
@@ -785,7 +782,8 @@ class _Engine:
                 if self._grant_one(offer, ctx):
                     progress = True
                 else:
-                    self._push(offer.expires_at, "offer_expire", {"offer": offer.offer_id})
+                    expire_at = self.now + _OFFER_EXPIRE_AFTER_S
+                    self._push(expire_at, "offer_expire", {"offer": offer.offer_id})
         leftovers = [
             j for j in self._waiting() if not j.spec.atomizable
         ]
@@ -807,7 +805,6 @@ class _Engine:
             self.cfg.catalog,
             self.risk,
             self.seg,
-            self.now,
             resume_positions=resume,
         )
         # One record per signal, as _log writes it, all at one rounded t.
@@ -839,7 +836,6 @@ class _Engine:
         )
         for sj in materialize(job, granted, offer.window, plans[granted.job_id], self.risk):
             self._book(sj, sj.reserved_end_s)
-            self.frag_admissions += 1
             self.frag_disagreements += int(sj.methods_disagree)
             self._log(
                 "subjob_created",
@@ -937,7 +933,6 @@ class _Engine:
         delay = transfer_delay_s(live_mb, self.cfg.baseline)
         job.earliest_resume_s = self.now + delay
         self._set_queued(job, True)
-        self.n_preemptions += 1
         self._log(
             "preemption",
             unit=unit_id,
@@ -970,6 +965,9 @@ class _Engine:
             if j.first_start_s is not None
         ]
         n_jobs = len(self._order)
+        counts = Counter(rec["kind"] for rec in self.event_log)
+        admitted = counts["subjob_start"]
+        created = counts["subjob_created"]
 
         frag_loss = 0.0
         if denom > 0 and self.queue_intervals:
@@ -991,22 +989,16 @@ class _Engine:
             reserved_utilization=reserved / denom if denom > 0 else 0.0,
             used_utilization=self.used_mem_time / denom if denom > 0 else 0.0,
             queueing_delay=_delay_summary(delays),
-            rejection_rate=self.n_rejected / n_jobs if n_jobs else 0.0,
-            interruptions=self.n_preemptions,
-            oom_violation_rate=(
-                self.n_oom / self.admitted_units if self.admitted_units else None
-            ),
+            rejection_rate=counts["job_rejected"] / n_jobs if n_jobs else 0.0,
+            interruptions=counts["preemption"],
+            oom_violation_rate=counts["oom_kill"] / admitted if admitted else None,
             fragmentation_loss=frag_loss,
             jain_fairness=jain_index(per_tenant),
-            admission_disagreement=(
-                self.frag_disagreements / self.frag_admissions
-                if self.frag_admissions
-                else None
-            ),
-            completed_jobs=sum(1 for j in self._order if j.finish_s is not None),
-            admitted_subjobs=self.admitted_units,
-            oom_kills=self.n_oom,
-            injected_failures=self.n_injected,
+            admission_disagreement=self.frag_disagreements / created if created else None,
+            completed_jobs=counts["job_completed"],
+            admitted_subjobs=admitted,
+            oom_kills=counts["oom_kill"],
+            injected_failures=counts["failure_inject"],
             per_tenant_reserved=per_tenant,
             per_job_completion=[
                 (j.spec.job_id, j.finish_s, j.reexecuted_s)

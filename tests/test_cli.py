@@ -150,6 +150,24 @@ class TestOverrides:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_online_correction_off_resolves_false(self, monkeypatch):
+        import sjasim.cli
+
+        seen = []
+        monkeypatch.setattr(sjasim.cli, "cmd_run", lambda cfg: seen.append(cfg) or 0)
+        assert main(["run", "--scenario", "s.csv", "--online-correction", "off"]) == 0
+        assert seen[0].to_sim_config().online_correction is False
+
+    def test_online_correction_bad_value_exits_2(self, scenario_file, capsys):
+        rc = main(["run", "--scenario", str(scenario_file), "--online-correction", "mostly"])
+        assert rc == 2
+        assert "not a boolean" in capsys.readouterr().err
+
+    def test_offer_ttl_flag_is_gone(self, scenario_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", str(scenario_file), "--offer-ttl", "30"])
+        assert exc.value.code == 2
+
 
 class TestErrorPaths:
     def test_eps_out_of_range_exits_2(self, scenario_file, capsys):

@@ -170,6 +170,9 @@ class TestFreeIntervals:
         s.reserve(0.0, 50.0, "x")
         s.reserve(90.0, 200.0, "y")
         assert s.free_intervals(40.0, 100.0) == [(50.0, 90.0)]
+        # The scan stops at a reservation that starts past the query end.
+        s.reserve(300.0, 400.0, "z")
+        assert s.free_intervals(210.0, 250.0) == [(210.0, 250.0)]
 
     def test_fully_free_and_fully_busy(self):
         s = SliceInstance("a", 10240)

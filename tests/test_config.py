@@ -95,6 +95,11 @@ class TestParseText:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.conf")
 
+    def test_offer_ttl_key_is_gone(self):
+        # Offers are decided in the round that issues them; no ttl is read.
+        with pytest.raises(ConfigError, match="line 1: unknown config key"):
+            parse_config_text("protocol.offer_ttl_s = 60\n")
+
 
 class TestValidate:
     def test_domain_checks(self):
@@ -199,7 +204,6 @@ policy.cost_rate = 1.0
 policy.kind = fifo
 protocol.lookahead_s = 1800.0
 protocol.max_concurrent_subjobs_per_job = 1
-protocol.offer_ttl_s = 60.0
 protocol.round_cadence_s = 60.0
 risk.alpha_t = 0.05
 risk.eps = 0.05
@@ -219,7 +223,7 @@ class TestGoldenEcho:
 
     def test_default_echo(self):
         assert resolve(RunConfig()) == DEFAULT_ECHO
-        assert len(DEFAULT_ECHO.splitlines()) == 29
+        assert len(DEFAULT_ECHO.splitlines()) == 28
 
     def test_flag_echo(self, monkeypatch):
         import sjasim.cli

@@ -1,7 +1,9 @@
 """The simulator needs numpy alone; scipy is only a bench and test tool.
 
 A child interpreter whose import system refuses every scipy module runs
-the smoke scenario under sja and must reproduce its pinned digest.
+the smoke scenario under sja and must reproduce its pinned digest. It then
+exports the scenario and runs it through `sjasim run`, whose artifacts must
+equal a direct run of the exported file.
 """
 import os
 import subprocess
@@ -14,7 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SMOKE_WITHOUT_SCIPY = """
 import hashlib
+import io
 import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 
 class BlockScipy:
@@ -26,13 +31,27 @@ class BlockScipy:
 
 sys.meta_path.insert(0, BlockScipy())
 
-from sjasim import run
-from sjasim.cli import events_text, metrics_csv_text
-from sjasim.scenarios import SCENARIO_BUILDERS
+from sjasim import Scenario, run
+from sjasim.cli import events_text, main, metrics_csv_text
+from sjasim.scenarios import SCENARIO_BUILDERS, export_scenario
+
+
+def digest(report, log):
+    return hashlib.sha256((events_text(log) + metrics_csv_text(report)).encode()).hexdigest()
+
 
 scenario, cfg = SCENARIO_BUILDERS["smoke"]()
-report, log = run(scenario, "sja", cfg, seed=0)
-print(hashlib.sha256((events_text(log) + metrics_csv_text(report)).encode()).hexdigest())
+print(digest(*run(scenario, "sja", cfg, seed=0)))
+
+path = export_scenario(scenario, "scn")
+flags = ["--gpus", "1", "--slices-per-gpu", "20480,10240", "--tau-max", "900"]
+with redirect_stdout(io.StringIO()):
+    assert main(["run", "--scenario", str(path), "--out", "out", "--seed", "0", *flags]) == 0
+seed_dir = Path("out", "seed_0000")
+text = (seed_dir / "events.jsonl").read_text() + (seed_dir / "metrics.csv").read_text()
+print(hashlib.sha256(text.encode()).hexdigest())
+print(digest(*run(Scenario.from_file(path), "sja", cfg, seed=0)))
+assert "scipy" not in sys.modules
 """
 
 
@@ -43,4 +62,6 @@ def test_smoke_runs_with_scipy_blocked(tmp_path):
         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == DIGESTS[("smoke", "sja")]
+    pinned, via_cli, direct = done.stdout.split()
+    assert pinned == DIGESTS[("smoke", "sja")]
+    assert via_cli == direct

@@ -20,7 +20,7 @@ from sjasim.workload import JobRuntime, JobSpec
 
 
 def offer(capacity=10240, duration=600.0):
-    return Offer("offer-000000", ExecutionWindow("g0s0", capacity, 0.0, duration), 0.0, 60.0)
+    return Offer("offer-000000", ExecutionWindow("g0s0", capacity, 0.0, duration))
 
 
 def interests(*job_ids):

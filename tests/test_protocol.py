@@ -48,54 +48,44 @@ def ctx_for(jobs, now=0.0):
 
 
 class TestAdvertise:
-    def test_sequential_ids_and_expiry(self):
+    def test_sequential_ids(self):
         gaps = [ExecutionWindow("g0s0", 20480, 0.0, 600.0),
                 ExecutionWindow("g0s1", 10240, 100.0, 900.0)]
-        offers = advertise(gaps, now=50.0, ttl=60.0, seq_start=7)
+        offers = advertise(gaps, seq_start=7)
         assert [o.offer_id for o in offers] == ["offer-000007", "offer-000008"]
-        assert all(o.issued_at == 50.0 and o.expires_at == 110.0 for o in offers)
         assert offers[1].window == gaps[1]
-
-    def test_ttl_must_be_positive(self):
-        with pytest.raises(ValueError):
-            advertise([], now=0.0, ttl=0.0)
 
 
 class TestCollectInterest:
     def test_no_waiting_jobs_no_signals(self):
-        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)], 0.0, 60.0)[0]
-        assert collect_interest(offer, [], CAT, RISK, SEG, 0.0) == []
+        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)])[0]
+        assert collect_interest(offer, [], CAT, RISK, SEG) == []
 
     def test_oversized_job_declines(self):
         # Envelope 25 GB against a 20 GB window: inadmissible everywhere.
-        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)], 0.0, 60.0)[0]
+        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)])[0]
         job = make_job(level=25600.0, declared=26000.0)
-        sig, = collect_interest(offer, [job], CAT, RISK, SEG, 0.0)
+        sig, = collect_interest(offer, [job], CAT, RISK, SEG)
         assert sig.kind == "decline"
 
     def test_fitting_fragment_yields_interest(self):
-        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)], 0.0, 60.0)[0]
+        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)])[0]
         job = make_job(level=14000.0, declared=39000.0)
-        sig, = collect_interest(offer, [job], CAT, RISK, SEG, 0.0)
+        sig, = collect_interest(offer, [job], CAT, RISK, SEG)
         assert sig.kind == "interest" and sig.job_id == "j1"
 
     def test_non_atomizable_always_declines(self):
-        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)], 0.0, 60.0)[0]
+        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)])[0]
         job = make_job(atomizable=False)
-        sig, = collect_interest(offer, [job], CAT, RISK, SEG, 0.0)
+        sig, = collect_interest(offer, [job], CAT, RISK, SEG)
         assert sig.kind == "decline" and "non-atomizable" in sig.reason
 
     def test_is_pure(self):
-        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)], 0.0, 60.0)[0]
+        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)])[0]
         job = make_job()
         before = (job.position_s, job.subjob_seq)
-        collect_interest(offer, [job], CAT, RISK, SEG, 0.0)
+        collect_interest(offer, [job], CAT, RISK, SEG)
         assert (job.position_s, job.subjob_seq) == before
-
-    def test_expired_offer_rejected(self):
-        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)], 0.0, 60.0)[0]
-        with pytest.raises(ValueError, match="expired"):
-            collect_interest(offer, [], CAT, RISK, SEG, 60.0)
 
 
 def loop_interest(offer, waiting, catalog, risk, seg, resume_positions=None):
@@ -162,7 +152,7 @@ class TestCollectInterestOracle:
             if floor is not None:
                 job.note_demand(floor[0], np.full(5, floor[1]))
             jobs.append(job)
-        offer = advertise([ExecutionWindow("g0s0", capacity, start, duration)], 0.0, 60.0)[0]
+        offer = advertise([ExecutionWindow("g0s0", capacity, start, duration)])[0]
         cold = copy.deepcopy(jobs)
         for job in cold:
             job.profile.plan_cache.clear()
@@ -170,15 +160,15 @@ class TestCollectInterestOracle:
         # Interest signals carry their plans, so the signals match only when
         # each carried plan equals a fresh plan_segments call on a cold copy.
         want = loop_interest(offer, cold, CAT, RISK, seg, resume)
-        assert collect_interest(offer, jobs, CAT, RISK, seg, 0.0, resume) == want
-        assert collect_interest(offer, jobs, CAT, RISK, seg, 0.0, resume) == want  # warm
+        assert collect_interest(offer, jobs, CAT, RISK, seg, resume) == want
+        assert collect_interest(offer, jobs, CAT, RISK, seg, resume) == want  # warm
 
 
 class TestGrantOffer:
     def test_single_interest_granted_under_every_policy(self):
-        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)], 0.0, 60.0)[0]
+        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)])[0]
         job = make_job(deadline=9000.0)
-        sigs = collect_interest(offer, [job], CAT, RISK, SEG, 0.0)
+        sigs = collect_interest(offer, [job], CAT, RISK, SEG)
         for kind in ("fifo", "priority", "edf"):
             g = grant_offer(offer, sigs, GrantPolicy(kind=kind), None, ctx_for([job]))
             assert g == Grant(offer.offer_id, "j1")
@@ -187,16 +177,16 @@ class TestGrantOffer:
         assert g is not None and g.job_id == "j1"
 
     def test_zero_interests_lapses(self):
-        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)], 0.0, 60.0)[0]
+        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 600.0)])[0]
         job = make_job(atomizable=False)
-        sigs = collect_interest(offer, [job], CAT, RISK, SEG, 0.0)
+        sigs = collect_interest(offer, [job], CAT, RISK, SEG)
         assert grant_offer(offer, sigs, GrantPolicy(kind="fifo"), None, ctx_for([job])) is None
 
     def test_edf_picks_earliest_reachable_deadline(self):
-        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 3600.0)], 0.0, 60.0)[0]
+        offer = advertise([ExecutionWindow("g0s0", 20480, 0.0, 3600.0)])[0]
         jobs = [make_job(f"j{k}", deadline=d)
                 for k, d in ((0, 50000.0), (1, 30000.0), (2, 90000.0))]
-        sigs = collect_interest(offer, jobs, CAT, RISK, SEG, 0.0)
+        sigs = collect_interest(offer, jobs, CAT, RISK, SEG)
         g = grant_offer(offer, sigs, GrantPolicy(kind="edf"), None, ctx_for(jobs))
         assert g.job_id == "j1"
 
@@ -206,7 +196,7 @@ def mint(job, win, risk=RISK, seg=SEG, start=None):
     plan = plan_segments(job, win, CAT, risk, seg, start_position_s=start)
     if isinstance(plan, PlanRefusal):
         return plan
-    offer = advertise([win], 0.0, 60.0)[0]
+    offer = advertise([win])[0]
     return materialize(job, Grant(offer.offer_id, job.spec.job_id), win, plan, risk)
 
 

@@ -110,7 +110,7 @@ class TestEmptyAndDegenerate:
         with pytest.raises(ValueError):
             run(tiny_scenario(), "galaxy_brain", SimConfig(), seed=0)
 
-    @pytest.mark.parametrize("name", ["lookahead_s", "round_cadence_s", "offer_ttl_s"])
+    @pytest.mark.parametrize("name", ["lookahead_s", "round_cadence_s"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_config_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -255,6 +255,19 @@ class TestAccounting:
         assert rpt.scalars()["injected_failures"] == len(fails)
         for f in fails:
             assert f["lost_s"] <= f["planned_s"] + 1e-9
+
+    def test_moldable_rejects_at_arrival_a_peak_no_slice_covers(self):
+        # The catalog has a 40960 class, but no slice of this cluster is
+        # that large, so the 30000 MB job is refused when it arrives.
+        scn = tiny_scenario(n_jobs=2)
+        scn.jobs[1] = dataclasses.replace(scn.jobs[1], declared_peak_mb=30000.0)
+        cfg = SimConfig(gpus=1, slices_per_gpu=(20480, 10240))
+        rpt, log = run(scn, "moldable", cfg, seed=0)
+        rejected = [r for r in log if r["kind"] == "job_rejected"]
+        assert rejected == [{"t": 120.0, "kind": "job_rejected", "job": "job-1",
+                             "reason": "no capacity class covers the declared peak"}]
+        assert all(r.get("job") != "job-1" for r in log if r["kind"] == "placement")
+        assert rpt.rejection_rate == 0.5 and rpt.completed_jobs == 1
 
 
 class TestPreemptMigrate:
