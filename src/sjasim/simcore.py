@@ -12,8 +12,12 @@ first exceeds the enforced capacity, and schedules the kill then.
 Scheduling happens in rounds, triggered by arrivals, completions, kills
 and a periodic timer. A round either runs the offer/interest/grant cycle
 (atomized path, with a conventional fallback for jobs that cannot be
-split) or a monolithic placement pass (baselines). Identical inputs give
-identical event sequences; rerunning a seed reproduces the log verbatim.
+split) or a monolithic placement pass (baselines). A baseline round is
+skipped when no event but the periodic tick has come, and no slice has
+turned idle, since the last round that logged nothing, and max_wait_s is
+infinite: it would read the same queue and idle slices and log nothing
+again. Identical inputs give identical event sequences; rerunning a seed
+reproduces the log verbatim.
 """
 from __future__ import annotations
 
@@ -370,6 +374,8 @@ class _Engine:
         self.heap: list = []
         self._seq = 0
         self._round_due = False
+        # When a baseline round may be skipped; see _run_round.
+        self._stale, self._wake_s = True, 0.0
         self._offer_seq = 0
         self._arrivals_pending = len(self._order)
         self._n_terminal = 0
@@ -426,6 +432,8 @@ class _Engine:
                 )
             self.now = t
             self._dispatch(kind, payload)
+            if not payload.get("periodic"):
+                self._stale = True
             if self._round_due and (not self.heap or self.heap[0][0] > self.now + _EPS):
                 self._round_due = False
                 self._run_round()
@@ -699,28 +707,36 @@ class _Engine:
     # ------------------------------------------------------------------
 
     def _run_round(self) -> None:
+        """A baseline round reads the queue, job states, running units and
+        which slices are idle now. Events, and rounds that log anything,
+        change the first three and set _stale; a slice turns idle with no
+        event only at _wake_s. With neither, and max_wait_s infinite, the
+        round would log nothing, as the last one that ran did: skip it."""
+        n_logged = len(self.event_log)
         if math.isfinite(self.cfg.max_wait_s):
             for job in self._waiting():
                 if self.now - job.spec.arrival_s > self.cfg.max_wait_s:
                     self._reject(job, "max queue wait exceeded")
+        elif self.scheduler != "sja" and not self._stale and self.now < self._wake_s:
+            return
         if self.scheduler == "sja":
             progress = self._sja_round()
         else:
             progress = self._baseline_round()
-        gated = any(
-            j.earliest_resume_s > self.now + _EPS for j in self._waiting()
-        )
         if (
             not progress
-            and not gated
             and not self.units
             and self._arrivals_pending == 0
-            and self._waiting()
+            and self._queue
+            and not any(j.earliest_resume_s > self.now + _EPS for j in self._waiting())
         ):
             # Nothing running, nothing coming, and a full pass granted
             # nothing: these jobs will never place.
             for job in list(self._waiting()):
                 self._reject(job, "no feasible placement; queue quiescent")
+        self._stale = len(self.event_log) > n_logged
+        busy = [s for s in self.cluster.slices if not s.idle_everywhere_after(self.now)]
+        self._wake_s = min((s.reservations[-1].end for s in busy), default=math.inf)
 
     def _pipeline_candidates(self, window_start: float) -> tuple[list[JobRuntime], dict[str, float]]:
         """Scheduled jobs that may take a further grant beyond their pending
