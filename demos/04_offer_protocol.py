@@ -59,7 +59,7 @@ print(f"granted to {grant.job_id}")
 # 4. Materialize: mint bounded subjobs from the winner's dry-run plan.
 winner = next(j for j in jobs if j.spec.job_id == grant.job_id)
 plan = next(s.plan for s in signals if s.job_id == grant.job_id)
-subjobs = materialize(winner, grant, offer.window, plan, risk)
+subjobs = materialize(winner, grant, offer.window, plan)
 for sj in subjobs:
     print(f"  {sj.subjob_id}: wall [{sj.window_start_s:.0f} s, "
           f"{sj.reserved_end_s:.0f} s), "

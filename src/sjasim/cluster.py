@@ -91,13 +91,10 @@ class SliceInstance:
     def __repr__(self) -> str:
         return f"SliceInstance({self.slice_id}, {self.capacity_mb} MB, {len(self.reservations)} res)"
 
-    def _starts(self) -> list[float]:
-        return [r.start for r in self.reservations]
-
     def reserve(self, start: float, end: float, owner: str) -> Reservation:
         if not end > start:
             raise ReservationConflict(f"{self.slice_id}: empty interval [{start}, {end})")
-        i = bisect.bisect_right(self._starts(), start)
+        i = bisect.bisect_right(self.reservations, start, key=lambda r: r.start)
         if i > 0 and self.reservations[i - 1].end > start:
             raise ReservationConflict(
                 f"{self.slice_id}: [{start}, {end}) overlaps {self.reservations[i - 1]}"

@@ -6,8 +6,10 @@ comments and blank lines ignored. Keys carry a section prefix
 are rejected. Precedence is defaults < file < explicit overrides.
 
 The keys are not listed here. Each leaf field of SimConfig, nested ones
-included, names its key in field metadata, and the field's type picks the
-parser and formatter; a dict field is a key family with one key per entry
+included (`risk.*` in RiskParams, `segmentation.*` in SegmentationConfig,
+`policy.*` in GrantPolicy, `baseline.*` in BaselineParams), names its key
+in field metadata, and the field's type picks the parser and formatter; a
+dict field is a key family with one key per entry
 (`baseline.speedup.<capacity>`). The `run.*` keys are RunConfig's own
 fields, declared the same way.
 

@@ -172,8 +172,8 @@ class FunctionalProfile:
 class RiskParams:
     """Risk tolerances: eps for memory exceedance, alpha_t for deadline miss."""
 
-    eps: float = 0.05
-    alpha_t: float = 0.05
+    eps: float = field(default=0.05, metadata={"key": "risk.eps"})
+    alpha_t: float = field(default=0.05, metadata={"key": "risk.alpha_t"})
 
     def __post_init__(self) -> None:
         _check_eps(self.eps)

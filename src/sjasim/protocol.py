@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import policies as _policies
 from .cluster import ExecutionWindow, SliceCatalog
-from .profiles import RiskParams, envelope_peak
+from .profiles import RiskParams
 from .segmentation import FragmentPlan, PlanRefusal, SegmentationConfig, plan_segments
 from .workload import JobRuntime, SubJob
 
@@ -111,7 +111,6 @@ def materialize(
     granted: Grant,
     window: ExecutionWindow,
     plan: list[FragmentPlan],
-    risk: RiskParams,
 ) -> tuple[SubJob, ...]:
     """Mint the granted job's subjobs from the winner's dry-run plan.
 
@@ -119,8 +118,8 @@ def materialize(
     run and grant moves a profile, demand floor or position. Each fragment
     becomes a subjob at window.start + offset_s, except any at or past the
     job's actual end; never the first, which starts at an unfinished
-    position. Segmentation sizes fragments on the risk.eps envelope (raised
-    by any demand floor) that methods_disagree checks: the flag is never set.
+    position. Segmentation sized each fragment on the risk.eps envelope
+    (raised by any demand floor), so none peaks above its capacity there.
     """
     if granted.job_id != job.spec.job_id:
         raise ValueError("grant addressed to a different job")
@@ -128,9 +127,6 @@ def materialize(
     for frag in plan:
         if frag.pos_from_s >= job.actual_duration_s - 1e-9:
             break
-        peak = envelope_peak(
-            job.profile, risk.eps, (frag.pos_from_s, frag.pos_to_s - job.profile.grid_step)
-        )
         subjobs.append(
             SubJob(
                 subjob_id=job.next_subjob_id(),
@@ -147,7 +143,6 @@ def materialize(
                 work_to=job.fraction_at(frag.pos_to_s),
                 predicted_peak_mb=frag.predicted_peak_mb,
                 admission_probability=frag.admission_probability,
-                methods_disagree=peak > frag.capacity_mb,
             )
         )
     return tuple(subjobs)

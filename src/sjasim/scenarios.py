@@ -20,6 +20,7 @@ import numpy as np
 from .baselines import BaselineParams
 from .policies import GrantPolicy
 from .profiles import write_ensemble
+from .segmentation import SegmentationConfig
 from .simcore import Scenario, SimConfig
 from .workload import (
     BURST,
@@ -100,7 +101,9 @@ def make_smoke_scenario() -> tuple[Scenario, SimConfig]:
             ensemble_key="steady-small",
         ),
     ]
-    cfg = SimConfig(gpus=1, slices_per_gpu=(20480, 10240), tau_max_s=900.0)
+    cfg = SimConfig(
+        gpus=1, slices_per_gpu=(20480, 10240), seg=SegmentationConfig(tau_max_s=900.0)
+    )
     return Scenario(jobs, ens, name="smoke"), cfg
 
 
@@ -158,7 +161,7 @@ def make_calibration_scenario(n_jobs: int = 56) -> tuple[Scenario, SimConfig]:
         )
         arrival += rng.exponential(240.0)
     cfg = SimConfig(
-        gpus=2, slices_per_gpu=(20480, 10240, 5120, 5120), tau_max_s=900.0
+        gpus=2, slices_per_gpu=(20480, 10240, 5120, 5120), seg=SegmentationConfig(tau_max_s=900.0)
     )
     return Scenario(jobs, ens, name="calibration"), cfg
 
@@ -206,7 +209,7 @@ def make_gap_reclaim_scenario() -> tuple[Scenario, SimConfig]:
     cfg = SimConfig(
         gpus=1,
         slices_per_gpu=(40960, 20480),
-        tau_min_s=600.0,
+        seg=SegmentationConfig(tau_min_s=600.0),
         lookahead_s=600.0,
     )
     return Scenario(jobs, ens, name="gap-reclaim"), cfg
@@ -295,7 +298,7 @@ def make_deadline_scenario(n_jobs: int = 100) -> tuple[Scenario, SimConfig]:
     cfg = SimConfig(
         gpus=3,
         slices_per_gpu=(20480, 10240, 5120, 5120),
-        tau_max_s=900.0,
+        seg=SegmentationConfig(tau_max_s=900.0),
         policy=GrantPolicy(kind="edf"),
     )
     return Scenario(jobs, ens, name="deadline"), cfg
@@ -331,7 +334,7 @@ def make_two_tenant_scenario(jobs_per_tenant: int = 16) -> tuple[Scenario, SimCo
     cfg = SimConfig(
         gpus=1,
         slices_per_gpu=(20480, 10240, 10240),
-        tau_max_s=900.0,
+        seg=SegmentationConfig(tau_max_s=900.0),
         lookahead_s=900.0,
         policy=GrantPolicy(
             kind="fair_tokens", token_budgets={"acme": 20000.0, "zen": 20000.0}
@@ -390,7 +393,7 @@ def make_fragmented_scenario(bursts: int = 4) -> tuple[Scenario, SimConfig]:
     cfg = SimConfig(
         gpus=4,
         slices_per_gpu=(20480, 10240, 5120, 5120),
-        tau_max_s=900.0,
+        seg=SegmentationConfig(tau_max_s=900.0),
         baseline=BaselineParams(
             speedup_table={5120: 1.15, 10240: 1.08, 20480: 1.04}
         ),

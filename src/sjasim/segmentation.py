@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -48,10 +48,14 @@ class SegmentationConfig:
     (RiskParams.eps), so segmentation and admission read one curve.
     """
 
-    tau_min_s: float = 300.0
-    tau_max_s: float = 3600.0
-    smoothing_window_s: float = 120.0
-    hysteresis_delta: float = 0.15
+    tau_min_s: float = field(default=300.0, metadata={"key": "segmentation.tau_min_s"})
+    tau_max_s: float = field(default=3600.0, metadata={"key": "segmentation.tau_max_s"})
+    smoothing_window_s: float = field(
+        default=120.0, metadata={"key": "segmentation.smoothing_window_s"}
+    )
+    hysteresis_delta: float = field(
+        default=0.15, metadata={"key": "segmentation.hysteresis_delta"}
+    )
 
     def __post_init__(self) -> None:
         for name in ("tau_min_s", "tau_max_s", "smoothing_window_s", "hysteresis_delta"):

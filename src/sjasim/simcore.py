@@ -142,20 +142,15 @@ class Scenario:
 class SimConfig:
     """Engine knobs. The scheduler itself is chosen per run, not here.
 
-    Every leaf field, nested ones included, names its config-file key in
-    its metadata; sjasim.config derives parsing and the echo from those.
+    risk (`risk.eps`, `risk.alpha_t`) and seg (`segmentation.tau_min_s`,
+    `tau_max_s`, `smoothing_window_s`, `hysteresis_delta`) are the objects
+    planning reads, nested like policy and baseline. Every leaf field, nested
+    ones included, names its config-file key in its metadata; sjasim.config
+    derives parsing and the echo from those.
     """
 
-    eps: float = field(default=0.05, metadata={"key": "risk.eps"})
-    alpha_t: float = field(default=0.05, metadata={"key": "risk.alpha_t"})
-    tau_min_s: float = field(default=300.0, metadata={"key": "segmentation.tau_min_s"})
-    tau_max_s: float = field(default=3600.0, metadata={"key": "segmentation.tau_max_s"})
-    smoothing_window_s: float = field(
-        default=120.0, metadata={"key": "segmentation.smoothing_window_s"}
-    )
-    hysteresis_delta: float = field(
-        default=0.15, metadata={"key": "segmentation.hysteresis_delta"}
-    )
+    risk: RiskParams = field(default_factory=RiskParams)
+    seg: SegmentationConfig = field(default_factory=SegmentationConfig)
     lookahead_s: float = field(default=1800.0, metadata={"key": "protocol.lookahead_s"})
     round_cadence_s: float = field(default=60.0, metadata={"key": "protocol.round_cadence_s"})
     max_concurrent_subjobs_per_job: int = field(
@@ -211,21 +206,6 @@ class SimConfig:
         layout = check_layout(self.gpus, self.slices_per_gpu, self.catalog)
         object.__setattr__(self, "slices_per_gpu", layout)
         check_inflation(self.single_run_inflation)
-        # Force the derived parameter objects so bad combinations (inverted
-        # tau bounds, eps outside (0,1)) surface at construction, not mid-run.
-        self.risk()
-        self.seg()
-
-    def risk(self) -> RiskParams:
-        return RiskParams(eps=self.eps, alpha_t=self.alpha_t)
-
-    def seg(self) -> SegmentationConfig:
-        return SegmentationConfig(
-            tau_min_s=self.tau_min_s,
-            tau_max_s=self.tau_max_s,
-            smoothing_window_s=self.smoothing_window_s,
-            hysteresis_delta=self.hysteresis_delta,
-        )
 
 
 def draw_actual_runs(
@@ -341,8 +321,6 @@ class _Engine:
         self.cluster = ClusterState.from_layout(
             cfg.gpus, cfg.slices_per_gpu, cfg.catalog
         )
-        self.risk = cfg.risk()
-        self.seg = cfg.seg()
         self.ledger = TenantLedger(cfg.policy.token_budgets)
 
         steps = {e.grid_step for e in scenario.ensembles.values()}
@@ -389,7 +367,6 @@ class _Engine:
         self.used_mem_time = 0.0
         self.queue_intervals: list[tuple[float, float]] = []
         self._queue_since: float | None = None
-        self.frag_disagreements = 0
 
         self._failure_rng = np.random.default_rng([seed, _FAILURE_STREAM])
         for job in self._order:
@@ -403,7 +380,7 @@ class _Engine:
 
     def _initial_profile(self, ens: TrajectoryEnsemble):
         n = self.cfg.n_historical_runs
-        levels = (self.cfg.eps,)
+        levels = (self.cfg.risk.eps,)
         if n is not None and n < len(ens.runs):
             ens = TrajectoryEnsemble(grid_step=ens.grid_step, runs=ens.runs[:n])
         if len(ens.runs) == 1:
@@ -778,14 +755,14 @@ class _Engine:
                 self.cluster,
                 self.now,
                 self.cfg.lookahead_s,
-                min_duration=self.seg.tau_min_s,
+                min_duration=self.cfg.seg.tau_min_s,
             )
             # Grant earliest-starting gaps first (longest on ties) so a job
             # never books a far-future stub while another slice idles now.
             gaps.sort(key=lambda w: (w.start, -w.duration, w.slice_id))
             offers = advertise(gaps, self._offer_seq)
             self._offer_seq += len(offers)
-            ctx = SelectionContext(self.now, self.cfg.alpha_t, self.jobs)
+            ctx = SelectionContext(self.now, self.cfg.risk.alpha_t, self.jobs)
             for offer in offers:
                 self._log(
                     "offer_issued",
@@ -819,8 +796,8 @@ class _Engine:
             offer,
             candidates,
             self.cfg.catalog,
-            self.risk,
-            self.seg,
+            self.cfg.risk,
+            self.cfg.seg,
             resume_positions=resume,
         )
         # One record per signal, as _log writes it, all at one rounded t.
@@ -850,9 +827,8 @@ class _Engine:
             job=granted.job_id,
             cost_tokens=round(cost, 6),
         )
-        for sj in materialize(job, granted, offer.window, plans[granted.job_id], self.risk):
+        for sj in materialize(job, granted, offer.window, plans[granted.job_id]):
             self._book(sj, sj.reserved_end_s)
-            self.frag_disagreements += int(sj.methods_disagree)
             self._log(
                 "subjob_created",
                 unit=sj.subjob_id,
@@ -983,7 +959,6 @@ class _Engine:
         n_jobs = len(self._order)
         counts = Counter(rec["kind"] for rec in self.event_log)
         admitted = counts["subjob_start"]
-        created = counts["subjob_created"]
 
         frag_loss = 0.0
         if denom > 0 and self.queue_intervals:
@@ -1010,7 +985,8 @@ class _Engine:
             oom_violation_rate=counts["oom_kill"] / admitted if admitted else None,
             fragmentation_loss=frag_loss,
             jain_fairness=jain_index(per_tenant),
-            admission_disagreement=self.frag_disagreements / created if created else None,
+            # Constant: every fragment is sized on the envelope admission reads.
+            admission_disagreement=0.0 if counts["subjob_created"] else None,
             completed_jobs=counts["job_completed"],
             admitted_subjobs=admitted,
             oom_kills=counts["oom_kill"],

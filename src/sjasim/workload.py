@@ -209,7 +209,6 @@ class SubJob:
     work_to: float = 1.0
     predicted_peak_mb: float = 0.0
     admission_probability: float = 1.0
-    methods_disagree: bool = False  # envelope peak above capacity; never true from materialize
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.work_from < self.work_to <= 1.0:

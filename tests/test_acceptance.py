@@ -60,7 +60,7 @@ def test_criterion_01_memory_risk_calibration():
         "ensembles carry 200 runs": all(
             e.n_runs == 200 for e in scenario.ensembles.values()
         ),
-        "eps is 0.05": cfg.eps == 0.05,
+        "eps is 0.05": cfg.risk.eps == 0.05,
         ">= 1000 admitted subjobs": admitted >= 1000,
         "violation rate <= 0.07": kills / admitted <= 0.05 + 0.02,
         "<= 60 s per seed": slowest <= 60.0,
@@ -268,7 +268,7 @@ def test_criterion_07_deadline_violations_bounded():
             violations += finish > deadlines[job_id] + 1e-6
     verdict(7, "deadline admission risk", {
         "workload has 100 jobs": len(scenario.jobs) == 100,
-        "alpha_t is 0.05": cfg.alpha_t == 0.05,
+        "alpha_t is 0.05": cfg.risk.alpha_t == 0.05,
         "completions observed": completed > 0,
         "violation fraction <= 0.08": violations / completed <= 0.05 + 0.03,
     })

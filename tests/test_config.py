@@ -39,7 +39,7 @@ class TestSetKey:
         set_key(cfg, "engine.n_historical_runs", "none")
         set_key(cfg, "run.seeds", "0,1,2")
         sim = cfg.to_sim_config()
-        assert sim.eps == 0.1 and sim.gpus == 4
+        assert sim.risk.eps == 0.1 and sim.gpus == 4
         assert sim.slices_per_gpu == (20480, 10240)
         assert sim.online_correction is False
         assert sim.n_historical_runs is None
@@ -82,7 +82,7 @@ class TestParseText:
         risk.eps = 0.12
         """
         sim = parse_config_text(text).to_sim_config()
-        assert sim.eps == 0.12  # later lines win
+        assert sim.risk.eps == 0.12  # later lines win
         assert sim.gpus == 2
 
     def test_line_numbers_in_errors(self):
@@ -167,7 +167,7 @@ class TestResolveRoundTrip:
         echo = resolve(cfg)
         back = parse_config_text(echo)
         # no precision lost through the echo
-        assert back.to_sim_config().eps == cfg.to_sim_config().eps == 0.1
+        assert back.to_sim_config().risk.eps == cfg.to_sim_config().risk.eps == 0.1
 
     def test_to_sim_config_carries_everything(self):
         cfg = RunConfig()
@@ -250,7 +250,7 @@ class TestGoldenEcho:
             "segmentation.tau_min_s = 4000\nsegmentation.tau_max_s = 5000\n"
         )
         cfg.validate()
-        assert cfg.to_sim_config().tau_min_s == 4000.0
+        assert cfg.to_sim_config().seg.tau_min_s == 4000.0
 
 
 class TestKeyCoverage:

@@ -197,7 +197,7 @@ def mint(job, win, risk=RISK, seg=SEG, start=None):
     if isinstance(plan, PlanRefusal):
         return plan
     offer = advertise([win])[0]
-    return materialize(job, Grant(offer.offer_id, job.spec.job_id), win, plan, risk)
+    return materialize(job, Grant(offer.offer_id, job.spec.job_id), win, plan)
 
 
 class TestMaterialize:
@@ -265,7 +265,6 @@ class TestMaterialize:
             cap = s.slice_capacity_mb
             assert memory_admissible(prof, cap, window, risk.eps).admissible
             assert envelope_peak(prof, risk.eps, window) <= cap
-            assert not s.methods_disagree
         # The dry run plans all four fragments; materialize keeps three.
         assert len(plan_segments(job, win, CAT, risk, seg)) == 4
 
@@ -293,8 +292,8 @@ class TestMaterialize:
         self, runs, actual_len, eps, window, floor, start, seg
     ):
         # Segmentation sizes each fragment on the risk.eps envelope (raised by
-        # any demand floor), the curve methods_disagree reads, so the flag
-        # can never be set on a subjob that materialize mints.
+        # any demand floor), so no subjob that materialize mints peaks above
+        # its capacity on that curve.
         prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(eps,))
         spec = JobSpec("j1", "t0", 0.0, 1800.0, 40000.0)
         job = JobRuntime(spec=spec, profile=prof, actual=np.full(actual_len, 1000.0),
@@ -308,11 +307,10 @@ class TestMaterialize:
             window_s = (s.pos_from_s, s.pos_to_s - H)
             assert envelope_peak(prof, eps, window_s) <= s.slice_capacity_mb
             assert memory_admissible(prof, s.slice_capacity_mb, window_s, eps).admissible
-            assert not s.methods_disagree
 
     def test_grant_for_other_job_rejected(self):
         job = make_job()
         win = ExecutionWindow("g0s0", 10240, 0.0, 600.0)
         plan = plan_segments(job, win, CAT, RISK, SEG)
         with pytest.raises(ValueError):
-            materialize(job, Grant("offer-000000", "imposter"), win, plan, RISK)
+            materialize(job, Grant("offer-000000", "imposter"), win, plan)

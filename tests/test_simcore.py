@@ -17,6 +17,7 @@ from sjasim.simcore import (
     run,
 )
 from sjasim.scenarios import SCENARIO_BUILDERS
+from sjasim.segmentation import SegmentationConfig
 from sjasim.workload import JobSpec, Phase, PhaseModel, synth_ensemble
 
 H = 60.0
@@ -121,7 +122,7 @@ class TestEmptyAndDegenerate:
     )
     def test_non_finite_segmentation_config_rejected(self, name):
         with pytest.raises(ValueError, match=name):
-            SimConfig(**{name: math.inf})
+            SimConfig(seg=SegmentationConfig(**{name: math.inf}))
 
     def test_infinite_max_wait_allowed(self):
         assert SimConfig(max_wait_s=math.inf).max_wait_s == math.inf
@@ -289,6 +290,27 @@ class TestPreemptMigrate:
         pre = [(r["t"], r["victim"], r["by"]) for r in log if r["kind"] == "preemption"]
         assert pre[:2] == [(600.0, "lo-a", "hi-a"), (600.0, "lo-b", "hi-b")]
         assert rpt.completed_jobs == 4
+
+    def test_kill_queued_for_a_preempted_unit_is_dropped(self):
+        # lo's actual run climbs past its 10240 MB slice at 1800 s, so its
+        # unit starts with an oom_kill queued for then. hi preempts that unit
+        # at 600 s; the queued kill then finds no unit and must log nothing.
+        model = flat_model(3600.0, 8000.0)
+        ens = {"m": synth_ensemble(model, 4, 0.0, seed=[1], grid_step=H)}
+        jobs = [
+            JobSpec(job_id, "t0", arrival, 3600.0, 9000.0, priority=prio, ensemble_key="m")
+            for job_id, arrival, prio in (("lo", 0.0, 0), ("hi", 600.0, 1))
+        ]
+        lo_truth = np.full(61, 8000.0)
+        lo_truth[30:] = 12000.0
+        scn = Scenario(jobs, ens, truths={"lo": lo_truth, "hi": np.full(61, 8000.0)})
+        cfg = SimConfig(gpus=1, slices_per_gpu=(10240,))
+        rpt, log = run(scn, "preempt_migrate", cfg, seed=0)
+        pre = [(r["t"], r["unit"], r["victim"]) for r in log if r["kind"] == "preemption"]
+        assert pre == [(600.0, "lo-p0", "lo")]
+        assert "lo-p0" not in {r["unit"] for r in log if r["kind"] == "oom_kill"}
+        ends = [r["job"] for r in log if r["kind"] in ("job_completed", "job_rejected")]
+        assert sorted(ends) == ["hi", "lo"]
 
 
 class TestChainedGrants:
