@@ -9,7 +9,7 @@ often a window would have stayed under a candidate capacity.
 """
 import numpy as np
 
-from sjasim.profiles import build_profile, envelope_peak, memory_admissible
+from sjasim.profiles import RiskParams, build_profile, envelope_peak, memory_admissible
 from sjasim.workload import Phase, PhaseModel, synth_ensemble
 
 # A model with a warmup ramp into a noisy steady phase, sampled every 60 s.
@@ -38,7 +38,7 @@ print(f"envelope peak over [600 s, 1800 s): {peak:.0f} MB")
 # every grid point separately yet can fail jointly, which is why admission
 # is joint; the peak comparison only flags where the two disagree.
 for cap in (9500.0, 10500.0, 10800.0):
-    joint = memory_admissible(profile, cap, (600.0, 1800.0), 0.05)
+    joint = memory_admissible(profile, cap, (600.0, 1800.0), RiskParams(eps=0.05))
     print(f"capacity {cap:>7.0f} MB: joint p={joint.probability:.3f} "
           f"{'admit' if joint.admissible else 'deny '}   "
           f"peak {'<=' if peak <= cap else '> '} capacity")

@@ -52,7 +52,7 @@ for s in signals:
 # 3. A policy picks among interested jobs; fifo takes the earliest arrival.
 #    It reads each candidate's arrival, priority, deadline, tenant and
 #    profile from the job itself.
-ctx = SelectionContext(now=60.0, alpha_t=0.05, jobs={j.spec.job_id: j for j in jobs})
+ctx = SelectionContext(now=60.0, risk=risk, jobs={j.spec.job_id: j for j in jobs})
 grant = grant_offer(offer, signals, GrantPolicy(kind="fifo"), TenantLedger({}), ctx)
 print(f"granted to {grant.job_id}")
 

@@ -7,7 +7,7 @@ make its deadline with acceptable risk?) and a choice among the screened
 candidates (fifo, priority, earliest deadline, or fair token spending).
 """
 from sjasim.policies import jain_index
-from sjasim.profiles import deadline_admissible
+from sjasim.profiles import RiskParams, deadline_admissible
 from sjasim.scenarios import make_two_tenant_scenario
 from sjasim.simcore import run
 
@@ -19,7 +19,7 @@ model = PhaseModel(phases=(Phase("steady", 2400.0, 8000.0, 300.0),))
 profile = build_profile(synth_ensemble(model, 200, 0.15, seed=[7]))
 for deadline in (2000.0, 2600.0, 3200.0):
     d = deadline_admissible(profile, remaining_work_fraction=1.0,
-                            deadline_from_now=deadline, alpha_t=0.05)
+                            deadline_from_now=deadline, risk=RiskParams(alpha_t=0.05))
     print(f"deadline in {deadline:>6.0f} s: p(make it)={d.probability:.3f} "
           f"-> {'admit' if d.admissible else 'reject'}")
 

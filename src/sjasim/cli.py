@@ -11,16 +11,13 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, load_config, normalize_scheduler, resolve, set_key
 from .profiles import ProfileError
-from .simcore import MetricsReport, Scenario, SimulationTimeout, compare, run
+from .simcore import MetricsReport, Scenario, SimulationTimeout, compare, mean_sd, run
 from .workload import ScenarioError
 
 __all__ = ["main"]
@@ -173,9 +170,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, raw_values: list[str]) -> int:
             for m in metric_names:
                 runs_lines.append(f"{axis},{raw},{seed},{m},{_fmt(by_seed[seed][m])}")
         for m in metric_names:
-            vals = [by_seed[s][m] for s in sorted(by_seed) if not math.isnan(by_seed[s][m])]
-            mean = float(np.mean(vals)) if vals else float("nan")
-            sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+            mean, sd = mean_sd([by_seed[s][m] for s in sorted(by_seed)])
             table_lines.append(f"{axis},{raw},{m},{_fmt(mean)},{_fmt(sd)}")
     _write(out / "sweep_runs.csv", "\n".join(runs_lines) + "\n")
     _write(out / "sweep.csv", "\n".join(table_lines) + "\n")

@@ -62,13 +62,6 @@ class SliceCatalog:
     def __contains__(self, capacity: int) -> bool:
         return capacity in self.capacities_mb
 
-    def smallest_covering(self, demand_mb: float) -> int | None:
-        """Smallest capacity >= demand_mb, or None when nothing covers it."""
-        for c in self.capacities_mb:
-            if c >= demand_mb:
-                return c
-        return None
-
 
 DEFAULT_CATALOG = SliceCatalog()
 
@@ -87,9 +80,6 @@ class SliceInstance:
         self.slice_id = slice_id
         self.capacity_mb = capacity_mb
         self.reservations: list[Reservation] = []  # sorted by start
-
-    def __repr__(self) -> str:
-        return f"SliceInstance({self.slice_id}, {self.capacity_mb} MB, {len(self.reservations)} res)"
 
     def reserve(self, start: float, end: float, owner: str) -> Reservation:
         if not end > start:

@@ -158,9 +158,6 @@ class RunConfig:
         assert self.scheduler in SCHEDULERS
         if not self.seeds:
             raise ConfigError("run.seeds must name at least one seed")
-        for key in ("risk.eps", "risk.alpha_t"):
-            if not 0.0 < self.engine[key] < 1.0:
-                raise ConfigError(f"{key} must lie in (0, 1)")
         try:
             self.to_sim_config()
         except ValueError as exc:

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .profiles import deadline_admissible
+from .profiles import RiskParams, deadline_admissible
 
 if TYPE_CHECKING:  # protocol imports this module; keep the cycle type-only
     from .protocol import InterestSignal, Offer
@@ -80,7 +80,7 @@ class SelectionContext:
     id, start); each holds while `now` and the profiles stay fixed, as in a round."""
 
     now: float
-    alpha_t: float
+    risk: RiskParams
     jobs: dict[str, JobRuntime]
     starts: dict[str, float] = field(default_factory=dict)
     reachable: dict[tuple[str, float], bool] = field(default_factory=dict)
@@ -97,7 +97,7 @@ def select(
 
     fifo: earliest arrival. priority: highest priority first. edf: earliest
     deadline among jobs whose deadline is still probabilistically reachable
-    (deadline_admissible at alpha_t on the work left from the job's start,
+    (deadline_admissible at ctx.risk on the work left from the job's start,
     screened once per (job, start) and kept in ctx.reachable); jobs without
     deadlines rank last and jobs with unreachable deadlines are skipped.
     fair_tokens: among tenants whose budget covers the offer, the one with
@@ -131,7 +131,7 @@ def select(
                     job.profile,
                     1.0 - job.fraction_at(start),
                     deadline - ctx.now,
-                    ctx.alpha_t,
+                    ctx.risk,
                 ).admissible
             if ok:
                 with_deadline.append(j)
@@ -141,20 +141,18 @@ def select(
             return min(free, key=fifo_key)
         return None
 
-    if policy.kind == "fair_tokens":
-        if ledger is None:
-            raise ValueError("fair_tokens needs a tenant ledger")
-        cost = offer_cost_tokens(offer, policy.cost_rate)
-        affordable = [j for j, spec in specs.items() if ledger.can_afford(spec.tenant_id, cost)]
-        if not affordable:
-            return None
-        richest = max(
-            {specs[j].tenant_id for j in affordable},
-            key=lambda t: (ledger.remaining(t), t),
-        )
-        return min((j for j in affordable if specs[j].tenant_id == richest), key=fifo_key)
-
-    raise ValueError(f"unknown policy kind {policy.kind!r}")
+    # fair_tokens: GrantPolicy admits no other kind.
+    if ledger is None:
+        raise ValueError("fair_tokens needs a tenant ledger")
+    cost = offer_cost_tokens(offer, policy.cost_rate)
+    affordable = [j for j, spec in specs.items() if ledger.can_afford(spec.tenant_id, cost)]
+    if not affordable:
+        return None
+    richest = max(
+        {specs[j].tenant_id for j in affordable},
+        key=lambda t: (ledger.remaining(t), t),
+    )
+    return min((j for j in affordable if specs[j].tenant_id == richest), key=fifo_key)
 
 
 def jain_index(service: list[float] | dict[str, float]) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -158,10 +158,10 @@ class FunctionalProfile:
         return len(self.median_curve)
 
     def envelope(self, eps: float) -> np.ndarray:
-        """Pointwise (1 - eps)-quantile curve times inflation; cached on demand."""
-        _check_eps(eps)
+        """Pointwise (1 - eps)-quantile curve times inflation; checked and cached on first use."""
         key = float(eps)
         if key not in self.envelope_cache:
+            _check_eps(key)
             self.envelope_cache[key] = self.inflation * _column_quantiles(
                 np.sort(self.source.padded_matrix(), axis=0), self.support, 1.0 - key
             )
@@ -170,18 +170,20 @@ class FunctionalProfile:
 
 @dataclass(frozen=True)
 class RiskParams:
-    """Risk tolerances: eps for memory exceedance, alpha_t for deadline miss."""
+    """Risk tolerances: eps for memory exceedance, alpha_t for deadline miss.
+    Range-checked here only; functions that take a RiskParams trust it."""
 
     eps: float = field(default=0.05, metadata={"key": "risk.eps"})
     alpha_t: float = field(default=0.05, metadata={"key": "risk.alpha_t"})
 
     def __post_init__(self) -> None:
-        _check_eps(self.eps)
-        if not 0.0 < self.alpha_t < 1.0:
-            raise ProfileError("alpha_t must lie in (0, 1)")
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < 1.0:
+                raise ProfileError(f"{f.metadata['key']} must lie in (0, 1)")
 
 
 def _check_eps(eps: float) -> None:
+    """A bare eps level, checked where it becomes an envelope cache key."""
     if not 0.0 < eps < 1.0:
         raise ProfileError("eps must lie in (0, 1)")
 
@@ -277,7 +279,7 @@ def envelope_peak(
     Windows reaching beyond the profile horizon are clamped to it. A peak at
     or below a capacity bounds exceedance pointwise at every grid point, but
     not jointly over the window, so it is more permissive than
-    memory_admissible; materialize compares the two.
+    memory_admissible, the rule planning admits by.
     """
     curve = profile.envelope(eps)
     lo, hi = grid_indices(window, profile.grid_step, profile.n_points)
@@ -294,7 +296,7 @@ def memory_admissible(
     profile: FunctionalProfile,
     capacity_mb: float,
     window: tuple[float, float],
-    eps: float,
+    risk: RiskParams,
 ) -> AdmissionDecision:
     """Decide whether running over `window` at capacity_mb meets risk eps.
 
@@ -304,7 +306,6 @@ def memory_admissible(
     1 - eps. profile.exceedance_index[capacity_mb][r, j] is the first grid
     index k >= j where run r exceeds capacity (the width if none; int32).
     """
-    _check_eps(eps)
     lo, hi = grid_indices(window, profile.grid_step, profile.n_points)
     nxt = profile.exceedance_index.get(capacity_mb)
     if nxt is None:
@@ -316,14 +317,14 @@ def memory_admissible(
         profile.exceedance_index[capacity_mb] = nxt
     failures = int(np.count_nonzero(nxt[:, lo] <= hi))
     prob = (len(nxt) - failures) / len(nxt)
-    return AdmissionDecision(prob >= 1.0 - eps, prob)
+    return AdmissionDecision(prob >= 1.0 - risk.eps, prob)
 
 
 def deadline_admissible(
     profile: FunctionalProfile,
     remaining_work_fraction: float,
     deadline_from_now: float,
-    alpha_t: float,
+    risk: RiskParams,
 ) -> AdmissionDecision:
     """Screen a deadline: fraction of scaled runtime samples within it.
 
@@ -331,13 +332,11 @@ def deadline_admissible(
     admit when at least 1 - alpha_t of the samples finish by the deadline.
     A non-positive deadline admits nothing unless samples are themselves 0.
     """
-    if not 0.0 < alpha_t < 1.0:
-        raise ProfileError("alpha_t must lie in (0, 1)")
     if not 0.0 <= remaining_work_fraction <= 1.0:
         raise ProfileError("remaining_work_fraction must lie in [0, 1]")
     scaled = profile.runtime_samples * remaining_work_fraction
     prob = int(np.count_nonzero(scaled <= deadline_from_now)) / len(scaled)
-    return AdmissionDecision(prob >= 1.0 - alpha_t, prob)
+    return AdmissionDecision(prob >= 1.0 - risk.alpha_t, prob)
 
 
 def refresh_profile(

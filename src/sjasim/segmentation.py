@@ -27,7 +27,6 @@ __all__ = [
     "FragmentPlan",
     "PlanRefusal",
     "segment_window",
-    "smooth_envelope",
     "plan_waste",
     "plan_segments",
 ]
@@ -91,16 +90,10 @@ class Fragment:
         return self.end_idx - self.start_idx
 
 
-def smooth_envelope(envelope: np.ndarray, grid_step: float, smoothing_window_s: float) -> np.ndarray:
+def _sliding_max(x: list[float], grid_step: float, smoothing_window_s: float) -> list[float]:
     """Centered sliding maximum of total width ~smoothing_window_s, clamped
     at both ends. Never below the raw envelope, so smoothing only ever adds
-    safety margin. segment_window smooths a plain list the same way.
-    """
-    x = np.asarray(envelope, dtype=float).tolist()
-    return np.array(_sliding_max(x, grid_step, smoothing_window_s), dtype=float)
-
-
-def _sliding_max(x: list[float], grid_step: float, smoothing_window_s: float) -> list[float]:
+    safety margin."""
     # `half` passes of a clamped 3-sample max reach `half` samples each way;
     # after len(x) - 1 passes every sample holds the maximum.
     half = int(round(smoothing_window_s / (2.0 * grid_step)))
@@ -359,7 +352,7 @@ def _plan(
         peak = max(u[f.start_idx : f.end_idx])
         # Fragment samples are [start, end): query the inclusive grid window
         # [pos_from, pos_to - h] so admission sees exactly those samples.
-        decision = memory_admissible(profile, f.capacity_mb, (pos_from, pos_to - h), risk.eps)
+        decision = memory_admissible(profile, f.capacity_mb, (pos_from, pos_to - h), risk)
         if not decision.admissible:
             break
         plans.append(

@@ -70,7 +70,7 @@ from .protocol import (
     materialize,
 )
 from .segmentation import SegmentationConfig
-from .workload import JobRuntime, JobSpec, SubJob, generate_trajectory
+from .workload import JobRuntime, JobSpec, ScenarioError, SubJob, generate_trajectory
 
 __all__ = [
     "SCHEDULERS",
@@ -81,6 +81,7 @@ __all__ = [
     "MetricsReport",
     "ComparisonResult",
     "draw_actual_runs",
+    "mean_sd",
     "run",
     "compare",
 ]
@@ -120,15 +121,23 @@ class SimulationTimeout(RuntimeError):
 class Scenario:
     """A workload: job specs plus the historical ensembles they reference.
 
-    Every job must name an ensemble (its profile source); `truths` may pin
-    explicit ground-truth trajectories for individual jobs, overriding the
-    seeded draw.
+    Every job must name a known ensemble (its profile source), and all
+    ensembles share one grid step; `truths` may pin explicit ground-truth
+    trajectories for individual jobs, overriding the seeded draw.
     """
 
     jobs: list[JobSpec]
     ensembles: dict[str, TrajectoryEnsemble]
     truths: dict[str, np.ndarray] = field(default_factory=dict)
     name: str = "scenario"
+
+    def __post_init__(self) -> None:
+        steps = {e.grid_step for e in self.ensembles.values()}
+        if len(steps) > 1:
+            raise ScenarioError(f"mixed ensemble grid steps {sorted(steps)}")
+        for spec in self.jobs:
+            if spec.ensemble_key not in self.ensembles:
+                raise ScenarioError(f"{spec.job_id}: unknown ensemble {spec.ensemble_key!r}")
 
     @classmethod
     def from_file(cls, path) -> "Scenario":
@@ -222,8 +231,6 @@ def draw_actual_runs(
         if spec.job_id in scenario.truths:
             out[spec.job_id] = np.asarray(scenario.truths[spec.job_id], dtype=float)
             continue
-        if spec.ensemble_key is None or spec.ensemble_key not in scenario.ensembles:
-            raise ValueError(f"{spec.job_id}: no ensemble for ground-truth draw")
         ens = scenario.ensembles[spec.ensemble_key]
         rng = np.random.default_rng([seed, _ACTUAL_STREAM, idx])
         if spec.generator is not None:
@@ -323,10 +330,8 @@ class _Engine:
         )
         self.ledger = TenantLedger(cfg.policy.token_budgets)
 
-        steps = {e.grid_step for e in scenario.ensembles.values()}
-        if len(steps) > 1:
-            raise ValueError(f"mixed ensemble grid steps {sorted(steps)}")
-        self.h = steps.pop() if steps else 1.0
+        # Scenario checked that every ensemble has this one grid step.
+        self.h = next((e.grid_step for e in scenario.ensembles.values()), 1.0)
 
         self.profiles = {
             key: self._initial_profile(ens) for key, ens in scenario.ensembles.items()
@@ -336,8 +341,6 @@ class _Engine:
         self._index: dict[str, int] = {}
         self.jobs: dict[str, JobRuntime] = {}
         for spec in scenario.jobs:
-            if spec.ensemble_key not in self.profiles:
-                raise ValueError(f"{spec.job_id}: unknown ensemble {spec.ensemble_key!r}")
             job = JobRuntime(
                 spec=spec,
                 profile=self.profiles[spec.ensemble_key],
@@ -762,7 +765,7 @@ class _Engine:
             gaps.sort(key=lambda w: (w.start, -w.duration, w.slice_id))
             offers = advertise(gaps, self._offer_seq)
             self._offer_seq += len(offers)
-            ctx = SelectionContext(self.now, self.cfg.risk.alpha_t, self.jobs)
+            ctx = SelectionContext(self.now, self.cfg.risk, self.jobs)
             for offer in offers:
                 self._log(
                     "offer_issued",
@@ -1057,23 +1060,17 @@ class ComparisonResult:
             for r in reps:
                 for k, v in r.scalars().items():
                     cols.setdefault(k, []).append(v)
-            row = {}
-            for k, vs in cols.items():
-                clean = [v for v in vs if not math.isnan(v)]
-                if not clean:
-                    row[k] = (float("nan"), 0.0)
-                else:
-                    mean = sum(clean) / len(clean)
-                    sd = (
-                        math.sqrt(
-                            sum((v - mean) ** 2 for v in clean) / (len(clean) - 1)
-                        )
-                        if len(clean) > 1
-                        else 0.0
-                    )
-                    row[k] = (mean, sd)
-            out[sched] = row
+            out[sched] = {k: mean_sd(vs) for k, vs in cols.items()}
         return out
+
+
+def mean_sd(values: list[float]) -> tuple[float, float]:
+    """(mean, sample sd) of the non-nan values; (nan, 0) when none, sd 0 for one."""
+    clean = [v for v in values if not math.isnan(v)]
+    if not clean:
+        return float("nan"), 0.0
+    mean = sum(clean) / len(clean)
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in clean) / max(len(clean) - 1, 1))
 
 
 def compare(

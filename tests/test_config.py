@@ -108,6 +108,10 @@ class TestValidate:
         with pytest.raises(ConfigError, match="risk.eps"):
             cfg.validate()
         cfg = RunConfig()
+        set_key(cfg, "risk.alpha_t", "1.0")
+        with pytest.raises(ConfigError, match="risk.alpha_t"):
+            cfg.validate()
+        cfg = RunConfig()
         cfg.seeds = ()
         with pytest.raises(ConfigError, match="seeds"):
             cfg.validate()

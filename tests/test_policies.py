@@ -14,7 +14,7 @@ from sjasim.policies import (
     offer_cost_tokens,
     select,
 )
-from sjasim.profiles import TrajectoryEnsemble, build_profile
+from sjasim.profiles import RiskParams, TrajectoryEnsemble, build_profile
 from sjasim.protocol import InterestSignal, Offer
 from sjasim.workload import JobRuntime, JobSpec
 
@@ -36,7 +36,7 @@ ACTUAL = np.zeros(31)  # a 1800 s ground-truth run; policies read only its lengt
 
 
 def ctx(arrivals=None, priorities=None, deadlines=None, tenants=None,
-        remaining=None, profiles=None, now=0.0, alpha_t=0.05, starts=None):
+        remaining=None, profiles=None, now=0.0, risk=RiskParams(), starts=None):
     """A context over one JobRuntime per arrival key; `remaining` sets each
     job's position_s to leave that fraction of its run."""
     jobs = {}
@@ -47,7 +47,7 @@ def ctx(arrivals=None, priorities=None, deadlines=None, tenants=None,
         position = (1.0 - (remaining or {}).get(j, 1.0)) * 1800.0
         jobs[j] = JobRuntime(spec=spec, profile=(profiles or {}).get(j) or flat_profile(),
                              actual=ACTUAL, grid_step=60.0, position_s=position)
-    return SelectionContext(now, alpha_t, jobs, dict(starts or {}))
+    return SelectionContext(now, risk, jobs, dict(starts or {}))
 
 
 class TestFifoAndPriority:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from sjasim import profiles as pf
 
+RISK = pf.RiskParams()  # eps = alpha_t = 0.05
+
 
 def oracle_quantile(values, q):
     """ceil(q*n)-th order statistic by explicit sort-and-index."""
@@ -149,16 +151,16 @@ class TestMemoryAdmissible:
         # 93 runs stay at 10, 7 spike to 50 inside the window: prob 0.93.
         runs = [[10.0, 10.0, 10.0] for _ in range(93)] + [[10.0, 50.0, 10.0] for _ in range(7)]
         prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.05,))
-        d = pf.memory_admissible(prof, 40.0, (0.0, 120.0), eps=0.05)
+        d = pf.memory_admissible(prof, 40.0, (0.0, 120.0), RISK)
         assert d.probability == 0.93 and not d.admissible
-        d10 = pf.memory_admissible(prof, 40.0, (0.0, 120.0), eps=0.10)
+        d10 = pf.memory_admissible(prof, 40.0, (0.0, 120.0), pf.RiskParams(eps=0.10))
         assert d10.admissible
         assert oracle_joint([np.asarray(r) for r in runs], 0, 2, 40.0) == 0.93
 
     def test_finished_runs_count_as_success(self):
         runs = [[10.0], [10.0, 99.0]]
         prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.4,))
-        d = pf.memory_admissible(prof, 50.0, (60.0, 60.0), eps=0.4)
+        d = pf.memory_admissible(prof, 50.0, (60.0, 60.0), pf.RiskParams(eps=0.4))
         assert d.probability == 0.5
 
     def test_joint_matches_oracle_randomized(self):
@@ -171,7 +173,7 @@ class TestMemoryAdmissible:
             lo = int(rng.integers(0, max_len))
             hi = int(rng.integers(lo, max_len))
             cap = float(rng.uniform(0, 110))
-            d = pf.memory_admissible(prof, cap, (lo * 30.0, hi * 30.0), eps=0.1)
+            d = pf.memory_admissible(prof, cap, (lo * 30.0, hi * 30.0), pf.RiskParams(eps=0.1))
             assert d.probability == pytest.approx(oracle_joint(runs, lo, hi, cap), abs=0)
 
     def test_envelope_method_admits_what_joint_rejects(self):
@@ -185,9 +187,29 @@ class TestMemoryAdmissible:
             runs.append(r)
         prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.05,))
         window = (0.0, (length - 1) * 60.0)
-        joint = pf.memory_admissible(prof, 10240.0, window, 0.05)
+        joint = pf.memory_admissible(prof, 10240.0, window, RISK)
         assert pf.envelope_peak(prof, 0.05, window) <= 10240.0
         assert not joint.admissible and joint.probability == 0.0
+
+
+class TestRiskLevels:
+    """RiskParams checks both levels by key; a bare eps level is checked
+    where it first becomes an envelope cache key."""
+
+    @pytest.mark.parametrize("name", ["eps", "alpha_t"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.1, math.nan])
+    def test_risk_params_names_the_key(self, name, value):
+        with pytest.raises(pf.ProfileError, match=f"risk.{name} must lie in"):
+            pf.RiskParams(**{name: value})
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5])
+    def test_a_bare_level_is_checked_on_its_way_into_a_cache(self, eps):
+        with pytest.raises(pf.ProfileError, match="eps must lie"):
+            pf.build_profile(make_ensemble([[1.0, 2.0], [3.0]]), eps_levels=(eps,))
+        prof = pf.build_profile(make_ensemble([[1.0, 2.0], [3.0]]))
+        with pytest.raises(pf.ProfileError, match="eps must lie"):
+            prof.envelope(eps)
+        assert list(prof.envelope_cache) == [0.05]
 
 
 class TestDeadlineAdmissible:
@@ -196,21 +218,21 @@ class TestDeadlineAdmissible:
         durations = [100.0] * 93 + [1000.0] * 7
         runs = [np.zeros(int(d / 10.0) + 1) for d in durations]
         prof = pf.build_profile(make_ensemble(runs, 10.0))
-        d = pf.deadline_admissible(prof, 1.0, 100.0, alpha_t=0.05)
+        d = pf.deadline_admissible(prof, 1.0, 100.0, RISK)
         assert d.probability == 0.93 and not d.admissible
-        assert pf.deadline_admissible(prof, 1.0, 100.0, alpha_t=0.10).admissible
+        assert pf.deadline_admissible(prof, 1.0, 100.0, pf.RiskParams(alpha_t=0.10)).admissible
 
     def test_scaling_by_remaining_fraction(self):
         runs = [np.zeros(11), np.zeros(21)]  # durations 100 and 200 at step 10
         prof = pf.build_profile(make_ensemble(runs, 10.0))
-        assert pf.deadline_admissible(prof, 0.5, 60.0, 0.4).probability == 0.5
-        assert pf.deadline_admissible(prof, 0.5, 100.0, 0.4).probability == 1.0
+        assert pf.deadline_admissible(prof, 0.5, 60.0, pf.RiskParams(alpha_t=0.4)).probability == 0.5
+        assert pf.deadline_admissible(prof, 0.5, 100.0, pf.RiskParams(alpha_t=0.4)).probability == 1.0
 
     def test_nonpositive_deadline(self):
         runs = [np.zeros(3), np.zeros(5)]
         prof = pf.build_profile(make_ensemble(runs, 10.0))
-        assert not pf.deadline_admissible(prof, 1.0, -5.0, 0.05).admissible
-        assert pf.deadline_admissible(prof, 0.0, 0.0, 0.05).admissible
+        assert not pf.deadline_admissible(prof, 1.0, -5.0, RISK).admissible
+        assert pf.deadline_admissible(prof, 0.0, 0.0, RISK).admissible
 
 
 class TestScreenProbabilityFormula:
@@ -229,7 +251,7 @@ class TestScreenProbabilityFormula:
         prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.05,))
         hi = min(lo + width, prof.n_points - 1)
         lo = min(lo, hi)
-        got = pf.memory_admissible(prof, float(capacity), (lo * 60.0, hi * 60.0), 0.05)
+        got = pf.memory_admissible(prof, float(capacity), (lo * 60.0, hi * 60.0), RISK)
         assert type(got.probability) is float
         assert got.probability == mean_of_mask(runs, lo, hi, capacity)
 
@@ -242,7 +264,7 @@ class TestScreenProbabilityFormula:
     def test_deadline_admissible_equals_mean_of_mask(self, lengths, fraction, deadline):
         prof = pf.build_profile(make_ensemble([np.zeros(n) for n in lengths]))
         mask = prof.runtime_samples * fraction <= deadline
-        got = pf.deadline_admissible(prof, fraction, deadline, alpha_t=0.05)
+        got = pf.deadline_admissible(prof, fraction, deadline, RISK)
         assert type(got.probability) is float
         assert got.probability == float(np.mean(mask))
 
@@ -267,7 +289,7 @@ class TestScreenProbabilityFormula:
         segment = prof.source.padded_matrix()[:, a : b + 1]
         maxes = np.where(np.isnan(segment), -np.inf, segment).max(axis=1)
         prob = int(np.count_nonzero(maxes <= capacity)) / len(maxes)
-        got = pf.memory_admissible(prof, float(capacity), window, eps)
+        got = pf.memory_admissible(prof, float(capacity), window, pf.RiskParams(eps=eps))
         assert type(got.probability) is float
         assert got == pf.AdmissionDecision(prob >= 1.0 - eps, prob)
 
@@ -280,7 +302,7 @@ class TestExceedanceIndex:
     @staticmethod
     def check(prof, runs, capacity, lo, width):
         hi = min(lo + width, prof.n_points - 1)
-        got = pf.memory_admissible(prof, capacity, (lo * 60.0, (lo + width) * 60.0), 0.05)
+        got = pf.memory_admissible(prof, capacity, (lo * 60.0, (lo + width) * 60.0), RISK)
         assert got.probability == mean_of_mask(runs, min(lo, hi), hi, capacity)
 
     @settings(max_examples=150, deadline=None)
@@ -309,13 +331,13 @@ class TestExceedanceIndex:
 
     def test_single_run_profile_and_window_past_the_horizon(self):
         prof = pf.single_run_profile(np.array([1.0, 5.0, 2.0]), 60.0)
-        assert pf.memory_admissible(prof, 4.0, (0.0, 60.0), 0.05).probability == 0.0
+        assert pf.memory_admissible(prof, 4.0, (0.0, 60.0), RISK).probability == 0.0
         # Past the horizon the window clamps to the last grid point (2.0).
-        assert pf.memory_admissible(prof, 4.0, (120.0, 600.0), 0.05).probability == 1.0
+        assert pf.memory_admissible(prof, 4.0, (120.0, 600.0), RISK).probability == 1.0
         new = pf.refresh_profile(prof, np.array([1.0, 1.0, 1.0, 1.0, 9.0]))
         # Column 4 holds only the new run's 9.0; the first run has ended.
-        assert pf.memory_admissible(new, 4.0, (300.0, 900.0), 0.05).probability == 0.5
-        assert pf.memory_admissible(prof, 4.0, (300.0, 900.0), 0.05).probability == 1.0
+        assert pf.memory_admissible(new, 4.0, (300.0, 900.0), RISK).probability == 0.5
+        assert pf.memory_admissible(prof, 4.0, (300.0, 900.0), RISK).probability == 1.0
         assert new.exceedance_index.keys() == prof.exceedance_index.keys() == {4.0}
         assert new.exceedance_index[4.0].dtype == np.int32
 

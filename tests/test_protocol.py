@@ -44,7 +44,7 @@ def make_job(job_id="j1", level=8000.0, n=31, work=1800.0, declared=9000.0,
 
 
 def ctx_for(jobs, now=0.0):
-    return SelectionContext(now, 0.05, {j.spec.job_id: j for j in jobs})
+    return SelectionContext(now, RISK, {j.spec.job_id: j for j in jobs})
 
 
 class TestAdvertise:
@@ -263,7 +263,7 @@ class TestMaterialize:
         for s in subjobs:
             window = (s.pos_from_s, s.pos_to_s - H)
             cap = s.slice_capacity_mb
-            assert memory_admissible(prof, cap, window, risk.eps).admissible
+            assert memory_admissible(prof, cap, window, risk).admissible
             assert envelope_peak(prof, risk.eps, window) <= cap
         # The dry run plans all four fragments; materialize keeps three.
         assert len(plan_segments(job, win, CAT, risk, seg)) == 4
@@ -306,7 +306,7 @@ class TestMaterialize:
         for s in out if isinstance(out, tuple) else ():  # skip refused plans
             window_s = (s.pos_from_s, s.pos_to_s - H)
             assert envelope_peak(prof, eps, window_s) <= s.slice_capacity_mb
-            assert memory_admissible(prof, s.slice_capacity_mb, window_s, eps).admissible
+            assert memory_admissible(prof, s.slice_capacity_mb, window_s, risk).admissible
 
     def test_grant_for_other_job_rejected(self):
         job = make_job()

@@ -21,12 +21,13 @@ from sjasim.segmentation import (
     InfeasiblePlan,
     PlanRefusal,
     SegmentationConfig,
+    _sliding_max,
     plan_segments,
     plan_waste,
     segment_window,
-    smooth_envelope,
 )
 from sjasim.workload import JobRuntime, JobSpec
+from test_cluster import smallest_covering
 
 CAT = SliceCatalog()  # 5/10/20/40 GB
 H = 60.0
@@ -39,6 +40,12 @@ def cfg(delta, tau_min=300.0, tau_max=3600.0, smooth=0.0):
         smoothing_window_s=smooth,
         hysteresis_delta=delta,
     )
+
+
+def smooth_envelope(envelope, grid_step, smoothing_window_s):
+    """segment_window's smoothing of `envelope`, as a float array."""
+    x = np.asarray(envelope, dtype=float).tolist()
+    return np.array(_sliding_max(x, grid_step, smoothing_window_s), dtype=float)
 
 
 def oracle_waste(env, frags):
@@ -231,14 +238,14 @@ def check_postconditions(env, offered, c, frags):
     for f in frags:
         assert tmin <= f.n_steps <= tmax
         peak = float(sm[f.start_idx:f.end_idx].max())
-        assert f.capacity_mb == CAT.smallest_covering(peak)
+        assert f.capacity_mb == smallest_covering(CAT, peak)
         assert f.capacity_mb <= offered
     # no profitable merge among adjacent survivors
     for a, b in zip(frags, frags[1:]):
         total = b.end_idx - a.start_idx
         if total > tmax:
             continue
-        cap = CAT.smallest_covering(float(sm[a.start_idx:b.end_idx].max()))
+        cap = smallest_covering(CAT, float(sm[a.start_idx:b.end_idx].max()))
         merged_waste = cap * total - float(sm[a.start_idx:b.end_idx].sum())
         pair_waste = (
             a.capacity_mb * a.n_steps - float(sm[a.start_idx:a.end_idx].sum())
@@ -264,7 +271,7 @@ class TestRandomizedPostconditions:
 
 
 class TestCoverOracle:
-    """Each fragment's capacity is catalog.smallest_covering of its smoothed
+    """Each fragment's capacity is smallest_covering of its smoothed
     max; samples equal to a catalog capacity must take that capacity."""
 
     @settings(max_examples=300, deadline=None)
@@ -285,7 +292,7 @@ class TestCoverOracle:
         smoothed = smooth_envelope(env, H, smooth)
         for f in frags:
             peak = float(smoothed[f.start_idx : f.end_idx].max())
-            assert f.capacity_mb == CAT.smallest_covering(peak)
+            assert f.capacity_mb == smallest_covering(CAT, peak)
             assert type(f.capacity_mb) is int
 
     def test_sample_equal_to_a_capacity_takes_that_capacity(self):

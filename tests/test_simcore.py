@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from sjasim.simcore import (
     SimulationTimeout,
     compare,
     draw_actual_runs,
+    mean_sd,
     run,
 )
 from sjasim.scenarios import SCENARIO_BUILDERS
 from sjasim.segmentation import SegmentationConfig
-from sjasim.workload import JobSpec, Phase, PhaseModel, synth_ensemble
+from sjasim.workload import JobSpec, Phase, PhaseModel, ScenarioError, synth_ensemble
 
 H = 60.0
 
@@ -106,6 +108,21 @@ class TestEmptyAndDegenerate:
         assert s["completed_jobs"] == 0 and s["admitted_subjobs"] == 0
         assert s["total_time_s"] == 0.0
         assert [r for r in log if r["kind"] == "subjob_created"] == []
+
+    def test_pinned_truth_with_an_unknown_ensemble_fails_at_construction(self):
+        # A pinned truth skips the ground-truth draw, so only the scenario's
+        # own check stands between this job and the engine.
+        ens = {"m": synth_ensemble(flat_model(600.0, 8000.0), 4, 0.0, seed=[1], grid_step=H)}
+        jobs = [JobSpec("j", "t0", 0.0, 600.0, 9000.0, ensemble_key="typo")]
+        with pytest.raises(ScenarioError, match="j: unknown ensemble 'typo'"):
+            Scenario(jobs, ens, truths={"j": np.full(11, 8000.0)})
+
+    def test_mixed_grid_steps_fail_at_construction(self):
+        model = flat_model(600.0, 8000.0)
+        ens = {f"m{h:.0f}": synth_ensemble(model, 4, 0.0, seed=[1], grid_step=h)
+               for h in (60.0, 30.0)}
+        with pytest.raises(ScenarioError, match=r"mixed ensemble grid steps \[30.0, 60.0\]"):
+            Scenario([], ens)
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):
@@ -382,6 +399,20 @@ class TestMaxWait:
 
 
 class TestCompare:
+    @pytest.mark.parametrize("values", [
+        [], [math.nan], [3.5], [math.nan, 3.5, math.nan], [1.0, 2.0],
+        [0.25, math.nan, 7.0, -1.5, math.nan, 1e6, 3.0],
+    ])
+    def test_mean_sd_skips_nan(self, values):
+        clean = [v for v in values if not math.isnan(v)]
+        mean, sd = mean_sd(values)
+        if not clean:
+            assert math.isnan(mean) and sd == 0.0
+            return
+        assert mean == pytest.approx(statistics.mean(clean), rel=1e-12)
+        want_sd = statistics.stdev(clean) if len(clean) > 1 else 0.0
+        assert sd == pytest.approx(want_sd, rel=1e-12)
+
     def test_table_shape_and_seed_sharing(self):
         scn = tiny_scenario(n_jobs=2)
         cfg = SimConfig(gpus=1, slices_per_gpu=(10240, 10240))
