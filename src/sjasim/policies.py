@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .profiles import RiskParams, deadline_admissible
+from .profiles import FunctionalProfile, RiskParams, deadline_admissible
 
 if TYPE_CHECKING:  # protocol imports this module; keep the cycle type-only
     from .protocol import InterestSignal, Offer
@@ -77,13 +77,16 @@ def offer_cost_tokens(offer: Offer, cost_rate: float) -> float:
 class SelectionContext:
     """What a policy may consult: the jobs, and each chained bidder's start
     (others start at position_s). `reachable` memoizes edf verdicts by (job
-    id, start); each holds while `now` and the profiles stay fixed, as in a round."""
+    id, start) while `now` and the profiles stay fixed, as in a round.
+    `parked` keeps each unreachable (job id, start) with its profile across
+    rounds: a deadline only gets closer, so that verdict stands."""
 
     now: float
     risk: RiskParams
     jobs: dict[str, JobRuntime]
     starts: dict[str, float] = field(default_factory=dict)
     reachable: dict[tuple[str, float], bool] = field(default_factory=dict)
+    parked: dict[tuple[str, float], FunctionalProfile] = field(default_factory=dict)
 
 
 def select(
@@ -98,7 +101,8 @@ def select(
     fifo: earliest arrival. priority: highest priority first. edf: earliest
     deadline among jobs whose deadline is still probabilistically reachable
     (deadline_admissible at ctx.risk on the work left from the job's start,
-    screened once per (job, start) and kept in ctx.reachable); jobs without
+    screened once per (job, start) and kept in ctx.reachable; an unreachable
+    verdict is also kept in ctx.parked, and not screened again); jobs without
     deadlines rank last and jobs with unreachable deadlines are skipped.
     fair_tokens: among tenants whose budget covers the offer, the one with
     the largest remaining budget, fifo within the tenant.
@@ -125,6 +129,8 @@ def select(
                 continue
             job = jobs[j]
             start = ctx.starts.get(j, job.position_s)
+            if ctx.parked.get((j, start)) is job.profile:
+                continue
             ok = ctx.reachable.get((j, start))
             if ok is None:
                 ok = ctx.reachable[j, start] = deadline_admissible(
@@ -133,6 +139,8 @@ def select(
                     deadline - ctx.now,
                     ctx.risk,
                 ).admissible
+                if not ok:
+                    ctx.parked[j, start] = job.profile
             if ok:
                 with_deadline.append(j)
         if with_deadline:

@@ -7,15 +7,15 @@ joint-window fraction of runs that stay under a capacity), and runtime
 distributions for deadline screening.
 
 Quantile rule used throughout: nearest-rank, i.e. the ceil(q * n)-th order
-statistic of the n values supported at a grid point. No interpolation. Runs
-shorter than t contribute nothing at t; the per-point support count is kept
-on the profile.
+statistic of the n values supported at a grid point (the point's support).
+No interpolation. Runs shorter than t contribute nothing at t.
 """
 from __future__ import annotations
 
 import copy
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +80,7 @@ class TrajectoryEnsemble:
 
     def padded_matrix(self) -> np.ndarray:
         """(n_runs, max_len) matrix, NaN where a run has already ended."""
-        if self._padded is None or self._padded.shape[0] != self.n_runs:
+        if self._padded is None:
             m = np.full((self.n_runs, self.max_len), np.nan)
             for i, run in enumerate(self.runs):
                 m[i, : len(run)] = run
@@ -89,19 +89,10 @@ class TrajectoryEnsemble:
 
     def extended(self, run: np.ndarray) -> "TrajectoryEnsemble":
         """A new ensemble of these runs plus `run`; only `run` is validated.
-
-        The padded matrix grows by one row, and by NaN columns when `run` is
-        longer than every run so far, instead of being rebuilt.
-        """
-        arr = _checked_run(self.n_runs, run)
-        old = self.padded_matrix()
-        n, width = old.shape
-        padded = np.full((n + 1, max(width, arr.size)), np.nan)
-        padded[:n, :width] = old
-        padded[n, : arr.size] = arr
+        Its padded matrix is built on its first padded_matrix() call."""
         merged = copy.copy(self)  # a shallow copy skips __post_init__
-        merged.runs = [*self.runs, arr]
-        merged._padded = padded
+        merged.runs = [*self.runs, _checked_run(self.n_runs, run)]
+        merged._padded = None
         return merged
 
 
@@ -123,11 +114,10 @@ def nearest_rank(sorted_values: np.ndarray, q: float, n: int) -> float:
     return float(sorted_values[min(rank, n) - 1])
 
 
-def _column_quantiles(
-    sorted_cols: np.ndarray, support: np.ndarray, q: float
-) -> np.ndarray:
+def _column_quantiles(padded: np.ndarray, support: np.ndarray, q: float) -> np.ndarray:
     """Pointwise nearest-rank q-quantile per grid column, alive runs only,
-    from the padded matrix sorted along axis 0 (NaN last) and its support."""
+    from the padded matrix and its support."""
+    sorted_cols = np.sort(padded, axis=0)  # NaN sorts last
     ranks = np.maximum(1, np.ceil(q * support).astype(int))
     ranks = np.minimum(ranks, np.maximum(support, 1))
     out = sorted_cols[ranks - 1, np.arange(sorted_cols.shape[1])]
@@ -136,16 +126,15 @@ def _column_quantiles(
 
 @dataclass
 class FunctionalProfile:
-    """Time-indexed statistical summary of a trajectory ensemble."""
+    """Time-indexed statistical summary of a trajectory ensemble. Column
+    summaries (support, median, envelopes) are computed on first read, so a
+    profile that nothing plans on never sorts its runs."""
 
     grid_step: float
-    horizon: float
-    median_curve: np.ndarray
-    envelope_cache: dict[float, np.ndarray]
-    runtime_samples: np.ndarray
-    support: np.ndarray
+    runtime_samples: np.ndarray  # sorted run durations
     source: TrajectoryEnsemble
     inflation: float  # scales every envelope; > 1 only from single_run_profile
+    envelope_cache: dict[float, np.ndarray] = field(default_factory=dict)
     # Dry-run plans memoized by segmentation.plan_segments, shared by every
     # job on this profile, and memory_admissible's index per capacity. They
     # live here, not on the source (extended() shallow-copies it), so that a
@@ -154,8 +143,21 @@ class FunctionalProfile:
     exceedance_index: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
+    def horizon(self) -> float:
+        return float(self.runtime_samples[-1])
+
+    @cached_property
     def n_points(self) -> int:
-        return len(self.median_curve)
+        return self.source.max_len
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Number of runs alive at each grid point."""
+        return np.sum(~np.isnan(self.source.padded_matrix()), axis=0)
+
+    @cached_property
+    def median_curve(self) -> np.ndarray:
+        return _column_quantiles(self.source.padded_matrix(), self.support, 0.5)
 
     def envelope(self, eps: float) -> np.ndarray:
         """Pointwise (1 - eps)-quantile curve times inflation; checked and cached on first use."""
@@ -163,7 +165,7 @@ class FunctionalProfile:
         if key not in self.envelope_cache:
             _check_eps(key)
             self.envelope_cache[key] = self.inflation * _column_quantiles(
-                np.sort(self.source.padded_matrix(), axis=0), self.support, 1.0 - key
+                self.source.padded_matrix(), self.support, 1.0 - key
             )
         return self.envelope_cache[key]
 
@@ -191,7 +193,7 @@ def _check_eps(eps: float) -> None:
 def build_profile(
     ensemble: TrajectoryEnsemble, eps_levels: tuple[float, ...] = (0.05,)
 ) -> FunctionalProfile:
-    """Build a profile with the median curve and envelopes at eps_levels.
+    """Build a profile with its envelopes at eps_levels filled.
 
     Requires at least two runs; a single run carries no spread information
     (see single_run_profile for the inflation fallback).
@@ -204,29 +206,17 @@ def build_profile(
 def _summarize(
     ensemble: TrajectoryEnsemble, eps_levels: tuple[float, ...], inflation: float = 1.0
 ) -> FunctionalProfile:
-    """Profile of an ensemble from one column sort of its padded matrix."""
-    for eps in eps_levels:
-        _check_eps(eps)
-    padded = ensemble.padded_matrix()
-    alive = ~np.isnan(padded)
-    support = np.sum(alive, axis=0)
-    # Runs are finite, so a row's non-NaN count is that run's length.
-    durations = (np.sum(alive, axis=1) - 1) * ensemble.grid_step
-    sorted_cols = np.sort(padded, axis=0)  # NaN sorts to the end
-    cache = {
-        float(e): inflation * _column_quantiles(sorted_cols, support, 1.0 - e)
-        for e in eps_levels
-    }
-    return FunctionalProfile(
+    """Profile of an ensemble with its envelopes at eps_levels filled."""
+    lengths = np.array([len(run) for run in ensemble.runs])
+    profile = FunctionalProfile(
         grid_step=ensemble.grid_step,
-        horizon=float(durations.max()),
-        median_curve=_column_quantiles(sorted_cols, support, 0.5),
-        envelope_cache=cache,
-        runtime_samples=np.sort(durations),
-        support=support,
+        runtime_samples=np.sort((lengths - 1) * ensemble.grid_step),
         source=ensemble,
         inflation=inflation,
     )
+    for eps in eps_levels:
+        profile.envelope(eps)
+    return profile
 
 
 def check_inflation(inflation: float) -> None:
@@ -344,15 +334,17 @@ def refresh_profile(
 ) -> FunctionalProfile:
     """A new profile over the source runs plus one completed run.
 
-    Equal, field by field, to build_profile over the merged runs at the eps
-    levels this profile has cached (0.05 when it has none). Only the new run
-    is validated, with TrajectoryEnsemble's checks and messages; the source's
-    padded matrix grows by one row instead of being rebuilt; one column sort
-    yields the median and every envelope. The old profile and its source are
-    left as they were.
+    Equal, on every read, to build_profile over the merged runs. Only the
+    new run is validated, with TrajectoryEnsemble's checks and messages. The
+    refresh costs O(runs): it inserts the run's duration into the sorted
+    runtime samples, and the column summaries wait for their first read.
+    The old profile and its source are left as they were.
     """
-    levels = tuple(sorted(profile.envelope_cache)) or (0.05,)
-    return _summarize(profile.source.extended(completed_run), levels)
+    merged = profile.source.extended(completed_run)
+    samples, duration = profile.runtime_samples, (merged.runs[-1].size - 1) * merged.grid_step
+    i = samples.searchsorted(duration)
+    samples = np.concatenate((samples[:i], [duration], samples[i:]))
+    return FunctionalProfile(merged.grid_step, samples, merged, inflation=1.0)
 
 
 # ---------------------------------------------------------------------------

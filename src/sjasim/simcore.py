@@ -364,6 +364,7 @@ class _Engine:
         # Jobs that have arrived, are unfinished and hold no live unit, as
         # job id -> scenario index.
         self._queue: dict[str, int] = {}
+        self._parked: dict = {}  # SelectionContext.parked, kept across rounds
 
         self.event_log: list[dict] = []
         self.archive: list[tuple[str, int, float, float, str]] = []
@@ -383,14 +384,13 @@ class _Engine:
 
     def _initial_profile(self, ens: TrajectoryEnsemble):
         n = self.cfg.n_historical_runs
-        levels = (self.cfg.risk.eps,)
         if n is not None and n < len(ens.runs):
             ens = TrajectoryEnsemble(grid_step=ens.grid_step, runs=ens.runs[:n])
         if len(ens.runs) == 1:
             return single_run_profile(
-                ens.runs[0], ens.grid_step, self.cfg.single_run_inflation, levels
+                ens.runs[0], ens.grid_step, self.cfg.single_run_inflation, ()
             )
-        return build_profile(ens, levels)
+        return build_profile(ens, ())
 
     # ------------------------------------------------------------------
     # Event plumbing
@@ -765,7 +765,7 @@ class _Engine:
             gaps.sort(key=lambda w: (w.start, -w.duration, w.slice_id))
             offers = advertise(gaps, self._offer_seq)
             self._offer_seq += len(offers)
-            ctx = SelectionContext(self.now, self.cfg.risk, self.jobs)
+            ctx = SelectionContext(self.now, self.cfg.risk, self.jobs, parked=self._parked)
             for offer in offers:
                 self._log(
                     "offer_issued",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sjasim import policies
 from sjasim.cluster import ExecutionWindow
 from sjasim.policies import (
     POLICY_KINDS,
@@ -14,7 +15,7 @@ from sjasim.policies import (
     offer_cost_tokens,
     select,
 )
-from sjasim.profiles import RiskParams, TrajectoryEnsemble, build_profile
+from sjasim.profiles import RiskParams, TrajectoryEnsemble, build_profile, refresh_profile
 from sjasim.protocol import InterestSignal, Offer
 from sjasim.workload import JobRuntime, JobSpec
 
@@ -32,6 +33,7 @@ def flat_profile(runtime_steps=31, level=1000.0, n_runs=8):
     return build_profile(TrajectoryEnsemble(grid_step=60.0, runs=runs), eps_levels=(0.05,))
 
 
+RISK = RiskParams()
 ACTUAL = np.zeros(31)  # a 1800 s ground-truth run; policies read only its length
 
 
@@ -166,6 +168,44 @@ class TestReusedContext:
         c.starts = {"a": 1350.0}
         assert select(policy, offer(), interests("a"), None, c) == "a"
         assert c.reachable == {("a", 0.0): False, ("a", 1350.0): True}
+
+
+class TestParkedVerdicts:
+    """An unreachable edf verdict outlives its round: rounds that share one
+    `parked` map screen the job once, until its profile or start changes."""
+
+    def test_screened_once_across_rounds_and_again_after_a_refresh(self, monkeypatch):
+        screens = []
+        screen = policies.deadline_admissible
+        monkeypatch.setattr(
+            policies, "deadline_admissible", lambda *a: screens.append(a[0]) or screen(*a)
+        )
+        # 1800 s of work from position 0 cannot meet a 900 s deadline.
+        jobs = ctx(arrivals={"a": 0.0}, deadlines={"a": 900.0}).jobs
+        job, parked, policy = jobs["a"], {}, GrantPolicy("edf")
+
+        def round_at(now, starts=None):
+            shared = SelectionContext(now, RISK, jobs, dict(starts or {}), parked=parked)
+            got = select(policy, offer(), interests("a"), None, shared)
+            fresh = SelectionContext(now, RISK, jobs, dict(starts or {}))
+            assert got == select(policy, offer(), interests("a"), None, fresh)
+            return got
+
+        for now in (0.0, 300.0, 600.0):
+            assert round_at(now) is None
+        assert len(screens) == 1 + 3  # the fresh contexts screen every round
+        assert parked[("a", 0.0)] is job.profile
+
+        screens.clear()
+        job.profile = refresh_profile(job.profile, np.zeros(31))
+        assert round_at(600.0) is None and round_at(700.0) is None
+        assert len(screens) == 3 and all(p is job.profile for p in screens)
+        assert parked[("a", 0.0)] is job.profile
+
+        # From a start 1350 s in, 450 s are left: reachable at now = 300.
+        screens.clear()
+        assert round_at(300.0, {"a": 1350.0}) == "a"
+        assert len(screens) == 2
 
 
 class TestFairTokens:

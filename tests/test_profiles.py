@@ -358,18 +358,21 @@ class TestRefresh:
         assert len(refreshed.runtime_samples) == 3
 
 
-def assert_same_profile(got, want):
-    """Field-by-field equality, NaN == NaN, including the padded matrix."""
+def assert_same_profile(got, want, levels=(0.05, 0.25)):
+    """Equal on every read, NaN == NaN: the envelopes at `levels`, median,
+    support, width, horizon, runtime samples and the padded matrix. Reading
+    fills a lazy profile's summaries, so nothing here compares caches."""
     assert got.grid_step == want.grid_step
     assert got.horizon == want.horizon
     assert got.inflation == want.inflation
+    assert got.n_points == want.n_points
+    curves = [(f"envelope({eps})", lambda p, eps=eps: p.envelope(eps)) for eps in levels]
     for name in ("median_curve", "runtime_samples", "support"):
-        a, b = getattr(got, name), getattr(want, name)
+        curves.append((name, lambda p, name=name: getattr(p, name)))
+    for name, read in curves:
+        a, b = read(got), read(want)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b, equal_nan=True), name
-    assert sorted(got.envelope_cache) == sorted(want.envelope_cache)
-    for eps, curve in want.envelope_cache.items():
-        assert np.array_equal(got.envelope_cache[eps], curve, equal_nan=True), eps
     assert got.source.n_runs == want.source.n_runs
     assert np.array_equal(
         got.source.padded_matrix(), want.source.padded_matrix(), equal_nan=True
@@ -394,6 +397,8 @@ class TestRefreshEquivalence:
         lazy_eps=st.sampled_from((0.2, 0.33)),
     )
     def test_chained_refresh_equals_build(self, source_runs, additions, levels, lazy_eps):
+        # Refreshed profiles carry no envelope levels; each level is filled
+        # on its first read, whenever that comes.
         levels = tuple(sorted(levels))
         runs = [np.asarray(r, float) for r in source_runs]
         if len(runs) == 1:
@@ -411,9 +416,37 @@ class TestRefreshEquivalence:
             assert prof.source.n_runs == len(runs)
             assert np.array_equal(prof.source.padded_matrix(), before, equal_nan=True)
             runs.append(new)
-            want = pf.build_profile(make_ensemble(runs), tuple(sorted(prof.envelope_cache)))
-            assert_same_profile(fresh, want)
+            want = pf.build_profile(make_ensemble(runs), ())
+            assert_same_profile(fresh, want, (*levels, lazy_eps))
             prof = fresh
+
+    def test_three_refreshes_without_a_read_equal_build(self):
+        # The second run outlasts every run so far, so the horizon grows;
+        # the third is shorter than all of them.
+        runs = [[1.0, 4.0, 2.0], [3.0, 3.0], [0.0, 5.0, 5.0, 1.0]]
+        added = [[2.0, 2.0, 6.0], [1.0, 7.0, 3.0, 3.0, 9.0, 2.0], [8.0]]
+        chain = [pf.build_profile(make_ensemble(runs), ())]
+        for run in added:
+            chain.append(pf.refresh_profile(chain[-1], np.array(run)))
+        assert [p.horizon for p in chain] == [180.0, 180.0, 300.0, 300.0]
+        assert all(not p.envelope_cache for p in chain)
+        for k, prof in enumerate(chain):
+            assert_same_profile(prof, pf.build_profile(make_ensemble(runs + added[:k])))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        source_runs=st.lists(_run, min_size=2, max_size=6),
+        added=st.lists(_run, min_size=1, max_size=5),
+    )
+    def test_unread_refresh_chain_equals_build(self, source_runs, added):
+        # A whole chain first, then every profile in it is read: a later
+        # refresh must not change what an earlier, unread profile shows.
+        chain = [pf.build_profile(make_ensemble(source_runs), ())]
+        for run in added:
+            chain.append(pf.refresh_profile(chain[-1], np.array(run)))
+        for k, prof in enumerate(chain):
+            merged = make_ensemble(source_runs + added[:k])
+            assert_same_profile(prof, pf.build_profile(merged, ()))
 
     def test_single_run_source_refreshes_to_build(self):
         prof = pf.single_run_profile(np.array([1.0, 2.0]), 60.0, 1.5, (0.1,))

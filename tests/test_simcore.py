@@ -7,12 +7,16 @@ import statistics
 import numpy as np
 import pytest
 
+from sjasim import profiles as pf
+from sjasim import simcore
+from sjasim.cli import events_text, metrics_csv_text
 from sjasim.policies import GrantPolicy
 from sjasim.simcore import (
     SCHEDULERS,
     Scenario,
     SimConfig,
     SimulationTimeout,
+    _Engine,
     compare,
     draw_actual_runs,
     mean_sd,
@@ -423,3 +427,56 @@ class TestCompare:
             assert "used_utilization" in tbl[sched]
             mean, sd = tbl[sched]["completed_jobs"]
             assert mean == 2.0 and sd == 0.0
+
+
+class TestLazyProfiles:
+    """A profile summarizes its runs only when something reads a summary.
+    Whole-job schedulers read runtime samples only, so after engine start-up
+    they build no padded matrix and no column quantile, however many
+    profiles their completions refresh."""
+
+    @staticmethod
+    def count_summaries(monkeypatch):
+        calls = []
+        quantiles, matrix = pf._column_quantiles, pf.TrajectoryEnsemble.padded_matrix
+        monkeypatch.setattr(
+            pf, "_column_quantiles", lambda *a: calls.append("quantiles") or quantiles(*a)
+        )
+        monkeypatch.setattr(
+            pf.TrajectoryEnsemble, "padded_matrix",
+            lambda self: calls.append("matrix") or matrix(self),
+        )
+        return calls
+
+    @pytest.mark.parametrize("scheduler", ["first_fit", "best_fit", "moldable", "preempt_migrate"])
+    def test_whole_job_runs_summarize_nothing(self, scheduler, monkeypatch):
+        scenario, cfg = SCENARIO_BUILDERS["calibration"]()
+        engine = _Engine(scenario, scheduler, cfg, 0)
+        calls = self.count_summaries(monkeypatch)
+        refreshes = []
+        refresh = simcore.refresh_profile
+        monkeypatch.setattr(
+            simcore, "refresh_profile", lambda *a: refreshes.append(1) or refresh(*a)
+        )
+        report, _ = engine.run()
+        assert len(refreshes) == report.completed_jobs > 0
+        assert calls == []
+
+    def test_sja_artifacts_match_eagerly_summarized_profiles(self, monkeypatch):
+        scenario, cfg = SCENARIO_BUILDERS["calibration"]()
+        calls = self.count_summaries(monkeypatch)
+        report, log = run(scenario, "sja", cfg, 0)
+        lazy = events_text(log), metrics_csv_text(report)
+        assert "quantiles" in calls and "matrix" in calls  # sja does read them
+
+        def eager(make):
+            def summarized(*args):
+                profile = make(*args)
+                profile.support, profile.median_curve, profile.envelope(cfg.risk.eps)
+                return profile
+            return summarized
+
+        monkeypatch.setattr(simcore, "build_profile", eager(simcore.build_profile))
+        monkeypatch.setattr(simcore, "refresh_profile", eager(simcore.refresh_profile))
+        report, log = run(scenario, "sja", cfg, 0)
+        assert (events_text(log), metrics_csv_text(report)) == lazy
