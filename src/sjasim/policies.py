@@ -76,16 +76,17 @@ def offer_cost_tokens(offer: Offer, cost_rate: float) -> float:
 @dataclass
 class SelectionContext:
     """What a policy may consult: the jobs, and each chained bidder's start
-    (others start at position_s). `reachable` memoizes edf verdicts by (job
-    id, start) while `now` and the profiles stay fixed, as in a round.
-    `parked` keeps each unreachable (job id, start) with its profile across
-    rounds: a deadline only gets closer, so that verdict stands."""
+    (others start at position_s). Each edf verdict is kept by (job id,
+    start), once: `reachable` holds the reachable pairs while `now` and the
+    profiles stay fixed, as in a round; `parked` maps each unreachable pair
+    to the profile it was screened on, and may outlive the round, since a
+    deadline only gets closer."""
 
     now: float
     risk: RiskParams
     jobs: dict[str, JobRuntime]
     starts: dict[str, float] = field(default_factory=dict)
-    reachable: dict[tuple[str, float], bool] = field(default_factory=dict)
+    reachable: set[tuple[str, float]] = field(default_factory=set)
     parked: dict[tuple[str, float], FunctionalProfile] = field(default_factory=dict)
 
 
@@ -101,9 +102,9 @@ def select(
     fifo: earliest arrival. priority: highest priority first. edf: earliest
     deadline among jobs whose deadline is still probabilistically reachable
     (deadline_admissible at ctx.risk on the work left from the job's start,
-    screened once per (job, start) and kept in ctx.reachable; an unreachable
-    verdict is also kept in ctx.parked, and not screened again); jobs without
-    deadlines rank last and jobs with unreachable deadlines are skipped.
+    screened once per (job, start) and kept in ctx.reachable or, while the
+    job keeps its profile, ctx.parked); jobs without deadlines rank last
+    and jobs with unreachable deadlines are skipped.
     fair_tokens: among tenants whose budget covers the offer, the one with
     the largest remaining budget, fifo within the tenant.
     """
@@ -128,21 +129,20 @@ def select(
                 free.append(j)
                 continue
             job = jobs[j]
-            start = ctx.starts.get(j, job.position_s)
-            if ctx.parked.get((j, start)) is job.profile:
+            key = (j, ctx.starts.get(j, job.position_s))
+            if ctx.parked.get(key) is job.profile:
                 continue
-            ok = ctx.reachable.get((j, start))
-            if ok is None:
-                ok = ctx.reachable[j, start] = deadline_admissible(
+            if key not in ctx.reachable:
+                if not deadline_admissible(
                     job.profile,
-                    1.0 - job.fraction_at(start),
+                    1.0 - job.fraction_at(key[1]),
                     deadline - ctx.now,
                     ctx.risk,
-                ).admissible
-                if not ok:
-                    ctx.parked[j, start] = job.profile
-            if ok:
-                with_deadline.append(j)
+                ).admissible:
+                    ctx.parked[key] = job.profile
+                    continue
+                ctx.reachable.add(key)
+            with_deadline.append(j)
         if with_deadline:
             return min(with_deadline, key=lambda j: (specs[j].deadline_s, specs[j].arrival_s, j))
         if free:

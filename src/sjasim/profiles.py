@@ -336,15 +336,10 @@ def refresh_profile(
 
     Equal, on every read, to build_profile over the merged runs. Only the
     new run is validated, with TrajectoryEnsemble's checks and messages. The
-    refresh costs O(runs): it inserts the run's duration into the sorted
-    runtime samples, and the column summaries wait for their first read.
-    The old profile and its source are left as they were.
+    refresh sorts the run durations only; the column summaries wait for
+    their first read. The old profile and its source are left as they were.
     """
-    merged = profile.source.extended(completed_run)
-    samples, duration = profile.runtime_samples, (merged.runs[-1].size - 1) * merged.grid_step
-    i = samples.searchsorted(duration)
-    samples = np.concatenate((samples[:i], [duration], samples[i:]))
-    return FunctionalProfile(merged.grid_step, samples, merged, inflation=1.0)
+    return _summarize(profile.source.extended(completed_run), ())
 
 
 # ---------------------------------------------------------------------------

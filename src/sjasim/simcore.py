@@ -477,11 +477,14 @@ class _Engine:
         )
         if self.cfg.online_correction:
             key = job.spec.ensemble_key
-            fresh = refresh_profile(self.profiles[key], job.actual)
-            self.profiles[key] = fresh
+            old = self.profiles[key]
+            fresh = self.profiles[key] = refresh_profile(old, job.actual)
             for other in self._order:
                 if other.spec.ensemble_key == key:
                     other.profile = fresh
+            # A verdict parked on the old profile matches no job any more.
+            for stale in [k for k, p in self._parked.items() if p is old]:
+                del self._parked[stale]
 
     def _reached_idx(self, unit: SubJob) -> int:
         """Grid index of job progress a running unit has reached by now."""

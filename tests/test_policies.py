@@ -157,7 +157,8 @@ class TestReusedContext:
                     (j, starts.get(j, shared.jobs[j].position_s))
                     for j in bidders if fields["deadlines"][j] is not None
                 }
-            assert set(shared.reachable) == screened
+            assert shared.reachable | set(shared.parked) == screened
+            assert not shared.reachable & set(shared.parked)  # one verdict each
 
     def test_later_start_flips_an_unreachable_deadline(self):
         # 1800 s of work from position 0 misses a 900 s deadline; from a
@@ -167,7 +168,8 @@ class TestReusedContext:
         assert select(policy, offer(), interests("a"), None, c) is None
         c.starts = {"a": 1350.0}
         assert select(policy, offer(), interests("a"), None, c) == "a"
-        assert c.reachable == {("a", 0.0): False, ("a", 1350.0): True}
+        assert c.reachable == {("a", 1350.0)}
+        assert set(c.parked) == {("a", 0.0)}
 
 
 class TestParkedVerdicts:

@@ -480,3 +480,28 @@ class TestLazyProfiles:
         monkeypatch.setattr(simcore, "refresh_profile", eager(simcore.refresh_profile))
         report, log = run(scenario, "sja", cfg, 0)
         assert (events_text(log), metrics_csv_text(report)) == lazy
+
+
+class TestParkedVerdicts:
+    """The engine keeps unreachable edf verdicts across rounds, each with
+    the profile it was screened on. A refresh drops every verdict parked on
+    the profile it replaces, so no parked verdict keeps an old profile."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_refresh_drops_the_verdicts_parked_on_its_old_profile(self, seed, monkeypatch):
+        scenario, cfg = SCENARIO_BUILDERS["deadline"]()
+        engine = _Engine(scenario, "sja", cfg, seed)
+        dropped = []
+        complete = _Engine._complete
+
+        def checked(self, job):
+            before = len(self._parked)
+            complete(self, job)
+            dropped.append(before - len(self._parked))
+            live = self.profiles.values()
+            assert all(any(p is q for q in live) for p in self._parked.values())
+
+        monkeypatch.setattr(_Engine, "_complete", checked)
+        report, _ = engine.run()
+        assert len(dropped) == report.completed_jobs
+        assert sum(dropped) > 0 and engine._parked
