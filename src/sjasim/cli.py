@@ -23,6 +23,7 @@ from .workload import ScenarioError
 __all__ = ["main"]
 
 OUTPUT_ROOT_ENV = "SJASIM_OUTPUT_ROOT"
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(sort_keys=True) builds one per call
 
 SWEEP_AXES = {
     "eps": "risk.eps",
@@ -67,7 +68,7 @@ def _fmt(v: float) -> str:
 
 
 def events_text(log: list[dict]) -> str:
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in log)
+    return "".join(_EVENT_ENCODER.encode(rec) + "\n" for rec in log)
 
 
 def metrics_csv_text(report: MetricsReport) -> str:

@@ -16,7 +16,9 @@ import copy
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -96,8 +98,8 @@ class TrajectoryEnsemble:
         return merged
 
 
-def _checked_run(i: int, run) -> np.ndarray:
-    """Run i as a float array; it must be non-empty, 1-d, finite and >= 0."""
+def _checked_run(i: int | str, run) -> np.ndarray:
+    """Run i (index or name) as a float array; it must be non-empty, 1-d, finite and >= 0."""
     arr = np.asarray(run, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ProfileError(f"run {i} must be a non-empty 1-d sample array")
@@ -361,30 +363,8 @@ def write_trajectory(path: str | Path, samples: np.ndarray, grid_step: float) ->
 def read_trajectory(path: str | Path) -> tuple[np.ndarray, float]:
     """Read one run file; returns (samples, grid_step)."""
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != TRAJECTORY_HEADER:
-        raise ProfileError(f"{path}: missing '{TRAJECTORY_HEADER}' header")
-    times, values = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ProfileError(f"{path}:{ln}: expected two comma-separated columns")
-        try:
-            times.append(float(parts[0]))
-            values.append(float(parts[1]))
-        except ValueError as exc:
-            raise ProfileError(f"{path}:{ln}: {exc}") from exc
-    if not values:
-        raise ProfileError(f"{path}: no samples")
-    if len(times) == 1:
-        return np.array(values), 1.0
-    diffs = np.diff(times)
-    step = float(diffs[0])
-    if step <= 0 or not np.allclose(diffs, step, rtol=1e-6, atol=1e-9):
-        raise ProfileError(f"{path}: time column is not a uniform grid")
-    return np.array(values), step
+    (samples,), step = _bulk_parse([path]) or _raise_first_error([path], [str(path)], path)
+    return samples, step
 
 
 def write_ensemble(
@@ -414,22 +394,69 @@ def load_ensemble(manifest_path: str | Path) -> TrajectoryEnsemble:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise ProfileError(f"manifest not found: {manifest_path}")
-    base = manifest_path.parent
-    runs: list[np.ndarray] = []
-    grid_step: float | None = None
-    for raw in manifest_path.read_text().splitlines():
-        entry = raw.strip()
-        if not entry or entry.startswith("#"):
-            continue
-        samples, step = read_trajectory(base / entry)
-        if grid_step is None:
-            grid_step = step
-        elif not math.isclose(step, grid_step, rel_tol=1e-9):
-            raise ProfileError(
-                f"{manifest_path}: run {entry} grid step {step} != {grid_step}"
-            )
-        runs.append(samples)
-    if not runs:
+    lines = map(str.strip, manifest_path.read_text().splitlines())
+    entries = [entry for entry in lines if entry and not entry.startswith("#")]
+    if not entries:
         raise ProfileError(f"{manifest_path}: manifest lists no runs")
-    assert grid_step is not None
+    paths = [manifest_path.parent / entry for entry in entries]
+    runs, grid_step = _bulk_parse(paths) or _raise_first_error(paths, entries, manifest_path)
     return TrajectoryEnsemble(grid_step=grid_step, runs=runs)
+
+
+def _bulk_parse(paths: list[Path]) -> tuple[list[np.ndarray], float] | None:
+    """The trajectory parser: each file's samples and their shared grid step, or
+    None for _raise_first_error to name the fault. All rows go through one float
+    map, all grids through one vector check: a run's step is t[1] - t[0] (1.0 for
+    one row), its times are finite, step > 0, |t[k+1] - t[k] - step| <= 1e-9 + 1e-6*step."""
+    files = [path.read_text().splitlines() or [""] for path in paths]
+    data = [list(filter(str.strip, lines[1:])) for lines in files]  # no blank rows
+    rows = list(chain.from_iterable(data))
+    if not (all(lines[0].strip() == TRAJECTORY_HEADER for lines in files) and all(data)
+            and set(map(str.count, rows, repeat(","))) == {1}):  # one comma a row
+        return None
+    try:
+        table = np.fromiter(map(float, ",".join(rows).split(",")), float).reshape(-1, 2)
+    except ValueError:
+        return None
+    counts = np.array(list(map(len, data)))
+    ends = np.cumsum(counts)
+    times, starts = table[:, 0], ends - counts
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test
+        steps = np.where(counts > 1, times[np.minimum(starts + 1, ends - 1)] - times[starts], 1.0)
+        step = np.repeat(steps, counts)[:-1]  # the step of the run each pair starts in
+        close = np.abs(np.diff(times) - step) <= 1e-9 + 1e-6 * step
+    close[ends[:-1] - 1] = True  # the pair across the boundary of two runs
+    if not (close.all() and np.all(steps > 0) and np.isfinite(times[starts]).all()
+            and np.all(np.abs(steps - steps[0]) <= 1e-9 * np.maximum(steps, steps[0]))):
+        return None
+    # Copies, so that no run keeps the whole table alive.
+    runs = [table[e - n : e, 1].copy() for e, n in zip(ends.tolist(), counts.tolist())]
+    return runs, float(steps[0])
+
+
+def _raise_first_error(paths: list[Path], names: list[str], origin: Path) -> NoReturn:
+    """Raise the error of the first bad file in load order. The per-line parse
+    lives on here only to name a bad line; it accepts nothing."""
+    steps = []
+    for path, name in zip(paths, names):
+        lines = path.read_text().splitlines()
+        if not lines or lines[0].strip() != TRAJECTORY_HEADER:
+            raise ProfileError(f"{path}: missing '{TRAJECTORY_HEADER}' header")
+        rows = [(ln, line) for ln, line in enumerate(lines[1:], start=2) if line.strip()]
+        if not rows:
+            raise ProfileError(f"{path}: no samples")
+        for ln, line in rows:
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ProfileError(f"{path}:{ln}: expected two comma-separated columns")
+            try:
+                list(map(float, parts))
+            except ValueError as exc:
+                raise ProfileError(f"{path}:{ln}: {exc}") from exc
+        parsed = _bulk_parse([path])  # this file's lines parse, so only its grid can fail
+        if parsed is None:
+            raise ProfileError(f"{path}: time column is not a uniform grid")
+        steps.append(parsed[1])
+        if not math.isclose(steps[-1], steps[0], rel_tol=1e-9):
+            raise ProfileError(f"{origin}: run {name} grid step {steps[-1]} != {steps[0]}")
+    raise AssertionError("the bulk parse refused files that pass every check")

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .profiles import FunctionalProfile, TrajectoryEnsemble, load_ensemble
+from .profiles import (FunctionalProfile, ProfileError, TrajectoryEnsemble, _checked_run,
+                       load_ensemble, read_trajectory)
 
 __all__ = [
     "ScenarioError",
@@ -358,9 +359,8 @@ def ingest_scenario(
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
         parts = [p.strip() for p in raw.split(",")]
-        expected = len(_SCENARIO_COLS) + (1 if has_truth else 0)
-        if len(parts) != expected:
-            raise ScenarioError(f"expected {expected} columns, got {len(parts)}", line=ln)
+        if len(parts) != len(header):
+            raise ScenarioError(f"expected {len(header)} columns, got {len(parts)}", line=ln)
         try:
             job_id, tenant = parts[0], parts[1]
             arrival = float(parts[2])
@@ -379,9 +379,7 @@ def ingest_scenario(
         seen_ids.add(job_id)
         manifest_rel = parts[9]
         if manifest_rel not in ensembles:
-            manifest_path = Path(manifest_rel)
-            if not manifest_path.is_absolute():
-                manifest_path = base / manifest_path
+            manifest_path = base / manifest_rel  # an absolute path replaces base
             if not manifest_path.exists():
                 raise ScenarioError(f"ensemble manifest not found: {manifest_rel}", line=ln)
             ensembles[manifest_rel] = load_ensemble(manifest_path)
@@ -401,16 +399,15 @@ def ingest_scenario(
         except ScenarioError as exc:
             raise ScenarioError(str(exc), line=ln) from exc
         if has_truth and parts[10]:
-            truth_path = Path(parts[10])
-            if not truth_path.is_absolute():
-                truth_path = base / truth_path
+            truth_path = base / parts[10]
             if not truth_path.exists():
                 raise ScenarioError(f"ground-truth run not found: {parts[10]}", line=ln)
-            from .profiles import read_trajectory
-
             samples, step = read_trajectory(truth_path)
             if not math.isclose(step, ensembles[manifest_rel].grid_step, rel_tol=1e-9):
                 raise ScenarioError("ground-truth grid step differs from ensemble", line=ln)
-            truths[job_id] = samples
+            try:  # the check every ensemble run gets
+                truths[job_id] = _checked_run(parts[10], samples)
+            except ProfileError as exc:
+                raise ScenarioError(f"ground-truth {exc}", line=ln) from exc
         jobs.append(job)
     return jobs, ensembles, truths

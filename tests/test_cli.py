@@ -7,10 +7,10 @@ import pytest
 
 from sjasim.cli import OUTPUT_ROOT_ENV, events_text, main, metrics_csv_text
 from sjasim.cluster import SliceCatalog
-from sjasim.scenarios import export_scenario, make_deadline_scenario
+from sjasim.scenarios import SCENARIO_BUILDERS, export_scenario, make_deadline_scenario
 from sjasim.simcore import Scenario, SimConfig, run
 from sjasim.profiles import write_ensemble
-from sjasim.workload import JobSpec, Phase, PhaseModel, synth_ensemble
+from sjasim.workload import JobSpec, Phase, PhaseModel, synth_ensemble, write_scenario
 
 H = 60.0
 
@@ -83,6 +83,19 @@ class TestRun:
         with pytest.raises(TypeError):
             events_text([{"t": 0.0, "kind": "grant", "offer": "offer-000000",
                           "job": "job-0", "cost_tokens": np.int64(3)}])
+
+    def test_one_encoder_writes_what_json_dumps_writes(self):
+        # events_text reuses one JSONEncoder(sort_keys=True), the object
+        # json.dumps(rec, sort_keys=True) builds for every call.
+        log = []
+        for name, scheduler in (("calibration", "sja"), ("priority-inversion", "preempt_migrate")):
+            scenario, cfg = SCENARIO_BUILDERS[name]()
+            log += run(scenario, scheduler, cfg, seed=0)[1]
+        assert {"offer_issued", "interest", "decline", "grant", "subjob_created", "checkpoint",
+                "oom_kill", "offer_expire", "placement", "preemption"} <= {r["kind"] for r in log}
+        log.append({"t": 1.5, "kind": "note", "job": "jöb-é→✓", "z": [1, -0.0, None, True],
+                    "a": {"y": 1e300, "x": "\"q\"\n"}})
+        assert events_text(log) == "".join(json.dumps(r, sort_keys=True) + "\n" for r in log)
 
     def test_numpy_capacities_give_the_int_artifacts(self):
         # Capacities become ints when the config is built, so a catalog and
@@ -218,6 +231,37 @@ class TestErrorPaths:
         rc = main(argv + (["--out", str(out)] if command == "run" else []))
         assert rc == 2
         assert "error: mixed ensemble grid steps [30.0, 60.0]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "truth_rows, message",
+        [
+            ("0,8000\n60,nan\n", "line 2: ground-truth run truth.csv has negative or non-finite"),
+            ("0,8000\n60,-1\n", "line 2: ground-truth run truth.csv has negative or non-finite"),
+            ("0,8000\ninf,8100\n", "truth.csv: time column is not a uniform grid"),
+            (None, "run_0000.csv: time column is not a uniform grid"),
+        ],
+    )
+    def test_bad_truth_or_run_file_exits_2_before_writing(
+        self, tmp_path, capsys, command, truth_rows, message
+    ):
+        # job-0 pins a ground-truth run; None puts the infinite time column
+        # in every ensemble run instead.
+        scenario, root = tiny_scenario(), tmp_path / "scn"
+        path = export_scenario(scenario, root)
+        if truth_rows is None:
+            for run_file in (root / "ensembles" / "m").glob("run_*.csv"):
+                run_file.write_text("time_s,mem_mb\n0,3000\ninf,3100\n")
+        (root / "truth.csv").write_text("time_s,mem_mb\n" + (truth_rows or "0,8000\n60,8000\n"))
+        manifests = dict.fromkeys(["job-0", "job-1"], "ensembles/m/manifest.txt")
+        write_scenario(path, scenario.jobs, manifests, truth_paths={"job-0": "truth.csv"})
+        out = tmp_path / "out"
+        argv = [command, "--scenario", str(path)]
+        rc = main(argv + (["--out", str(out), "--online-correction", "off"]
+                          if command == "run" else []))
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sjasim import profiles as pf
+from sjasim.scenarios import SCENARIO_BUILDERS, export_scenario
 
 RISK = pf.RiskParams()  # eps = alpha_t = 0.05
 
@@ -510,3 +511,95 @@ class TestTrajectoryFiles:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(pf.ProfileError):
             pf.load_ensemble(tmp_path / "nope.txt")
+
+
+def stage_runs(directory, texts, newline="\n"):
+    """Write one run file per text plus a manifest (with a comment and a
+    blank line) listing them in order; returns the manifest path."""
+    directory.mkdir(parents=True, exist_ok=True)
+    names = [f"run_{i}.csv" for i in range(len(texts))]
+    for name, text in zip(names, texts):
+        (directory / name).write_bytes(text.replace("\n", newline).encode())
+    manifest = directory / "manifest.txt"
+    manifest.write_text("\n".join(["# runs in load order", names[0], "", *names[1:]]) + "\n")
+    return manifest
+
+
+GOOD = "time_s,mem_mb\n0,1\n60,2.5\n120,4\n"
+
+
+class TestOneParser:
+    """load_ensemble parses a manifest's files in one pass; read_trajectory is
+    the same parser on one file. Both must agree run for run and error for
+    error."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+    def test_bundled_ensembles_load_as_their_files_read(self, tmp_path, name):
+        scenario, _ = SCENARIO_BUILDERS[name]()
+        export_scenario(scenario, tmp_path)
+        for key in scenario.ensembles:
+            manifest = tmp_path / "ensembles" / key / "manifest.txt"
+            loaded = pf.load_ensemble(manifest)
+            files = [pf.read_trajectory(manifest.parent / entry)
+                     for entry in manifest.read_text().split()]
+            assert loaded.n_runs == len(files)
+            for run, (samples, step) in zip(loaded.runs, files):
+                assert step == loaded.grid_step
+                assert run.dtype == samples.dtype and run.shape == samples.shape
+                np.testing.assert_array_equal(run, samples)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "time_s,mem_mb\n0,1\n60,abc\n",  # a cell that is not a float
+            "time_s,mem_mb\n0,1\n60,2,3\n",  # three columns
+            "time_s,mem_mb\n0,1\n60,2\n150,3\n",  # not a uniform grid
+            "time_s,mem_mb\n0,1\n60\n",  # one column
+            "time_mem\n0,1\n",  # no header
+            "time_s,mem_mb\n\n",  # no samples
+            "time_s,mem_mb\n0,3000\ninf,3100\n",  # an infinite grid step
+            "time_s,mem_mb\ninf,3000\n",  # one row at an infinite time
+        ],
+    )
+    def test_bad_third_of_five_files_raises_its_own_message(self, tmp_path, bad):
+        # The fifth file is bad too; the third is named because it loads first.
+        manifest = stage_runs(tmp_path, [GOOD, GOOD, bad, GOOD, "time_s,mem_mb\n0,x\n"])
+        with pytest.raises(pf.ProfileError) as alone:
+            pf.read_trajectory(tmp_path / "run_2.csv")
+        with pytest.raises(pf.ProfileError) as loaded:
+            pf.load_ensemble(manifest)
+        assert str(loaded.value) == str(alone.value)
+        assert str(alone.value).startswith(str(tmp_path / "run_2.csv"))
+
+    def test_bad_line_is_named(self, tmp_path):
+        manifest = stage_runs(tmp_path, [GOOD, "time_s,mem_mb\n0,1\n\n60,2,3\n"])
+        with pytest.raises(pf.ProfileError,
+                           match=r"run_1\.csv:4: expected two comma-separated columns"):
+            pf.load_ensemble(manifest)
+
+    def test_blank_lines_crlf_and_comments(self, tmp_path):
+        texts = [GOOD, "time_s,mem_mb\n\n0,7\n  \n60,8\n",
+                 "time_s,mem_mb\n0,9\n60,10\n120,11\n180,12"]  # no final newline
+        for newline in ("\n", "\r\n"):
+            loaded = pf.load_ensemble(stage_runs(tmp_path / repr(newline), texts, newline))
+            assert loaded.grid_step == 60.0
+            assert [run.tolist() for run in loaded.runs] == [
+                [1.0, 2.5, 4.0], [7.0, 8.0], [9.0, 10.0, 11.0, 12.0]]
+
+    def test_one_row_runs_have_step_one(self, tmp_path):
+        manifest = stage_runs(tmp_path, ["time_s,mem_mb\n0,5\n", "time_s,mem_mb\n30,6\n"])
+        loaded = pf.load_ensemble(manifest)
+        assert loaded.grid_step == 1.0
+        assert [run.tolist() for run in loaded.runs] == [[5.0], [6.0]]
+        assert pf.read_trajectory(tmp_path / "run_1.csv")[1] == 1.0
+
+    def test_mismatched_step_names_the_manifest_entry(self, tmp_path):
+        manifest = stage_runs(tmp_path, [GOOD, GOOD, "time_s,mem_mb\n0,5\n", GOOD])
+        with pytest.raises(pf.ProfileError) as err:
+            pf.load_ensemble(manifest)
+        assert str(err.value) == f"{manifest}: run run_2.csv grid step 1.0 != 60.0"
+
+    def test_steps_within_tolerance_share_the_first_runs_step(self, tmp_path):
+        drift = "time_s,mem_mb\n0,1\n60.00000001,2\n"  # 1.7e-10 off, relative
+        loaded = pf.load_ensemble(stage_runs(tmp_path, [GOOD, drift]))
+        assert loaded.grid_step == 60.0

@@ -188,6 +188,17 @@ class TestScenarioFiles:
         assert set(truths) == {"a"}
         assert np.allclose(truths["a"], truth)
 
+    def test_absolute_manifest_and_truth_paths(self, tmp_path):
+        ens, jobs, manifests = self._stage(tmp_path)
+        pf.write_trajectory(tmp_path / "truth_a.csv", [900.0, 910.0], 60.0)
+        manifests = dict.fromkeys(manifests, str(tmp_path / "ens" / "manifest.txt"))
+        (tmp_path / "elsewhere").mkdir()
+        write_scenario(tmp_path / "elsewhere" / "scn.csv", jobs, manifests,
+                       truth_paths={"a": str(tmp_path / "truth_a.csv")})
+        got, ensembles, truths = ingest_scenario(tmp_path / "elsewhere" / "scn.csv")
+        assert [len(e.runs) for e in ensembles.values()] == [6]
+        assert truths["a"].tolist() == [900.0, 910.0]
+
     def test_malformed_rows_carry_line_numbers(self, tmp_path):
         ens, jobs, manifests = self._stage(tmp_path)
         write_scenario(tmp_path / "scn.csv", jobs, manifests)
@@ -207,6 +218,17 @@ class TestScenarioFiles:
         hdr.write_text("who,what\n")
         with pytest.raises(ScenarioError, match="bad header"):
             ingest_scenario(hdr)
+
+    @pytest.mark.parametrize("sample", ["nan", "inf", "-5"])
+    def test_bad_truth_sample_rejected_with_line_number(self, tmp_path, sample):
+        # Truth runs get the sample check every ensemble run gets.
+        ens, jobs, manifests = self._stage(tmp_path)
+        (tmp_path / "truth_b.csv").write_text(f"time_s,mem_mb\n0,900\n60,{sample}\n")
+        write_scenario(tmp_path / "scn.csv", jobs, manifests, truth_paths={"b": "truth_b.csv"})
+        with pytest.raises(ScenarioError, match="line 3: ground-truth run truth_b.csv has "
+                                                "negative or non-finite samples") as err:
+            ingest_scenario(tmp_path / "scn.csv")
+        assert err.value.line == 3
 
     def test_nan_arrival_rejected_with_line_number(self, tmp_path):
         # A nan arrival used to pass, and the run timed out a simulated week later.
