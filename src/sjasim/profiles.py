@@ -16,7 +16,7 @@ import copy
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 from typing import NoReturn
 
@@ -69,7 +69,7 @@ class TrajectoryEnsemble:
             raise ProfileError("grid_step must be positive")
         if not self.runs:
             raise ProfileError("ensemble has no runs")
-        self.runs = [_checked_run(i, run) for i, run in enumerate(self.runs)]
+        self.runs = _checked_runs(self.runs)
         self._padded: np.ndarray | None = None
 
     @property
@@ -106,6 +106,17 @@ def _checked_run(i: int | str, run) -> np.ndarray:
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ProfileError(f"run {i} has negative or non-finite samples")
     return arr
+
+
+def _checked_runs(runs: list) -> list[np.ndarray]:
+    """Every run as _checked_run checks it, in one vector pass over all
+    samples; on a failure the per-run loop names the first bad run."""
+    arrays = [np.asarray(run, dtype=float) for run in runs]
+    if all(arr.ndim == 1 and arr.size for arr in arrays):
+        samples = np.concatenate(arrays)
+        if np.all(samples >= 0) and np.all(np.isfinite(samples)):
+            return arrays
+    return [_checked_run(i, arr) for i, arr in enumerate(arrays)]
 
 
 def nearest_rank(sorted_values: np.ndarray, q: float, n: int) -> float:
@@ -345,26 +356,39 @@ def refresh_profile(
 
 
 # ---------------------------------------------------------------------------
-# On-disk formats: one CSV per run, a manifest listing run files per ensemble.
+# On-disk formats: a run file holds one or more runs, each opened by its own
+# header; a manifest lists the run files of one ensemble.
 # ---------------------------------------------------------------------------
 
 TRAJECTORY_HEADER = "time_s,mem_mb"
+RUNS_FILE = "runs.csv"
+
+
+def _trajectory_text(runs: list[np.ndarray], grid_step: float) -> str:
+    """Run-file text: each run is a `time_s,mem_mb` header, then one
+    `time,memory` row per sample at 6 significant digits."""
+    samples = [np.asarray(run, dtype=float).tolist() for run in runs]
+    times = [_fmt6(i * grid_step) for i in range(max(map(len, samples), default=0))]
+    lines = []
+    for run in samples:
+        lines.append(TRAJECTORY_HEADER)
+        lines.extend(map("{},{}".format, times, map(_fmt6, run)))
+    return "\n".join(lines) + "\n"
 
 
 def write_trajectory(path: str | Path, samples: np.ndarray, grid_step: float) -> None:
-    """Write one run as `time_s,mem_mb` rows at 6 significant digits."""
-    samples = np.asarray(samples, dtype=float)
-    lines = [TRAJECTORY_HEADER]
-    for i, v in enumerate(samples):
-        lines.append(f"{_fmt6(i * grid_step)},{_fmt6(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write one run as a run file of one run."""
+    Path(path).write_text(_trajectory_text([samples], grid_step))
 
 
 def read_trajectory(path: str | Path) -> tuple[np.ndarray, float]:
-    """Read one run file; returns (samples, grid_step)."""
+    """Read a run file that holds exactly one run, such as a ground-truth
+    file; returns (samples, grid_step)."""
     path = Path(path)
-    (samples,), step = _bulk_parse([path]) or _raise_first_error([path], [str(path)], path)
-    return samples, step
+    runs, step = _bulk_parse([path]) or _raise_first_error([path], [str(path)], path)
+    if len(runs) != 1:
+        raise ProfileError(f"{path}: holds {len(runs)} runs, expected one")
+    return runs[0], step
 
 
 def write_ensemble(
@@ -372,16 +396,14 @@ def write_ensemble(
     ensemble: TrajectoryEnsemble,
     manifest_name: str = "manifest.txt",
 ) -> Path:
-    """Write all runs plus a manifest into `directory`; returns manifest path."""
+    """Write every run, in order, into one run file, `runs.csv`, plus a
+    manifest listing it; returns the manifest path. The file is byte for byte
+    the concatenation of the files write_trajectory writes for the runs."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, run in enumerate(ensemble.runs):
-        name = f"run_{i:04d}.csv"
-        write_trajectory(directory / name, run, ensemble.grid_step)
-        names.append(name)
+    (directory / RUNS_FILE).write_text(_trajectory_text(ensemble.runs, ensemble.grid_step))
     manifest = directory / manifest_name
-    manifest.write_text("\n".join(names) + "\n")
+    manifest.write_text(RUNS_FILE + "\n")
     return manifest
 
 
@@ -389,7 +411,9 @@ def load_ensemble(manifest_path: str | Path) -> TrajectoryEnsemble:
     """Load an ensemble from a manifest of run-file paths (one per line).
 
     Paths are resolved relative to the manifest's directory; blank lines and
-    `#` comments are skipped. All runs must share one grid step.
+    `#` comments are skipped. The ensemble holds every listed file's runs, in
+    manifest order and in file order within a file, so one file of many runs
+    and one file per run load alike. All runs must share one grid step.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -404,15 +428,28 @@ def load_ensemble(manifest_path: str | Path) -> TrajectoryEnsemble:
 
 
 def _bulk_parse(paths: list[Path]) -> tuple[list[np.ndarray], float] | None:
-    """The trajectory parser: each file's samples and their shared grid step, or
-    None for _raise_first_error to name the fault. All rows go through one float
-    map, all grids through one vector check: a run's step is t[1] - t[0] (1.0 for
-    one row), its times are finite, step > 0, |t[k+1] - t[k] - step| <= 1e-9 + 1e-6*step."""
-    files = [path.read_text().splitlines() or [""] for path in paths]
-    data = [list(filter(str.strip, lines[1:])) for lines in files]  # no blank rows
+    """The run-file parser: the runs of every file in order and their shared
+    grid step, or None for _raise_first_error to name the fault. A file's
+    first line is the header; each later header line opens a new run, and
+    blank lines are skipped."""
+    data = []
+    for path in paths:
+        lines = list(map(str.strip, path.read_text().splitlines())) or [""]
+        if lines[0] != TRAJECTORY_HEADER:
+            return None
+        rows = list(filter(None, lines))
+        heads = list(compress(count(), map(TRAJECTORY_HEADER.__eq__, rows)))
+        data += [rows[a + 1 : b] for a, b in zip(heads, heads[1:] + [len(rows)])]
+    return _parse_runs(data)
+
+
+def _parse_runs(data: list[list[str]]) -> tuple[list[np.ndarray], float] | None:
+    """Each run's samples from its data rows, and their shared grid step, or
+    None. All rows go through one float map, all grids through one vector
+    check: a run's step is t[1] - t[0] (1.0 for one row), its times are
+    finite, step > 0, |t[k+1] - t[k] - step| <= 1e-9 + 1e-6*step."""
     rows = list(chain.from_iterable(data))
-    if not (all(lines[0].strip() == TRAJECTORY_HEADER for lines in files) and all(data)
-            and set(map(str.count, rows, repeat(","))) == {1}):  # one comma a row
+    if not (all(data) and set(map(str.count, rows, repeat(","))) == {1}):  # one comma a row
         return None
     try:
         table = np.fromiter(map(float, ",".join(rows).split(",")), float).reshape(-1, 2)
@@ -435,28 +472,36 @@ def _bulk_parse(paths: list[Path]) -> tuple[list[np.ndarray], float] | None:
 
 
 def _raise_first_error(paths: list[Path], names: list[str], origin: Path) -> NoReturn:
-    """Raise the error of the first bad file in load order. The per-line parse
-    lives on here only to name a bad line; it accepts nothing."""
+    """Raise the error of the first fault in load order. It names the file and
+    line; a run after a file's first is named by its header line. The
+    per-line parse lives on here only to name a bad line; it accepts nothing."""
     steps = []
     for path, name in zip(paths, names):
         lines = path.read_text().splitlines()
         if not lines or lines[0].strip() != TRAJECTORY_HEADER:
             raise ProfileError(f"{path}: missing '{TRAJECTORY_HEADER}' header")
-        rows = [(ln, line) for ln, line in enumerate(lines[1:], start=2) if line.strip()]
-        if not rows:
-            raise ProfileError(f"{path}: no samples")
-        for ln, line in rows:
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ProfileError(f"{path}:{ln}: expected two comma-separated columns")
-            try:
-                list(map(float, parts))
-            except ValueError as exc:
-                raise ProfileError(f"{path}:{ln}: {exc}") from exc
-        parsed = _bulk_parse([path])  # this file's lines parse, so only its grid can fail
-        if parsed is None:
-            raise ProfileError(f"{path}: time column is not a uniform grid")
-        steps.append(parsed[1])
-        if not math.isclose(steps[-1], steps[0], rel_tol=1e-9):
-            raise ProfileError(f"{origin}: run {name} grid step {steps[-1]} != {steps[0]}")
+        runs = [(1, [])]  # (header line, its (line, text) rows)
+        for ln, line in enumerate(lines[1:], start=2):
+            if line.strip() == TRAJECTORY_HEADER:
+                runs.append((ln, []))
+            elif line.strip():
+                runs[-1][1].append((ln, line))
+        for head, rows in runs:
+            where, run = (f"{path}:{head}", f"{name}:{head}") if head > 1 else (path, name)
+            if not rows:
+                raise ProfileError(f"{where}: no samples")
+            for ln, line in rows:
+                parts = line.split(",")
+                if len(parts) != 2:
+                    raise ProfileError(f"{path}:{ln}: expected two comma-separated columns")
+                try:
+                    list(map(float, parts))
+                except ValueError as exc:
+                    raise ProfileError(f"{path}:{ln}: {exc}") from exc
+            parsed = _parse_runs([[line for _, line in rows]])  # only its grid can fail
+            if parsed is None:
+                raise ProfileError(f"{where}: time column is not a uniform grid")
+            steps.append(parsed[1])
+            if not math.isclose(steps[-1], steps[0], rel_tol=1e-9):
+                raise ProfileError(f"{origin}: run {run} grid step {steps[-1]} != {steps[0]}")
     raise AssertionError("the bulk parse refused files that pass every check")

@@ -7,9 +7,11 @@ functions of their arguments, so two calls always yield the same scenario;
 per-seed variation enters only through the engine's ground-truth draws.
 
 export_scenario writes a scenario to disk in the tabular format the CLI
-ingests. File-based scenarios replay bootstrap picks from the stored
-ensembles (the synthetic generators are an in-memory construct and are not
-serialized), which keeps file runs self-consistent and reproducible.
+ingests: the job table plus, per ensemble, a manifest and one run file,
+`runs.csv`, that holds all of the ensemble's runs. File-based scenarios
+replay bootstrap picks from the stored ensembles (the synthetic generators
+are an in-memory construct and are not serialized), which keeps file runs
+self-consistent and reproducible.
 """
 from __future__ import annotations
 
@@ -413,7 +415,8 @@ SCENARIO_BUILDERS = {
 
 
 def export_scenario(scenario: Scenario, directory: str | Path) -> Path:
-    """Write a scenario (job table plus ensemble files) under `directory`.
+    """Write a scenario under `directory`: `scenario.csv` and, per ensemble,
+    `ensembles/<key>/manifest.txt` and `runs.csv`.
 
     Returns the scenario file path, ready for the CLI or ingest_scenario.
     """

@@ -402,7 +402,10 @@ def ingest_scenario(
             truth_path = base / parts[10]
             if not truth_path.exists():
                 raise ScenarioError(f"ground-truth run not found: {parts[10]}", line=ln)
-            samples, step = read_trajectory(truth_path)
+            try:
+                samples, step = read_trajectory(truth_path)
+            except ProfileError as exc:
+                raise ScenarioError(str(exc), line=ln) from exc
             if not math.isclose(step, ensembles[manifest_rel].grid_step, rel_tol=1e-9):
                 raise ScenarioError("ground-truth grid step differs from ensemble", line=ln)
             try:  # the check every ensemble run gets

@@ -240,19 +240,21 @@ class TestErrorPaths:
             ("0,8000\n60,nan\n", "line 2: ground-truth run truth.csv has negative or non-finite"),
             ("0,8000\n60,-1\n", "line 2: ground-truth run truth.csv has negative or non-finite"),
             ("0,8000\ninf,8100\n", "truth.csv: time column is not a uniform grid"),
-            (None, "run_0000.csv: time column is not a uniform grid"),
+            (None, "runs.csv: time column is not a uniform grid"),
         ],
     )
     def test_bad_truth_or_run_file_exits_2_before_writing(
         self, tmp_path, capsys, command, truth_rows, message
     ):
         # job-0 pins a ground-truth run; None puts the infinite time column
-        # in every ensemble run instead.
+        # in every ensemble run instead, in every file the manifest lists.
         scenario, root = tiny_scenario(), tmp_path / "scn"
         path = export_scenario(scenario, root)
         if truth_rows is None:
-            for run_file in (root / "ensembles" / "m").glob("run_*.csv"):
-                run_file.write_text("time_s,mem_mb\n0,3000\ninf,3100\n")
+            ens_dir = root / "ensembles" / "m"
+            n_runs = scenario.ensembles["m"].n_runs
+            for entry in (ens_dir / "manifest.txt").read_text().split():
+                (ens_dir / entry).write_text("time_s,mem_mb\n0,3000\ninf,3100\n" * n_runs)
         (root / "truth.csv").write_text("time_s,mem_mb\n" + (truth_rows or "0,8000\n60,8000\n"))
         manifests = dict.fromkeys(["job-0", "job-1"], "ensembles/m/manifest.txt")
         write_scenario(path, scenario.jobs, manifests, truth_paths={"job-0": "truth.csv"})

@@ -534,19 +534,52 @@ class TestOneParser:
     error."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
-    def test_bundled_ensembles_load_as_their_files_read(self, tmp_path, name):
+    def test_export_writes_one_run_file_per_ensemble(self, tmp_path, name):
         scenario, _ = SCENARIO_BUILDERS[name]()
         export_scenario(scenario, tmp_path)
+        written = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*") if p.is_file())
+        assert written == sorted(["scenario.csv", *(
+            f"ensembles/{key}/{file}" for key in scenario.ensembles
+            for file in ("manifest.txt", "runs.csv"))])
         for key in scenario.ensembles:
-            manifest = tmp_path / "ensembles" / key / "manifest.txt"
+            assert (tmp_path / "ensembles" / key / "manifest.txt").read_text() == "runs.csv\n"
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+    def test_bundled_ensembles_load_as_their_files_read(self, tmp_path, name):
+        # An exported runs.csv is, byte for byte, the write_trajectory files of
+        # its runs laid end to end, and loads as read_trajectory reads them.
+        scenario, _ = SCENARIO_BUILDERS[name]()
+        export_scenario(scenario, tmp_path / "bundle")
+        for key, ensemble in scenario.ensembles.items():
+            manifest = tmp_path / "bundle" / "ensembles" / key / "manifest.txt"
             loaded = pf.load_ensemble(manifest)
-            files = [pf.read_trajectory(manifest.parent / entry)
-                     for entry in manifest.read_text().split()]
+            (tmp_path / key).mkdir()
+            paths = [tmp_path / key / f"run_{i:04d}.csv" for i in range(ensemble.n_runs)]
+            for path, run in zip(paths, ensemble.runs):
+                pf.write_trajectory(path, run, ensemble.grid_step)
+            assert (manifest.parent / "runs.csv").read_bytes() == b"".join(
+                path.read_bytes() for path in paths)
+            files = [pf.read_trajectory(path) for path in paths]
             assert loaded.n_runs == len(files)
             for run, (samples, step) in zip(loaded.runs, files):
                 assert step == loaded.grid_step
                 assert run.dtype == samples.dtype and run.shape == samples.shape
                 np.testing.assert_array_equal(run, samples)
+
+    def test_one_file_per_run_and_mixed_manifests_load_the_same_runs(self, tmp_path):
+        ens = make_ensemble([[1.0, 2.0], [3.0, 4.5, 5.0], [6.0, 0.0], [7.0, 8.0]], 30.0)
+        one_file = pf.load_ensemble(pf.write_ensemble(tmp_path / "one", ens))
+        for i, run in enumerate(ens.runs):
+            pf.write_trajectory(tmp_path / f"run_{i}.csv", run, 30.0)
+        pf.write_ensemble(tmp_path / "pair", make_ensemble(ens.runs[1:3], 30.0))
+        per_run, mixed = tmp_path / "per_run.txt", tmp_path / "mixed.txt"
+        per_run.write_text("run_0.csv\nrun_1.csv\nrun_2.csv\nrun_3.csv\n")
+        mixed.write_text("run_0.csv\npair/runs.csv\nrun_3.csv\n")
+        for loaded in (one_file, pf.load_ensemble(per_run), pf.load_ensemble(mixed)):
+            assert loaded.grid_step == 30.0
+            assert [run.tolist() for run in loaded.runs] == [run.tolist() for run in ens.runs]
+            assert all(run.dtype == np.float64 for run in loaded.runs)
 
     @pytest.mark.parametrize(
         "bad",
@@ -559,6 +592,9 @@ class TestOneParser:
             "time_s,mem_mb\n\n",  # no samples
             "time_s,mem_mb\n0,3000\ninf,3100\n",  # an infinite grid step
             "time_s,mem_mb\ninf,3000\n",  # one row at an infinite time
+            GOOD + "time_s,mem_mb\n0,1\n60,abc\n",  # a bad cell in a file's second run
+            GOOD + "time_s,mem_mb\n0,1\n60,2\n150,3\n",  # its second run off the grid
+            GOOD + "time_s,mem_mb\n",  # a header and no samples at the end of the file
         ],
     )
     def test_bad_third_of_five_files_raises_its_own_message(self, tmp_path, bad):
@@ -579,12 +615,13 @@ class TestOneParser:
 
     def test_blank_lines_crlf_and_comments(self, tmp_path):
         texts = [GOOD, "time_s,mem_mb\n\n0,7\n  \n60,8\n",
+                 "time_s,mem_mb\n0,5\n60,6\n  time_s,mem_mb \n\n0,3\n60,4\n",  # two runs
                  "time_s,mem_mb\n0,9\n60,10\n120,11\n180,12"]  # no final newline
         for newline in ("\n", "\r\n"):
             loaded = pf.load_ensemble(stage_runs(tmp_path / repr(newline), texts, newline))
             assert loaded.grid_step == 60.0
             assert [run.tolist() for run in loaded.runs] == [
-                [1.0, 2.5, 4.0], [7.0, 8.0], [9.0, 10.0, 11.0, 12.0]]
+                [1.0, 2.5, 4.0], [7.0, 8.0], [5.0, 6.0], [3.0, 4.0], [9.0, 10.0, 11.0, 12.0]]
 
     def test_one_row_runs_have_step_one(self, tmp_path):
         manifest = stage_runs(tmp_path, ["time_s,mem_mb\n0,5\n", "time_s,mem_mb\n30,6\n"])
@@ -603,3 +640,61 @@ class TestOneParser:
         drift = "time_s,mem_mb\n0,1\n60.00000001,2\n"  # 1.7e-10 off, relative
         loaded = pf.load_ensemble(stage_runs(tmp_path, [GOOD, drift]))
         assert loaded.grid_step == 60.0
+
+
+class TestRunFiles:
+    """A run file holds one or more runs, each opened by the header; errors
+    name the file and the line, a later run by its header line."""
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (GOOD + "time_s,mem_mb\n\ntime_s,mem_mb\n0,5\n", "run_1.csv:5"),  # next header
+            (GOOD + GOOD + "time_s,mem_mb\n\n", "run_1.csv:9"),  # end of the file
+            ("time_s,mem_mb\n" + GOOD, "run_1.csv"),  # a file's first header
+        ],
+    )
+    def test_header_with_no_samples(self, tmp_path, text, where):
+        with pytest.raises(pf.ProfileError) as err:
+            pf.load_ensemble(stage_runs(tmp_path, [GOOD, text]))
+        assert str(err.value) == f"{tmp_path / where}: no samples"
+
+    def test_step_mismatch_inside_a_file_names_its_header_line(self, tmp_path):
+        two = GOOD + "\ntime_s,mem_mb\n0,5\n30,6\n"
+        manifest = stage_runs(tmp_path, [GOOD, two])
+        with pytest.raises(pf.ProfileError) as err:
+            pf.load_ensemble(manifest)
+        assert str(err.value) == f"{manifest}: run run_1.csv:6 grid step 30.0 != 60.0"
+
+    def test_read_trajectory_refuses_a_file_of_several_runs(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        pf.write_ensemble(tmp_path, make_ensemble([[1.0, 2.0], [3.0, 3.5, 4.0], [4.0, 5.0]]))
+        with pytest.raises(pf.ProfileError) as err:
+            pf.read_trajectory(path)
+        assert str(err.value) == f"{path}: holds 3 runs, expected one"
+        assert pf.load_ensemble(tmp_path / "manifest.txt").n_runs == 3
+
+
+class TestVectorRunCheck:
+    """TrajectoryEnsemble checks all runs in one pass and names the first bad
+    run, with its first failing check, as the per-run check does."""
+
+    @pytest.mark.parametrize(
+        "runs, message",
+        [
+            ([[1.0], [2.0, -1.0], [math.nan]], "run 1 has negative or non-finite samples"),
+            ([[1.0], [[2.0]], [-1.0]], "run 1 must be a non-empty 1-d sample array"),
+            ([[1.0], [-1.0], []], "run 1 has negative or non-finite samples"),
+            ([[math.inf, 1.0], [], [2.0]], "run 0 has negative or non-finite samples"),
+            ([[1.0, 2.0], [3.0], []], "run 2 must be a non-empty 1-d sample array"),
+        ],
+    )
+    def test_first_bad_run_is_named(self, runs, message):
+        with pytest.raises(pf.ProfileError) as err:
+            pf.TrajectoryEnsemble(grid_step=60.0, runs=runs)
+        assert str(err.value) == message
+
+    def test_good_runs_become_float_arrays(self):
+        ens = pf.TrajectoryEnsemble(grid_step=60.0, runs=[[1, 2], np.array([3.0]), (4, 5)])
+        assert all(isinstance(run, np.ndarray) and run.dtype == np.float64 for run in ens.runs)
+        assert [run.tolist() for run in ens.runs] == [[1.0, 2.0], [3.0], [4.0, 5.0]]

@@ -188,6 +188,17 @@ class TestScenarioFiles:
         assert set(truths) == {"a"}
         assert np.allclose(truths["a"], truth)
 
+    def test_truth_file_of_several_runs_names_the_scenario_line(self, tmp_path):
+        # An exported runs.csv holds the whole ensemble; it is no ground truth.
+        ens, jobs, manifests = self._stage(tmp_path)
+        write_scenario(tmp_path / "scn.csv", jobs, manifests,
+                       truth_paths={"b": "ens/runs.csv"})
+        with pytest.raises(ScenarioError) as err:
+            ingest_scenario(tmp_path / "scn.csv")
+        assert err.value.line == 3
+        runs_csv = tmp_path / "ens" / "runs.csv"
+        assert str(err.value) == f"line 3: {runs_csv}: holds 6 runs, expected one"
+
     def test_absolute_manifest_and_truth_paths(self, tmp_path):
         ens, jobs, manifests = self._stage(tmp_path)
         pf.write_trajectory(tmp_path / "truth_a.csv", [900.0, 910.0], 60.0)
