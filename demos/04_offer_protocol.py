@@ -3,11 +3,11 @@ One offer round, step by step
 =============================
 
 The scheduler advertises free windows as offers; waiting jobs answer with
-interest or a decline after a pure dry-run plan; a policy picks one
-winner in the same round, so an offer needs no expiry; materialization
-mints subjobs from the winner's dry-run plan, and the engine then runs
-those records to their end. No job state exists
-until that last step.
+interest or a decline, a pure verdict on whether they could fit a subjob
+into the window; a policy picks one winner in the same round, so an offer
+needs no expiry; only the winner plans the window, and materialization
+mints its subjobs, which the engine then runs to their end. No job state
+exists until that last step.
 """
 import numpy as np
 
@@ -43,8 +43,8 @@ offer, = advertise([gap])
 print(f"offer {offer.offer_id}: {gap.capacity_mb / 1024:.0f} GB "
       f"[{gap.start:.0f} s, {gap.end:.0f} s)")
 
-# 2. Every waiting job answers. The 30 GB job cannot fit and declines; an
-#    interested job's signal carries its dry-run plan.
+# 2. Every waiting job answers. The 30 GB job cannot fit and declines; the
+#    other signals interest without planning the window yet.
 signals = collect_interest(offer, jobs, catalog, risk, seg)
 for s in signals:
     print(f"  {s.job_id}: {s.kind}" + (f" ({s.reason})" if s.reason else ""))
@@ -56,10 +56,9 @@ ctx = SelectionContext(now=60.0, risk=risk, jobs={j.spec.job_id: j for j in jobs
 grant = grant_offer(offer, signals, GrantPolicy(kind="fifo"), TenantLedger({}), ctx)
 print(f"granted to {grant.job_id}")
 
-# 4. Materialize: mint bounded subjobs from the winner's dry-run plan.
+# 4. Materialize: the winner plans the window and mints bounded subjobs.
 winner = next(j for j in jobs if j.spec.job_id == grant.job_id)
-plan = next(s.plan for s in signals if s.job_id == grant.job_id)
-subjobs = materialize(winner, grant, offer.window, plan)
+subjobs = materialize(winner, grant, offer.window, catalog, risk, seg)
 for sj in subjobs:
     print(f"  {sj.subjob_id}: wall [{sj.window_start_s:.0f} s, "
           f"{sj.reserved_end_s:.0f} s), "

@@ -49,7 +49,7 @@ class GrantPolicy:
 
 class TenantLedger:
     """Token budgets per tenant; a grant debits its cost for good, as
-    materialize mints subjobs from the winner's dry-run plan and never refuses."""
+    materialize mints the winner's planned subjobs and never refuses."""
 
     def __init__(self, budgets: dict[str, float] | None = None):
         self.budgets: dict[str, float] = dict(budgets or {})

@@ -148,11 +148,12 @@ class FunctionalProfile:
     source: TrajectoryEnsemble
     inflation: float  # scales every envelope; > 1 only from single_run_profile
     envelope_cache: dict[float, np.ndarray] = field(default_factory=dict)
-    # Dry-run plans memoized by segmentation.plan_segments, shared by every
+    # Plans and interest verdicts memoized by segmentation, shared by every
     # job on this profile, and memory_admissible's index per capacity. They
     # live here, not on the source (extended() shallow-copies it), so that a
     # refreshed profile starts empty and the old entries go with the old one.
     plan_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    verdict_cache: dict = field(default_factory=dict, repr=False, compare=False)
     exceedance_index: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property

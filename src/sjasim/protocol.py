@@ -1,10 +1,12 @@
 """Offer, interest, grant, materialize: the scheduling-round protocol.
 
 The scheduler advertises free execution windows; waiting jobs signal
-interest or decline after a dry-run segmentation of the window against
-their memory profile; a grant policy picks one interested job per offer;
-only then are subjobs minted from the winner's dry-run plan, which its
-interest signal carries. No subjob state is created before the grant.
+interest when they can potentially fit a subjob into the window, or
+decline with a reason; a grant policy picks one interested job per offer;
+only then does the winner plan its subjobs for the window, and materialize
+mints them. Interest is a verdict, not a plan: segmentation decides most
+verdicts from bounds on the first fragment, and plans only the rest. No
+subjob state is created before the grant.
 """
 from __future__ import annotations
 
@@ -14,7 +16,13 @@ from typing import NamedTuple
 from . import policies as _policies
 from .cluster import ExecutionWindow, SliceCatalog
 from .profiles import RiskParams
-from .segmentation import FragmentPlan, PlanRefusal, SegmentationConfig, plan_segments
+from .segmentation import (
+    PlanRefusal,
+    SegmentationConfig,
+    interest_verdict,
+    plan_segments,
+    window_terms,
+)
 from .workload import JobRuntime, SubJob
 
 __all__ = [
@@ -46,7 +54,6 @@ class InterestSignal(NamedTuple):
     job_id: str
     kind: str  # interest | decline
     reason: str = ""
-    plan: list[FragmentPlan] | None = None  # the dry-run plan; None on a decline
 
 
 @dataclass(frozen=True)
@@ -68,27 +75,32 @@ def collect_interest(
     seg: SegmentationConfig,
     resume_positions: dict[str, float] | None = None,
 ) -> list[InterestSignal]:
-    """Dry-run each waiting job against the offer; pure, no state is created.
+    """Each waiting job's verdict on the offer; pure, no state is created.
 
-    A job signals interest iff segmentation yields at least one admissible
-    fragment, and the signal carries that plan; plan_segments refuses
-    non-atomizable jobs, which take the conventional placement path. A
-    job's demand floor, when it has one, raises the envelope it is planned
+    A job signals interest iff plan_segments would plan at least one
+    admissible fragment of the window, and declines with the reason it
+    would refuse with otherwise; non-atomizable jobs decline and take the
+    conventional placement path. The window's terms are worked out once
+    per grid step, so a job whose verdict is cached costs one lookup. A
+    job's demand floor, when it has one, raises the envelope it is judged
     on. resume_positions lets the caller pipeline a job that already holds
-    planned subjobs: its plan starts where the pending work ends.
+    planned subjobs: its verdict starts where the pending work ends.
     """
     offer_id, window = offer.offer_id, offer.window
     resume = resume_positions or {}
+    terms = {}  # by grid step: a scenario has one, library callers may mix
     signals: list[InterestSignal] = []
     for job in waiting:
         job_id = job.spec.job_id
-        result = plan_segments(
-            job, window, catalog, risk, seg, start_position_s=resume.get(job_id)
-        )
-        if isinstance(result, PlanRefusal):
-            signals.append(InterestSignal(offer_id, job_id, DECLINE, result.reason))
+        h = job.profile.grid_step
+        at = terms.get(h)
+        if at is None:
+            at = terms[h] = window_terms(window, h, catalog, risk, seg)
+        reason = interest_verdict(job, at, resume.get(job_id))
+        if reason:
+            signals.append(InterestSignal(offer_id, job_id, DECLINE, reason))
         else:
-            signals.append(InterestSignal(offer_id, job_id, INTEREST, "", result))
+            signals.append(InterestSignal(offer_id, job_id, INTEREST))
     return signals
 
 
@@ -110,19 +122,29 @@ def materialize(
     job: JobRuntime,
     granted: Grant,
     window: ExecutionWindow,
-    plan: list[FragmentPlan],
+    catalog: SliceCatalog,
+    risk: RiskParams,
+    seg: SegmentationConfig,
+    start_position_s: float | None = None,
 ) -> tuple[SubJob, ...]:
-    """Mint the granted job's subjobs from the winner's dry-run plan.
+    """Plan the granted job's window and mint its subjobs.
 
-    plan is what the job's interest signal carried; nothing between dry
-    run and grant moves a profile, demand floor or position. Each fragment
-    becomes a subjob at window.start + offset_s, except any at or past the
-    job's actual end; never the first, which starts at an unfinished
-    position. Segmentation sized each fragment on the risk.eps envelope
-    (raised by any demand floor), so none peaks above its capacity there.
+    The plan starts where the job's verdict did: at start_position_s when
+    the grant pipelines the job, else at its position. Nothing between
+    verdict and grant moves a profile, demand floor or position, so an
+    interested job's plan has a fragment; a refusal raises ValueError. Each
+    fragment becomes a subjob at window.start + offset_s, except any at or
+    past the job's actual end; never the first, which starts at an
+    unfinished position. Segmentation sized each fragment on the risk.eps
+    envelope (raised by any demand floor), so none peaks above its
+    capacity there.
     """
     if granted.job_id != job.spec.job_id:
         raise ValueError("grant addressed to a different job")
+    # Through the module global, where tracers hook it.
+    plan = plan_segments(job, window, catalog, risk, seg, start_position_s=start_position_s)
+    if isinstance(plan, PlanRefusal):
+        raise ValueError(f"job {job.spec.job_id} has no plan for the window: {plan.reason}")
     subjobs: list[SubJob] = []
     for frag in plan:
         if frag.pos_from_s >= job.actual_duration_s - 1e-9:

@@ -6,6 +6,12 @@ its (smoothed) envelope. A split is only accepted when it reduces wasted
 reservation (reserved capacity-time minus envelope area) by at least
 `hysteresis_delta` relative to the parent fragment's reservation, which
 keeps plans from chasing short-lived dips.
+
+An offer asks each waiting job only whether it could plan a subjob in the
+window. interest_verdict answers that exactly from bounds on the first
+fragment, and plans only when the bounds leave it open; plan_segments
+plans a window in full, for the job that wins it. Both memoize on the
+profile.
 """
 from __future__ import annotations
 
@@ -13,6 +19,7 @@ import math
 from bisect import bisect_left
 from dataclasses import astuple, dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +33,18 @@ __all__ = [
     "Fragment",
     "FragmentPlan",
     "PlanRefusal",
+    "WindowTerms",
     "segment_window",
     "plan_waste",
+    "window_terms",
+    "interest_verdict",
     "plan_segments",
 ]
+
+_NON_ATOMIZABLE = "non-atomizable job, conventional placement only"
+_NO_PREFIX = "no tau_min prefix fits the offered capacity"
+_NO_FRAGMENT = "no admissible fragment at the offered capacity"
+_PLAN = object()  # verdict cache value: the bounds left the verdict open
 
 
 class InfeasiblePlan(ValueError):
@@ -66,15 +81,28 @@ class SegmentationConfig:
             raise ValueError("smoothing_window must be >= 0")
         if self.hysteresis_delta < 0:
             raise ValueError("hysteresis_delta must be >= 0")
-        # plan_segments keys its cache on this, not on self: a str keeps its
+        # Plan and verdict cache keys hold this, not self: a str keeps its
         # hash, while the generated __hash__ rehashes every field per lookup.
         object.__setattr__(self, "plan_key", repr(astuple(self)))
+        object.__setattr__(self, "_steps", {})
 
     def min_steps(self, grid_step: float) -> int:
         return max(1, math.ceil(self.tau_min_s / grid_step - 1e-9))
 
     def max_steps(self, grid_step: float) -> int:
         return max(self.min_steps(grid_step), int(self.tau_max_s / grid_step + 1e-9))
+
+    def steps(self, grid_step: float) -> tuple[int, int, int]:
+        """min_steps, max_steps and the smoothing half-width at grid_step,
+        memoized, as every offer and plan reads them."""
+        got = self._steps.get(grid_step)
+        if got is None:
+            got = self._steps[grid_step] = (
+                self.min_steps(grid_step),
+                self.max_steps(grid_step),
+                _half_width(grid_step, self.smoothing_window_s),
+            )
+        return got
 
 
 @dataclass(frozen=True)
@@ -90,14 +118,18 @@ class Fragment:
         return self.end_idx - self.start_idx
 
 
+def _half_width(grid_step: float, smoothing_window_s: float) -> int:
+    """Samples the sliding maximum reaches on each side."""
+    return int(round(smoothing_window_s / (2.0 * grid_step)))
+
+
 def _sliding_max(x: list[float], grid_step: float, smoothing_window_s: float) -> list[float]:
     """Centered sliding maximum of total width ~smoothing_window_s, clamped
     at both ends. Never below the raw envelope, so smoothing only ever adds
     safety margin."""
     # `half` passes of a clamped 3-sample max reach `half` samples each way;
     # after len(x) - 1 passes every sample holds the maximum.
-    half = int(round(smoothing_window_s / (2.0 * grid_step)))
-    for _ in range(min(half, len(x) - 1)):
+    for _ in range(min(_half_width(grid_step, smoothing_window_s), len(x) - 1)):
         x = list(map(max, [x[0], *x[:-1]], x, [*x[1:], x[-1]]))
     return x
 
@@ -164,14 +196,13 @@ def segment_window(
     if offered_capacity_mb not in catalog:
         raise InfeasiblePlan(f"offered capacity {offered_capacity_mb} not in catalog")
     smoothed = _sliding_max(u.tolist(), grid_step, seg.smoothing_window_s)
-    tmin = seg.min_steps(grid_step)
-    tmax = seg.max_steps(grid_step)
+    tmin, tmax, _ = seg.steps(grid_step)
 
     # Feasible prefix: everything strictly before the first sample whose
     # covering capacity exceeds the offer.
     n = next((i for i, v in enumerate(smoothed) if not v <= offered_capacity_mb), len(smoothed))
     if n < tmin:
-        raise InfeasiblePlan("no tau_min prefix fits the offered capacity")
+        raise InfeasiblePlan(_NO_PREFIX)
 
     # Smallest covering capacity per sample, as an int for the event log
     # (bisect_left takes an equal one); covering is monotone, so a span's
@@ -252,6 +283,112 @@ class PlanRefusal:
     reason: str
 
 
+class WindowTerms(NamedTuple):
+    """What planning reads from an offered window at one grid step."""
+
+    n_steps: int  # whole grid steps inside the window
+    verdict_steps: int  # samples a decided verdict reads: min(n_steps, tau_max + half)
+    tail: tuple  # the window's part of a cache key
+    capacity_mb: int
+    catalog: SliceCatalog
+    risk: RiskParams
+    seg: SegmentationConfig
+
+
+def window_terms(
+    window: ExecutionWindow,
+    grid_step: float,
+    catalog: SliceCatalog,
+    risk: RiskParams,
+    seg: SegmentationConfig,
+) -> WindowTerms | PlanRefusal:
+    """A window's refusal, which no job can plan around, or its terms."""
+    if window.duration + 1e-9 < seg.tau_min_s:
+        return PlanRefusal("window shorter than tau_min")
+    # Whole grid steps that fit inside the window; never round up, or the
+    # plan would spill past the window into the next reservation.
+    n_steps = int(window.duration / grid_step + 1e-9)
+    if n_steps < 1:
+        return PlanRefusal("window shorter than one grid step")
+    capacity = window.capacity_mb
+    if capacity not in catalog:
+        return PlanRefusal(f"offered capacity {capacity} not in catalog")
+    _, tmax, half = seg.steps(grid_step)
+    tail = (capacity, seg.plan_key, risk.eps, catalog.capacities_mb)
+    return WindowTerms(n_steps, min(n_steps, tmax + half), tail, capacity, catalog, risk, seg)
+
+
+def _key(
+    job: JobRuntime, start_position_s: float | None, steps: int, tail: tuple
+) -> tuple[int, tuple]:
+    """The start grid index of a plan or verdict over `steps` samples, and
+    its cache key."""
+    base_pos = job.position_s if start_position_s is None else start_position_s
+    i0 = int(round(base_pos / job.profile.grid_step))
+    floor = job.demand_floor
+    owner = None if floor is None else (job.spec.job_id, job.demand_floor_version)
+    return i0, (owner, i0, steps, tail)
+
+
+def interest_verdict(
+    job: JobRuntime, terms: WindowTerms | PlanRefusal, start_position_s: float | None = None
+) -> str:
+    """The empty string when plan_segments would plan at least one
+    admissible fragment of the window, else the reason it would refuse
+    with. `terms` are the window's at the job's grid step.
+
+    A verdict is exact without a plan in most cases. segment_window's
+    first fragment spans [0, b) with tau_min <= b <= m, where m = min(n,
+    tau_max) and n is the feasible prefix, so its capacity lies between
+    the covers of the smoothed maxima over [0, tau_min) and [0, m).
+    memory_admissible admits no less at more capacity and no more over a
+    longer span: admission at the low capacity over m steps means
+    interest, failure at the high one over tau_min steps a decline. Only
+    the cases between plan, through plan_segments's cache. A decided
+    verdict reads the first verdict_steps samples, so it is cached on that
+    length in `profile.verdict_cache` and serves every longer window.
+    """
+    if not job.spec.atomizable:
+        return _NON_ATOMIZABLE
+    if isinstance(terms, PlanRefusal):
+        return terms.reason
+    i0, key = _key(job, start_position_s, terms.verdict_steps, terms.tail)
+    cache = job.profile.verdict_cache
+    verdict = cache.get(key)
+    if verdict is None:
+        verdict = cache[key] = _bounds(job.profile, job.demand_floor, i0, terms)
+    if verdict is _PLAN:
+        planned = _planned(job, start_position_s, terms)
+        verdict = planned.reason if isinstance(planned, PlanRefusal) else ""
+    return verdict
+
+
+def _bounds(
+    profile: FunctionalProfile, floor: np.ndarray | None, i0: int, terms: WindowTerms
+) -> str | object:
+    """Uncached verdict from the first verdict_steps samples: "", a
+    refusal reason, or _PLAN when only the plan can tell."""
+    h = profile.grid_step
+    seg = terms.seg
+    u = _envelope(profile, floor, i0, terms.verdict_steps, terms.risk.eps).tolist()
+    smoothed = _sliding_max(u, h, seg.smoothing_window_s)
+    tmin, tmax, _ = seg.steps(h)
+    reach = min(len(smoothed), tmax)
+    capacity = terms.capacity_mb
+    m = next((i for i in range(reach) if not smoothed[i] <= capacity), reach)
+    if m < tmin:
+        return _NO_PREFIX
+    caps = terms.catalog.capacities_mb
+    low = caps[bisect_left(caps, max(smoothed[:tmin]))]
+    high = caps[bisect_left(caps, max(smoothed[:m]))]
+    # Spans as _plan queries a fragment [0, b): grid points i0 .. i0 + b - 1.
+    if memory_admissible(profile, low, (i0 * h, (i0 + m) * h - h), terms.risk).admissible:
+        return ""
+    if not memory_admissible(profile, high, (i0 * h, (i0 + tmin) * h - h), terms.risk).admissible:
+        return _NO_FRAGMENT
+    return _PLAN
+
+
 def plan_segments(
     job: JobRuntime,
     window: ExecutionWindow,
@@ -274,60 +411,41 @@ def plan_segments(
     `profile.plan_cache`. The key is everything the plan reads besides the
     profile: the job's demand floor, start grid index, whole window steps,
     offered capacity, seg (by its plan_key), risk.eps and the catalog's
-    capacities. A job has a floor only
-    once the engine noted an OOM kill under online correction; it stands in
-    the key as (job id, demand-floor version), and as None otherwise, so
-    jobs without a floor share one plan per profile. Fragments are
-    window-relative, so a hit returns the cached fragment objects
-    themselves, whatever the window's start or job; materialize mints
-    subjobs from the winner's dry-run plan, each at window.start + offset_s.
+    capacities. A job has a floor only once the engine noted an OOM kill
+    under online correction; it stands in the key as (job id,
+    demand-floor version), and as None otherwise, so jobs without a floor
+    share one plan per profile. Fragments are window-relative, so a hit
+    returns the cached fragment objects themselves, whatever the window's
+    start or job. Offers are answered by interest_verdict, which plans only
+    when its bounds cannot decide; materialize plans the winner's window.
     """
     if not job.spec.atomizable:
-        return PlanRefusal("non-atomizable job, conventional placement only")
-    if window.duration + 1e-9 < seg.tau_min_s:
-        return PlanRefusal("window shorter than tau_min")
+        return PlanRefusal(_NON_ATOMIZABLE)
+    terms = window_terms(window, job.profile.grid_step, catalog, risk, seg)
+    if isinstance(terms, PlanRefusal):
+        return terms
+    planned = _planned(job, start_position_s, terms)
+    return planned if isinstance(planned, PlanRefusal) else list(planned)
+
+
+def _planned(
+    job: JobRuntime, start_position_s: float | None, terms: WindowTerms
+) -> tuple[FragmentPlan, ...] | PlanRefusal:
+    """The plan of the whole window, memoized."""
     profile = job.profile
-    h = profile.grid_step
-    # Whole grid steps that fit inside the window; never round up, or the
-    # plan would spill past the window into the next reservation.
-    n_steps = int(window.duration / h + 1e-9)
-    if n_steps < 1:
-        return PlanRefusal("window shorter than one grid step")
-    base_pos = job.position_s if start_position_s is None else start_position_s
-    i0 = int(round(base_pos / h))
-    floor = job.demand_floor
-    key = (
-        None if floor is None else (job.spec.job_id, job.demand_floor_version),
-        i0,
-        n_steps,
-        window.capacity_mb,
-        seg.plan_key,
-        risk.eps,
-        catalog.capacities_mb,
-    )
+    i0, key = _key(job, start_position_s, terms.n_steps, terms.tail)
     planned = profile.plan_cache.get(key)
     if planned is None:
-        planned = _plan(profile, floor, i0, n_steps, window.capacity_mb, catalog, risk, seg)
-        profile.plan_cache[key] = planned
-    if isinstance(planned, PlanRefusal):
-        return planned
-    return list(planned)
+        planned = profile.plan_cache[key] = _plan(profile, job.demand_floor, i0, terms)
+    return planned
 
 
-def _plan(
-    profile: FunctionalProfile,
-    floor: np.ndarray | None,
-    i0: int,
-    n_steps: int,
-    capacity_mb: int,
-    catalog: SliceCatalog,
-    risk: RiskParams,
-    seg: SegmentationConfig,
-) -> tuple[FragmentPlan, ...] | PlanRefusal:
-    """Uncached body of plan_segments; `floor` is the demand floor it
-    raises the envelope to, or None."""
-    h = profile.grid_step
-    curve = profile.envelope(risk.eps)
+def _envelope(
+    profile: FunctionalProfile, floor: np.ndarray | None, i0: int, n_steps: int, eps: float
+) -> np.ndarray:
+    """The eps envelope over grid points [i0, i0 + n_steps), raised to the
+    demand floor when there is one."""
+    curve = profile.envelope(eps)
     u = curve[i0 : i0 + n_steps]
     if len(u) < n_steps:
         # Past the profile horizon: extrapolate the last supported value.
@@ -338,9 +456,20 @@ def _plan(
         if len(floor) < n_steps:
             floor = np.concatenate([floor, np.zeros(n_steps - len(floor))])
         u = np.maximum(u, floor)
+    return u
+
+
+def _plan(
+    profile: FunctionalProfile, floor: np.ndarray | None, i0: int, terms: WindowTerms
+) -> tuple[FragmentPlan, ...] | PlanRefusal:
+    """Uncached body of plan_segments; `floor` is the demand floor it
+    raises the envelope to, or None."""
+    h = profile.grid_step
+    risk = terms.risk
+    u = _envelope(profile, floor, i0, terms.n_steps, risk.eps)
     # Both calls go through the module globals, where tracers hook them.
     try:
-        fragments = segment_window(u, h, catalog, capacity_mb, seg)
+        fragments = segment_window(u, h, terms.catalog, terms.capacity_mb, terms.seg)
     except InfeasiblePlan as exc:
         return PlanRefusal(str(exc))
 
@@ -367,5 +496,5 @@ def _plan(
             )
         )
     if not plans:
-        return PlanRefusal("no admissible fragment at the offered capacity")
+        return PlanRefusal(_NO_FRAGMENT)
     return tuple(plans)

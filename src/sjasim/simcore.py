@@ -769,6 +769,8 @@ class _Engine:
             offers = advertise(gaps, self._offer_seq)
             self._offer_seq += len(offers)
             ctx = SelectionContext(self.now, self.cfg.risk, self.jobs, parked=self._parked)
+            # Grants only take jobs out of the queue until the round ends.
+            queued = [j for j in waiting if j.spec.atomizable]
             for offer in offers:
                 self._log(
                     "offer_issued",
@@ -778,7 +780,7 @@ class _Engine:
                     window_start=round(offer.window.start, 6),
                     window_s=round(offer.window.duration, 6),
                 )
-                if self._grant_one(offer, ctx):
+                if self._grant_one(offer, ctx, queued):
                     progress = True
                 else:
                     expire_at = self.now + _OFFER_EXPIRE_AFTER_S
@@ -790,42 +792,39 @@ class _Engine:
             progress = True
         return progress
 
-    def _grant_one(self, offer, ctx: SelectionContext) -> bool:
+    def _grant_one(self, offer, ctx: SelectionContext, queued: list[JobRuntime]) -> bool:
         """Interest, grant, materialize for one offer of the round's context
-        ctx, whose starts become this offer's resume positions. True on success."""
-        candidates = [j for j in self._waiting() if j.spec.atomizable]
+        ctx, whose starts become this offer's resume positions. queued is the
+        round's atomizable queue in scenario order. True on success."""
+        candidates = [j for j in queued if j.spec.job_id in self._queue]
         extra, resume = self._pipeline_candidates(offer.window.start)
         candidates += extra
         if not candidates:
             return False
+        cfg = self.cfg
         signals = collect_interest(
-            offer,
-            candidates,
-            self.cfg.catalog,
-            self.cfg.risk,
-            self.cfg.seg,
-            resume_positions=resume,
+            offer, candidates, cfg.catalog, cfg.risk, cfg.seg, resume_positions=resume
         )
         # One record per signal, as _log writes it, all at one rounded t.
         t = round(self.now, 6)
         append = self.event_log.append
-        plans = {}
-        for offer_id, job_id, kind, reason, plan in signals:
+        interested = False
+        for offer_id, job_id, kind, reason in signals:
             if kind == INTEREST:
-                plans[job_id] = plan
+                interested = True
                 append({"t": t, "kind": kind, "offer": offer_id, "job": job_id})
             else:
                 append({"t": t, "kind": kind, "offer": offer_id, "job": job_id, "reason": reason})
-        if not plans:
+        if not interested:
             return False
         ctx.starts = resume
-        granted = grant_offer(offer, signals, self.cfg.policy, self.ledger, ctx)
+        granted = grant_offer(offer, signals, cfg.policy, self.ledger, ctx)
         if granted is None:
             return False
         job = self.jobs[granted.job_id]
         cost = 0.0
-        if self.cfg.policy.kind == "fair_tokens":
-            cost = offer_cost_tokens(offer, self.cfg.policy.cost_rate)
+        if cfg.policy.kind == "fair_tokens":
+            cost = offer_cost_tokens(offer, cfg.policy.cost_rate)
             self.ledger.debit(job.spec.tenant_id, cost)
         self._log(
             "grant",
@@ -833,7 +832,9 @@ class _Engine:
             job=granted.job_id,
             cost_tokens=round(cost, 6),
         )
-        for sj in materialize(job, granted, offer.window, plans[granted.job_id]):
+        for sj in materialize(
+            job, granted, offer.window, cfg.catalog, cfg.risk, cfg.seg, resume.get(job.spec.job_id)
+        ):
             self._book(sj, sj.reserved_end_s)
             self._log(
                 "subjob_created",

@@ -98,8 +98,7 @@ def loop_interest(offer, waiting, catalog, risk, seg, resume_positions=None):
             signals.append(InterestSignal(offer.offer_id, job.spec.job_id, "decline",
                                           reason=result.reason))
         else:
-            signals.append(InterestSignal(offer.offer_id, job.spec.job_id, "interest",
-                                          plan=result))
+            signals.append(InterestSignal(offer.offer_id, job.spec.job_id, "interest"))
     return signals
 
 
@@ -157,11 +156,17 @@ class TestCollectInterestOracle:
         for job in cold:
             job.profile.plan_cache.clear()
             job.profile.exceedance_index.clear()
-        # Interest signals carry their plans, so the signals match only when
-        # each carried plan equals a fresh plan_segments call on a cold copy.
+        # Signals carry verdicts, not plans: each must equal a fresh
+        # plan_segments call on a cold copy, and the plan an interested job
+        # would materialize must equal that cold plan too.
         want = loop_interest(offer, cold, CAT, RISK, seg, resume)
         assert collect_interest(offer, jobs, CAT, RISK, seg, resume) == want
         assert collect_interest(offer, jobs, CAT, RISK, seg, resume) == want  # warm
+        for job, fresh in zip(jobs, cold):
+            start = resume.get(job.spec.job_id)
+            got = plan_segments(job, offer.window, CAT, RISK, seg, start_position_s=start)
+            assert got == plan_segments(fresh, offer.window, CAT, RISK, seg,
+                                        start_position_s=start)
 
 
 class TestGrantOffer:
@@ -192,12 +197,13 @@ class TestGrantOffer:
 
 
 def mint(job, win, risk=RISK, seg=SEG, start=None):
-    """Dry-run job against win, then materialize that plan under a grant."""
+    """Materialize job's plan of win under a grant, or return the refusal
+    when it has none."""
     plan = plan_segments(job, win, CAT, risk, seg, start_position_s=start)
     if isinstance(plan, PlanRefusal):
         return plan
     offer = advertise([win])[0]
-    return materialize(job, Grant(offer.offer_id, job.spec.job_id), win, plan)
+    return materialize(job, Grant(offer.offer_id, job.spec.job_id), win, CAT, risk, seg, start)
 
 
 class TestMaterialize:
@@ -311,6 +317,12 @@ class TestMaterialize:
     def test_grant_for_other_job_rejected(self):
         job = make_job()
         win = ExecutionWindow("g0s0", 10240, 0.0, 600.0)
-        plan = plan_segments(job, win, CAT, RISK, SEG)
         with pytest.raises(ValueError):
-            materialize(job, Grant("offer-000000", "imposter"), win, plan)
+            materialize(job, Grant("offer-000000", "imposter"), win, CAT, RISK, SEG)
+
+    def test_job_without_a_plan_is_refused(self):
+        job = make_job(level=30000.0, declared=31000.0)
+        win = ExecutionWindow("g0s0", 10240, 0.0, 600.0)
+        assert collect_interest(advertise([win])[0], [job], CAT, RISK, SEG)[0].kind == "decline"
+        with pytest.raises(ValueError, match="no plan for the window"):
+            materialize(job, Grant("offer-000000", "j1"), win, CAT, RISK, SEG)

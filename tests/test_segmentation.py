@@ -22,9 +22,11 @@ from sjasim.segmentation import (
     PlanRefusal,
     SegmentationConfig,
     _sliding_max,
+    interest_verdict,
     plan_segments,
     plan_waste,
     segment_window,
+    window_terms,
 )
 from sjasim.workload import JobRuntime, JobSpec
 from test_cluster import smallest_covering
@@ -561,10 +563,11 @@ class TestPlanSegments:
 
 
 def cold_copy(job):
-    """Deep copy of job and profile whose plan cache and admission index
-    start empty."""
+    """Deep copy of job and profile whose plan and verdict caches and
+    admission index start empty."""
     fresh = copy.deepcopy(job)
     fresh.profile.plan_cache.clear()
+    fresh.profile.verdict_cache.clear()
     fresh.profile.exceedance_index.clear()
     return fresh
 
@@ -707,3 +710,180 @@ class TestPlanCache:
                 fresh = refresh_profile(jobs[0].profile, np.full(41, step[1]))
                 for job in jobs:
                     job.profile = fresh
+
+
+class TestFirstFragment:
+    """segment_window's first fragment, which interest_verdict bounds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.sampled_from(CAT.capacities_mb),
+                                  st.floats(1.0, 40960.0)), min_size=1, max_size=120),
+        grid_step=st.sampled_from([7.0, 30.0, 60.0]),
+        offered=st.sampled_from(CAT.capacities_mb),
+        tau_min=st.sampled_from([60.0, 300.0, 500.0]),
+        # Extras below tau_min leave tau_min > tau_max / 2, where _chop fails.
+        tau_extra=st.sampled_from([0.0, 30.0, 200.0, 600.0, 3000.0]),
+        smooth=st.sampled_from([0.0, 120.0, 300.0]),
+        delta=st.sampled_from([0.0, 0.15, 0.5]),
+    )
+    def test_length_lies_between_tau_min_and_the_reach(
+        self, values, grid_step, offered, tau_min, tau_extra, smooth, delta
+    ):
+        c = SegmentationConfig(tau_min_s=tau_min, tau_max_s=tau_min + tau_extra,
+                               smoothing_window_s=smooth, hysteresis_delta=delta)
+        smoothed = smooth_envelope(values, grid_step, smooth)
+        n = next((i for i, v in enumerate(smoothed) if v > offered), len(smoothed))
+        tmin, tmax = c.min_steps(grid_step), c.max_steps(grid_step)
+        try:
+            first = segment_window(values, grid_step, CAT, offered, c)[0]
+        except InfeasiblePlan:
+            assert n < tmin
+            return
+        assert first.start_idx == 0
+        assert tmin <= first.end_idx <= min(n, tmax)
+        peak = float(smoothed[: first.end_idx].max())
+        assert first.capacity_mb == smallest_covering(CAT, peak)
+
+
+@st.composite
+def shaped_runs(draw):
+    """Runs of one stepped shape, each cut at its own length and spiking
+    at its own steps: envelopes step within a window, and joint admission
+    can fail where the envelope fits."""
+    steps = draw(st.lists(st.tuples(st.sampled_from([3000.0, 7000.0, 9500.0, 15000.0]),
+                                    st.integers(1, 20)), min_size=1, max_size=4))
+    shape = [level for level, k in steps for _ in range(k)]
+    runs = []
+    for _ in range(draw(st.integers(2, 20))):
+        run = shape[: draw(st.integers(1, len(shape)))]
+        spikes = st.tuples(st.integers(0, len(run) - 1), st.sampled_from([12000.0, 26000.0]))
+        for i, level in draw(st.lists(spikes, max_size=2)):
+            run[i] = level
+        runs.append(run)
+    return runs
+
+
+def verdict_of(job, win, risk, seg, start=None):
+    terms = window_terms(win, job.profile.grid_step, CAT, risk, seg)
+    return interest_verdict(job, terms, start)
+
+
+class TestInterestVerdict:
+    risk = RiskParams(eps=0.05)
+    seg = cfg(0.15, tau_min=120.0, tau_max=600.0)
+
+    def test_decided_verdicts_plan_nothing_and_serve_longer_windows(self):
+        job = make_job([[8000.0] * 41 for _ in range(4)])
+        for duration in (600.0, 900.0, 2400.0):
+            win = ExecutionWindow("g0s0", 20480, 0.0, duration)
+            assert verdict_of(job, win, self.risk, self.seg) == ""
+        assert job.profile.plan_cache == {}
+        assert len(job.profile.verdict_cache) == 1
+
+    def test_open_bounds_fall_through_to_the_plan(self):
+        # The first two steps need 10 GB and the rest 20 GB: no run fits
+        # 10 GB over ten steps, and every run fits 20 GB over two, so only
+        # the plan can tell.
+        job = make_job([[8000.0] * 2 + [15000.0] * 8 for _ in range(4)])
+        win = ExecutionWindow("g0s0", 20480, 0.0, 600.0)
+        assert verdict_of(job, win, self.risk, self.seg) == ""
+        assert len(job.profile.plan_cache) == 1
+
+    def test_a_rise_within_smoothing_reach_of_tau_max_is_read(self):
+        # Fragments of exactly 5 steps, smoothed 2 steps each way: the rise
+        # at step 5 lies past tau_max but reaches steps 3 and 4, so the
+        # 10-step window has no tau_min prefix while the 5-step one fits.
+        job = make_job([[8000.0] * 5 + [30000.0] * 5 for _ in range(4)])
+        seg = cfg(0.15, tau_min=300.0, tau_max=300.0, smooth=240.0)
+        short, long = (ExecutionWindow("g0s0", 20480, 0.0, d) for d in (300.0, 600.0))
+        assert verdict_of(job, short, self.risk, seg) == ""
+        assert verdict_of(job, long, self.risk, seg) == (
+            "no tau_min prefix fits the offered capacity")
+
+    def test_open_verdicts_are_decided_per_window_length(self):
+        # A flat 8 GB envelope, with 2 of 20 runs spiking to 12 GB at steps
+        # 8 and 9: 10 GB fails over the ten steps the bounds read and holds
+        # over two, so both windows share one open verdict. 900 s is
+        # chopped into 8 + 7 steps and admits its first fragment; 1200 s
+        # into 10 + 10, whose first fragment holds both spikes.
+        runs = [[8000.0] * 20 for _ in range(20)]
+        runs[0][8] = runs[1][9] = 12000.0
+        job = make_job(runs)
+        seg = cfg(0.15, tau_min=120.0, tau_max=600.0)
+        verdicts = [verdict_of(job, ExecutionWindow("g0s0", 10240, 0.0, d), self.risk, seg)
+                    for d in (900.0, 1200.0)]
+        assert verdicts == ["", "no admissible fragment at the offered capacity"]
+        assert len(job.profile.verdict_cache) == 1 and len(job.profile.plan_cache) == 2
+
+    def test_refusals_keep_their_reasons(self):
+        job = make_job([[8000.0] * 41 for _ in range(4)])
+        big = make_job([[30000.0] * 41 for _ in range(4)])
+        # 20 runs at 8 GB, each spiking to 12 GB at its own step: from 600 s
+        # the envelope asks 10 GB, but two runs in ten exceed it within two
+        # steps, so the bounds decline without a plan.
+        staggered = [[8000.0] * 31 for _ in range(20)]
+        for r, run in enumerate(staggered):
+            run[r + 5] = 12000.0
+        spiky = make_job(staggered, position=600.0)
+        cases = [
+            (job, ExecutionWindow("g0s0", 20480, 0.0, 60.0), "window shorter than tau_min"),
+            (job, ExecutionWindow("g0s0", 15000, 0.0, 600.0),
+             "offered capacity 15000 not in catalog"),
+            (big, ExecutionWindow("g0s0", 20480, 0.0, 600.0),
+             "no tau_min prefix fits the offered capacity"),
+            (spiky, ExecutionWindow("g0s0", 10240, 0.0, 600.0),
+             "no admissible fragment at the offered capacity"),
+        ]
+        for j, win, reason in cases:
+            assert verdict_of(j, win, self.risk, self.seg) == reason
+        assert spiky.profile.plan_cache == {}
+        for j, win, reason in cases:
+            assert plan_segments(j, win, CAT, self.risk, self.seg) == PlanRefusal(reason)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        runs=shaped_runs() | st.lists(
+            st.lists(st.sampled_from([0.0, 3000.0, 7000.0, 9500.0, 12000.0, 15000.0, 26000.0]),
+                     min_size=1, max_size=40),
+            min_size=2, max_size=12,
+        ),
+        grid_step=st.sampled_from([7.0, 30.0, 60.0]),
+        eps=st.sampled_from([0.05, 0.2, 0.5]),
+        tau_min=st.sampled_from([30.0, 120.0, 300.0]),
+        # Extras below tau_min leave tau_min > tau_max / 2, where _chop fails.
+        tau_extra=st.sampled_from([0.0, 60.0, 300.0, 1800.0]),
+        smooth=st.sampled_from([0.0, 60.0, 240.0]),
+        delta=st.sampled_from([0.0, 0.15, 0.6]),
+        position=st.sampled_from([0.0, 90.0, 600.0, 2400.0]),
+        floor=st.none() | st.tuples(st.integers(0, 40), st.integers(1, 12),
+                                    st.sampled_from([6000.0, 12000.0, 20000.0])),
+        # Several windows, of one length or many, against one profile's
+        # caches; a start is a chained grant's resume position.
+        offers=st.lists(
+            st.tuples(st.sampled_from(CAT.capacities_mb),
+                      st.sampled_from([20.0, 100.0, 300.0, 600.0, 1200.0, 2400.0, 7200.0]),
+                      st.sampled_from([None, 300.0, 1500.0])),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_verdict_equals_a_cold_plan(
+        self, runs, grid_step, eps, tau_min, tau_extra, smooth, delta, position, floor, offers
+    ):
+        ens = TrajectoryEnsemble(grid_step=grid_step, runs=[np.asarray(r, float) for r in runs])
+        spec = JobSpec("j", "t", 0.0, 3600.0, 39000.0)
+        job = JobRuntime(spec=spec, profile=build_profile(ens, eps_levels=(eps,)),
+                         actual=np.asarray(runs[0], float), grid_step=grid_step,
+                         position_s=position)
+        if floor is not None:
+            job.note_demand(floor[0], np.full(floor[1], floor[2]))
+        risk = RiskParams(eps=eps)
+        seg = SegmentationConfig(tau_min_s=tau_min, tau_max_s=tau_min + tau_extra,
+                                 smoothing_window_s=smooth, hysteresis_delta=delta)
+        for capacity, duration, start in offers:
+            win = ExecutionWindow("g0s0", capacity, 0.0, duration)
+            want = plan_segments(cold_copy(job), win, CAT, risk, seg, start_position_s=start)
+            got = verdict_of(job, win, risk, seg, start)
+            assert got == (want.reason if isinstance(want, PlanRefusal) else "")
+            # A plan cached on the way to a verdict is the one the winner mints.
+            assert plan_segments(job, win, CAT, risk, seg, start_position_s=start) == want

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sjasim import profiles as pf
-from sjasim import simcore
+from sjasim import segmentation, simcore
 from sjasim.cli import events_text, metrics_csv_text
 from sjasim.policies import GrantPolicy
 from sjasim.simcore import (
@@ -25,6 +25,7 @@ from sjasim.simcore import (
 from sjasim.scenarios import SCENARIO_BUILDERS
 from sjasim.segmentation import SegmentationConfig
 from sjasim.workload import JobSpec, Phase, PhaseModel, ScenarioError, synth_ensemble
+from test_determinism import DIGESTS, _digest
 
 H = 60.0
 
@@ -505,3 +506,18 @@ class TestParkedVerdicts:
         report, _ = engine.run()
         assert len(dropped) == report.completed_jobs
         assert sum(dropped) > 0 and engine._parked
+
+
+class TestWinnerOnlyPlanning:
+    """Offers are answered by interest verdicts: a window is planned in full
+    only when a verdict's bounds leave it open or a job wins it. Counting
+    plans needs no clock."""
+
+    def test_deadline_plans_few_windows_and_keeps_its_log(self, monkeypatch):
+        plans = []
+        plan = segmentation._plan
+        monkeypatch.setattr(segmentation, "_plan", lambda *a: plans.append(1) or plan(*a))
+        scenario, cfg = SCENARIO_BUILDERS["deadline"]()
+        assert _digest(scenario, "sja", cfg) == DIGESTS[("deadline", "sja")]
+        # 328 at seed 0; planning every (offer, job) pair took 4,030.
+        assert 0 < len(plans) <= 400
