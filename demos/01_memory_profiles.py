@@ -18,7 +18,7 @@ model = PhaseModel(phases=(
     Phase("steady", 2100.0, 9000.0, noise_sd_mb=600.0),
 ))
 ensemble = synth_ensemble(model, n_runs=200, duration_jitter=0.1, seed=[42])
-profile = build_profile(ensemble, eps_levels=(0.05,))
+profile = build_profile(ensemble)
 
 print(f"{ensemble.n_runs} runs, grid {ensemble.grid_step:.0f} s, "
       f"median horizon {profile.horizon / 60:.0f} min")

@@ -1,7 +1,9 @@
 """Grant policies: who gets an offered window, plus fairness accounting.
 
 All policies break ties deterministically by (policy key, arrival, job_id)
-so identical inputs always produce identical grants.
+so identical inputs always produce identical grants. A selection context
+holds only the inputs of a selection; edf keeps its deadline bounds on the
+jobs' profiles, where a refresh drops them.
 """
 from __future__ import annotations
 
@@ -9,7 +11,9 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .profiles import FunctionalProfile, RiskParams, deadline_admissible
+from .profiles import RiskParams, remaining_runtime
+# select calls remaining_runtime, not this; bench/tracer.py hooks this name.
+from .profiles import deadline_admissible  # noqa: F401
 
 if TYPE_CHECKING:  # protocol imports this module; keep the cycle type-only
     from .protocol import InterestSignal, Offer
@@ -76,18 +80,12 @@ def offer_cost_tokens(offer: Offer, cost_rate: float) -> float:
 @dataclass
 class SelectionContext:
     """What a policy may consult: the jobs, and each chained bidder's start
-    (others start at position_s). Each edf verdict is kept by (job id,
-    start), once: `reachable` holds the reachable pairs while `now` and the
-    profiles stay fixed, as in a round; `parked` maps each unreachable pair
-    to the profile it was screened on, and may outlive the round, since a
-    deadline only gets closer."""
+    (others start at position_s)."""
 
     now: float
     risk: RiskParams
     jobs: dict[str, JobRuntime]
     starts: dict[str, float] = field(default_factory=dict)
-    reachable: set[tuple[str, float]] = field(default_factory=set)
-    parked: dict[tuple[str, float], FunctionalProfile] = field(default_factory=dict)
 
 
 def select(
@@ -101,10 +99,10 @@ def select(
 
     fifo: earliest arrival. priority: highest priority first. edf: earliest
     deadline among jobs whose deadline is still probabilistically reachable
-    (deadline_admissible at ctx.risk on the work left from the job's start,
-    screened once per (job, start) and kept in ctx.reachable or, while the
-    job keeps its profile, ctx.parked); jobs without deadlines rank last
-    and jobs with unreachable deadlines are skipped.
+    (the remaining_runtime at ctx.risk of the work left from the job's
+    start fits before the deadline; the bound is kept on the job's profile
+    per (job, start, alpha_t), so a refresh drops it); jobs without
+    deadlines rank last and jobs with unreachable deadlines are skipped.
     fair_tokens: among tenants whose budget covers the offer, the one with
     the largest remaining budget, fifo within the tenant.
     """
@@ -123,26 +121,22 @@ def select(
     if policy.kind == "edf":
         with_deadline = []
         free = []
+        now, starts, alpha_t = ctx.now, ctx.starts, ctx.risk.alpha_t
         for j, spec in specs.items():
             deadline = spec.deadline_s
             if deadline is None:
                 free.append(j)
                 continue
             job = jobs[j]
-            key = (j, ctx.starts.get(j, job.position_s))
-            if ctx.parked.get(key) is job.profile:
-                continue
-            if key not in ctx.reachable:
-                if not deadline_admissible(
-                    job.profile,
-                    1.0 - job.fraction_at(key[1]),
-                    deadline - ctx.now,
-                    ctx.risk,
-                ).admissible:
-                    ctx.parked[key] = job.profile
-                    continue
-                ctx.reachable.add(key)
-            with_deadline.append(j)
+            key = (j, starts.get(j, job.position_s), alpha_t)
+            bounds = job.profile.runtime_bounds
+            need = bounds.get(key)
+            if need is None:
+                need = bounds[key] = remaining_runtime(
+                    job.profile, 1.0 - job.fraction_at(key[1]), ctx.risk
+                )
+            if need <= deadline - now:
+                with_deadline.append(j)
         if with_deadline:
             return min(with_deadline, key=lambda j: (specs[j].deadline_s, specs[j].arrival_s, j))
         if free:

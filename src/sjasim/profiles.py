@@ -33,6 +33,7 @@ __all__ = [
     "check_inflation",
     "envelope_peak",
     "memory_admissible",
+    "remaining_runtime",
     "deadline_admissible",
     "refresh_profile",
     "write_trajectory",
@@ -149,12 +150,14 @@ class FunctionalProfile:
     inflation: float  # scales every envelope; > 1 only from single_run_profile
     envelope_cache: dict[float, np.ndarray] = field(default_factory=dict)
     # Plans and interest verdicts memoized by segmentation, shared by every
-    # job on this profile, and memory_admissible's index per capacity. They
-    # live here, not on the source (extended() shallow-copies it), so that a
+    # job on this profile, memory_admissible's index per capacity, and the
+    # edf policy's remaining_runtime per (job id, start, alpha_t). They live
+    # here, not on the source (extended() shallow-copies it), so that a
     # refreshed profile starts empty and the old entries go with the old one.
     plan_cache: dict = field(default_factory=dict, repr=False, compare=False)
     verdict_cache: dict = field(default_factory=dict, repr=False, compare=False)
     exceedance_index: dict = field(default_factory=dict, repr=False, compare=False)
+    runtime_bounds: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def horizon(self) -> float:
@@ -204,33 +207,26 @@ def _check_eps(eps: float) -> None:
         raise ProfileError("eps must lie in (0, 1)")
 
 
-def build_profile(
-    ensemble: TrajectoryEnsemble, eps_levels: tuple[float, ...] = (0.05,)
-) -> FunctionalProfile:
-    """Build a profile with its envelopes at eps_levels filled.
+def build_profile(ensemble: TrajectoryEnsemble) -> FunctionalProfile:
+    """Build a profile; its envelopes fill on first read.
 
     Requires at least two runs; a single run carries no spread information
     (see single_run_profile for the inflation fallback).
     """
     if ensemble.n_runs < 2:
         raise ProfileError("profile estimation needs at least 2 runs")
-    return _summarize(ensemble, eps_levels)
+    return _summarize(ensemble)
 
 
-def _summarize(
-    ensemble: TrajectoryEnsemble, eps_levels: tuple[float, ...], inflation: float = 1.0
-) -> FunctionalProfile:
-    """Profile of an ensemble with its envelopes at eps_levels filled."""
+def _summarize(ensemble: TrajectoryEnsemble, inflation: float = 1.0) -> FunctionalProfile:
+    """Profile of an ensemble: its sorted run durations, the rest on first read."""
     lengths = np.array([len(run) for run in ensemble.runs])
-    profile = FunctionalProfile(
+    return FunctionalProfile(
         grid_step=ensemble.grid_step,
         runtime_samples=np.sort((lengths - 1) * ensemble.grid_step),
         source=ensemble,
         inflation=inflation,
     )
-    for eps in eps_levels:
-        profile.envelope(eps)
-    return profile
 
 
 def check_inflation(inflation: float) -> None:
@@ -240,20 +236,17 @@ def check_inflation(inflation: float) -> None:
 
 
 def single_run_profile(
-    run: np.ndarray,
-    grid_step: float,
-    inflation: float = 1.10,
-    eps_levels: tuple[float, ...] = (0.05,),
+    run: np.ndarray, grid_step: float, inflation: float = 1.10
 ) -> FunctionalProfile:
     """Deterministic fallback profile from a single run.
 
-    Every envelope, at eps_levels or at any level asked for later, is the run
-    scaled by `inflation`; the median is the run itself. Used when an
-    ensemble has only one member, which build_profile rejects.
+    Every envelope, at any level, is the run scaled by `inflation`; the
+    median is the run itself. Used when an ensemble has only one member,
+    which build_profile rejects.
     """
     ensemble = TrajectoryEnsemble(grid_step=grid_step, runs=[np.asarray(run, float)])
     check_inflation(inflation)
-    return _summarize(ensemble, eps_levels, inflation)
+    return _summarize(ensemble, inflation)
 
 
 def grid_indices(
@@ -324,6 +317,24 @@ def memory_admissible(
     return AdmissionDecision(prob >= 1.0 - risk.eps, prob)
 
 
+def remaining_runtime(
+    profile: FunctionalProfile, remaining_work_fraction: float, risk: RiskParams
+) -> float:
+    """The time the work left needs at risk alpha_t: deadline_admissible
+    admits exactly the deadlines at or beyond it.
+
+    It is runtime_samples[c - 1] * remaining_work_fraction, with c the
+    least k such that k / n >= 1 - alpha_t. The scaled samples stay sorted
+    and k / n rises with k, so at least c of them fit a deadline exactly
+    when the c-th does. It reads no clock, so callers may keep it.
+    """
+    if not 0.0 <= remaining_work_fraction <= 1.0:
+        raise ProfileError("remaining_work_fraction must lie in [0, 1]")
+    n = len(profile.runtime_samples)
+    short = np.count_nonzero(np.arange(1, n + 1) / n < 1.0 - risk.alpha_t)  # c - 1
+    return float(profile.runtime_samples[short]) * remaining_work_fraction
+
+
 def deadline_admissible(
     profile: FunctionalProfile,
     remaining_work_fraction: float,
@@ -333,14 +344,14 @@ def deadline_admissible(
     """Screen a deadline: fraction of scaled runtime samples within it.
 
     The remaining-runtime model is runtime_sample * remaining_work_fraction;
-    admit when at least 1 - alpha_t of the samples finish by the deadline.
-    A non-positive deadline admits nothing unless samples are themselves 0.
+    admit when at least 1 - alpha_t of the samples finish by the deadline,
+    that is, when remaining_runtime fits. A non-positive deadline admits
+    nothing unless samples are themselves 0.
     """
-    if not 0.0 <= remaining_work_fraction <= 1.0:
-        raise ProfileError("remaining_work_fraction must lie in [0, 1]")
+    need = remaining_runtime(profile, remaining_work_fraction, risk)
     scaled = profile.runtime_samples * remaining_work_fraction
     prob = int(np.count_nonzero(scaled <= deadline_from_now)) / len(scaled)
-    return AdmissionDecision(prob >= 1.0 - risk.alpha_t, prob)
+    return AdmissionDecision(need <= deadline_from_now, prob)
 
 
 def refresh_profile(
@@ -353,7 +364,7 @@ def refresh_profile(
     refresh sorts the run durations only; the column summaries wait for
     their first read. The old profile and its source are left as they were.
     """
-    return _summarize(profile.source.extended(completed_run), ())
+    return _summarize(profile.source.extended(completed_run))
 
 
 # ---------------------------------------------------------------------------

@@ -86,20 +86,16 @@ class SegmentationConfig:
         object.__setattr__(self, "plan_key", repr(astuple(self)))
         object.__setattr__(self, "_steps", {})
 
-    def min_steps(self, grid_step: float) -> int:
-        return max(1, math.ceil(self.tau_min_s / grid_step - 1e-9))
-
-    def max_steps(self, grid_step: float) -> int:
-        return max(self.min_steps(grid_step), int(self.tau_max_s / grid_step + 1e-9))
-
     def steps(self, grid_step: float) -> tuple[int, int, int]:
-        """min_steps, max_steps and the smoothing half-width at grid_step,
-        memoized, as every offer and plan reads them."""
+        """The fewest and most grid steps a fragment spans (tau_min rounded
+        up, tau_max down, at least 1 and the fewest) and the smoothing
+        half-width at grid_step, memoized, as every offer and plan reads them."""
         got = self._steps.get(grid_step)
         if got is None:
+            fewest = max(1, math.ceil(self.tau_min_s / grid_step - 1e-9))
             got = self._steps[grid_step] = (
-                self.min_steps(grid_step),
-                self.max_steps(grid_step),
+                fewest,
+                max(fewest, int(self.tau_max_s / grid_step + 1e-9)),
                 _half_width(grid_step, self.smoothing_window_s),
             )
         return got

@@ -364,7 +364,6 @@ class _Engine:
         # Jobs that have arrived, are unfinished and hold no live unit, as
         # job id -> scenario index.
         self._queue: dict[str, int] = {}
-        self._parked: dict = {}  # SelectionContext.parked, kept across rounds
 
         self.event_log: list[dict] = []
         self.archive: list[tuple[str, int, float, float, str]] = []
@@ -387,10 +386,8 @@ class _Engine:
         if n is not None and n < len(ens.runs):
             ens = TrajectoryEnsemble(grid_step=ens.grid_step, runs=ens.runs[:n])
         if len(ens.runs) == 1:
-            return single_run_profile(
-                ens.runs[0], ens.grid_step, self.cfg.single_run_inflation, ()
-            )
-        return build_profile(ens, ())
+            return single_run_profile(ens.runs[0], ens.grid_step, self.cfg.single_run_inflation)
+        return build_profile(ens)
 
     # ------------------------------------------------------------------
     # Event plumbing
@@ -477,14 +474,10 @@ class _Engine:
         )
         if self.cfg.online_correction:
             key = job.spec.ensemble_key
-            old = self.profiles[key]
-            fresh = self.profiles[key] = refresh_profile(old, job.actual)
+            fresh = self.profiles[key] = refresh_profile(self.profiles[key], job.actual)
             for other in self._order:
                 if other.spec.ensemble_key == key:
                     other.profile = fresh
-            # A verdict parked on the old profile matches no job any more.
-            for stale in [k for k, p in self._parked.items() if p is old]:
-                del self._parked[stale]
 
     def _reached_idx(self, unit: SubJob) -> int:
         """Grid index of job progress a running unit has reached by now."""
@@ -755,8 +748,9 @@ class _Engine:
         if not waiting:
             return False
         progress = False
-        has_atomizable = any(j.spec.atomizable for j in waiting)
-        if has_atomizable:
+        # Grants only take jobs out of the queue until the round ends.
+        queued = [j for j in waiting if j.spec.atomizable]
+        if queued:
             gaps = find_gaps(
                 self.cluster,
                 self.now,
@@ -768,9 +762,7 @@ class _Engine:
             gaps.sort(key=lambda w: (w.start, -w.duration, w.slice_id))
             offers = advertise(gaps, self._offer_seq)
             self._offer_seq += len(offers)
-            ctx = SelectionContext(self.now, self.cfg.risk, self.jobs, parked=self._parked)
-            # Grants only take jobs out of the queue until the round ends.
-            queued = [j for j in waiting if j.spec.atomizable]
+            ctx = SelectionContext(self.now, self.cfg.risk, self.jobs)
             for offer in offers:
                 self._log(
                     "offer_issued",

@@ -24,7 +24,7 @@ H = 60.0
 def make_job(job_id, declared, arrival=0.0, priority=0, runtimes=(1800.0,) * 4,
              position=0.0):
     runs = [np.full(int(r / H) + 1, min(declared, 4000.0)) for r in runtimes]
-    prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(0.05,))
+    prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs))
     spec = JobSpec(job_id, "t0", arrival, float(np.median(runtimes)), declared,
                    priority=priority)
     return JobRuntime(spec=spec, profile=prof, actual=runs[0], grid_step=H,

@@ -15,7 +15,13 @@ from sjasim.policies import (
     offer_cost_tokens,
     select,
 )
-from sjasim.profiles import RiskParams, TrajectoryEnsemble, build_profile, refresh_profile
+from sjasim.profiles import (
+    RiskParams,
+    TrajectoryEnsemble,
+    build_profile,
+    deadline_admissible,
+    refresh_profile,
+)
 from sjasim.protocol import InterestSignal, Offer
 from sjasim.workload import JobRuntime, JobSpec
 
@@ -30,7 +36,7 @@ def interests(*job_ids):
 
 def flat_profile(runtime_steps=31, level=1000.0, n_runs=8):
     runs = [np.full(runtime_steps, level) for _ in range(n_runs)]
-    return build_profile(TrajectoryEnsemble(grid_step=60.0, runs=runs), eps_levels=(0.05,))
+    return build_profile(TrajectoryEnsemble(grid_step=60.0, runs=runs))
 
 
 RISK = RiskParams()
@@ -110,11 +116,33 @@ class TestEdf:
         assert select(GrantPolicy("edf"), offer(), interests("a"), None, c) == "a"
 
 
+def edf_rule(c, bidders):
+    """The edf rule restated on deadline_admissible, with no memo."""
+    specs = {j: c.jobs[j].spec for j in bidders}
+
+    def reachable(j):
+        job = c.jobs[j]
+        left = 1.0 - job.fraction_at(c.starts.get(j, job.position_s))
+        return deadline_admissible(job.profile, left, specs[j].deadline_s - c.now, c.risk)
+
+    timely = [j for j, s in specs.items() if s.deadline_s is not None and reachable(j).admissible]
+    if timely:
+        return min(timely, key=lambda j: (specs[j].deadline_s, specs[j].arrival_s, j))
+    free = [j for j, s in specs.items() if s.deadline_s is None]
+    return min(free, key=lambda j: (specs[j].arrival_s, j), default=None)
+
+
+def bound_keys(jobs):
+    """Every edf bound kept on the jobs' profiles, by key."""
+    return {key for job in jobs.values() for key in job.profile.runtime_bounds}
+
+
 class TestReusedContext:
     """One context serving several selections, as in an sja round, picks
     what a fresh context per selection picks, even when the bidders' starts
-    change between selections, and memoizes edf verdicts for the screened
-    (deadline job, start) pairs only."""
+    and alpha_t change between selections; edf picks what deadline_admissible
+    decides, and keeps a bound on the profile for the screened (deadline job,
+    start, alpha_t) keys only."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -125,9 +153,11 @@ class TestReusedContext:
                       st.sampled_from([0.25, 1.0])),  # remaining fraction
             min_size=1, max_size=6),
         bids=st.lists(
-            st.dictionaries(st.integers(0, 5),  # bidder -> start (None: position_s)
-                            st.sampled_from([None, 0.0, 900.0, 1350.0, 1800.0]),
-                            max_size=6),
+            st.tuples(
+                st.dictionaries(st.integers(0, 5),  # bidder -> start (None: position_s)
+                                st.sampled_from([None, 0.0, 900.0, 1350.0, 1800.0]),
+                                max_size=6),
+                st.sampled_from([0.05, 0.5])),  # alpha_t
             min_size=1, max_size=6),
         kind=st.sampled_from(POLICY_KINDS),
     )
@@ -145,20 +175,20 @@ class TestReusedContext:
         ledger = TenantLedger({"t0": 500.0, "t1": 80.0})
         shared = ctx(**fields)
         screened = set()
-        for bid in bids:
+        for bid, alpha in bids:
             bidders = [ids[i] for i in sorted(bid) if i < len(ids)]
             starts = {ids[i]: s for i, s in bid.items() if i < len(ids) and s is not None}
-            shared.starts = starts
+            shared.starts, shared.risk = starts, RiskParams(alpha_t=alpha)
             got = select(policy, offer(), interests(*bidders), ledger, shared)
-            fresh = ctx(**fields, starts=starts)
+            fresh = ctx(**fields, starts=starts, risk=shared.risk)
             assert got == select(policy, offer(), interests(*bidders), ledger, fresh)
             if kind == "edf":
+                assert got == edf_rule(shared, bidders)
                 screened |= {
-                    (j, starts.get(j, shared.jobs[j].position_s))
+                    (j, starts.get(j, shared.jobs[j].position_s), alpha)
                     for j in bidders if fields["deadlines"][j] is not None
                 }
-            assert shared.reachable | set(shared.parked) == screened
-            assert not shared.reachable & set(shared.parked)  # one verdict each
+            assert bound_keys(shared.jobs) == screened
 
     def test_later_start_flips_an_unreachable_deadline(self):
         # 1800 s of work from position 0 misses a 900 s deadline; from a
@@ -168,46 +198,49 @@ class TestReusedContext:
         assert select(policy, offer(), interests("a"), None, c) is None
         c.starts = {"a": 1350.0}
         assert select(policy, offer(), interests("a"), None, c) == "a"
-        assert c.reachable == {("a", 1350.0)}
-        assert set(c.parked) == {("a", 0.0)}
+        assert c.jobs["a"].profile.runtime_bounds == {
+            ("a", 0.0, 0.05): 1800.0, ("a", 1350.0, 0.05): 450.0
+        }
 
 
-class TestParkedVerdicts:
-    """An unreachable edf verdict outlives its round: rounds that share one
-    `parked` map screen the job once, until its profile or start changes."""
+class TestBoundsOnTheProfile:
+    """edf computes each remaining_runtime once per (job, start, alpha_t)
+    and keeps it on the job's profile: it reads no clock, so rounds at any
+    later `now` reuse it, and a refreshed profile starts without it."""
 
-    def test_screened_once_across_rounds_and_again_after_a_refresh(self, monkeypatch):
-        screens = []
-        screen = policies.deadline_admissible
+    def test_computed_once_across_rounds_and_again_after_a_refresh(self, monkeypatch):
+        computed = []
+        bound = policies.remaining_runtime
         monkeypatch.setattr(
-            policies, "deadline_admissible", lambda *a: screens.append(a[0]) or screen(*a)
+            policies, "remaining_runtime", lambda *a: computed.append(a[0]) or bound(*a)
         )
         # 1800 s of work from position 0 cannot meet a 900 s deadline.
         jobs = ctx(arrivals={"a": 0.0}, deadlines={"a": 900.0}).jobs
-        job, parked, policy = jobs["a"], {}, GrantPolicy("edf")
+        job, policy = jobs["a"], GrantPolicy("edf")
 
-        def round_at(now, starts=None):
-            shared = SelectionContext(now, RISK, jobs, dict(starts or {}), parked=parked)
-            got = select(policy, offer(), interests("a"), None, shared)
-            fresh = SelectionContext(now, RISK, jobs, dict(starts or {}))
-            assert got == select(policy, offer(), interests("a"), None, fresh)
+        def round_at(now, starts=None, risk=RISK):
+            c = SelectionContext(now, risk, jobs, dict(starts or {}))
+            got = select(policy, offer(), interests("a"), None, c)
+            assert got == edf_rule(c, ["a"])
             return got
 
         for now in (0.0, 300.0, 600.0):
             assert round_at(now) is None
-        assert len(screens) == 1 + 3  # the fresh contexts screen every round
-        assert parked[("a", 0.0)] is job.profile
+        assert computed == [job.profile]
 
-        screens.clear()
-        job.profile = refresh_profile(job.profile, np.zeros(31))
+        # From a start 1350 s in, 450 s are left: they fit until now = 450.
+        assert [round_at(now, {"a": 1350.0}) for now in (300.0, 450.0, 500.0)] == ["a", "a", None]
+        assert round_at(0.0, risk=RiskParams(alpha_t=0.5)) is None  # another key
+        assert len(computed) == 3
+        old = job.profile
+        assert set(old.runtime_bounds) == {("a", 0.0, 0.05), ("a", 1350.0, 0.05), ("a", 0.0, 0.5)}
+
+        computed.clear()
+        job.profile = refresh_profile(old, np.zeros(31))
         assert round_at(600.0) is None and round_at(700.0) is None
-        assert len(screens) == 3 and all(p is job.profile for p in screens)
-        assert parked[("a", 0.0)] is job.profile
-
-        # From a start 1350 s in, 450 s are left: reachable at now = 300.
-        screens.clear()
-        assert round_at(300.0, {"a": 1350.0}) == "a"
-        assert len(screens) == 2
+        assert computed == [job.profile]
+        assert set(job.profile.runtime_bounds) == {("a", 0.0, 0.05)}
+        assert len(old.runtime_bounds) == 3  # the old profile keeps its own
 
 
 class TestFairTokens:

@@ -50,7 +50,7 @@ class TestQuantileEnvelope:
     def test_nearest_rank_hundred_values(self):
         # 100 runs whose value at t=0 is 1..100; eps=0.25 -> 75th order stat.
         runs = [[float(v)] for v in range(1, 101)]
-        prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.25,))
+        prof = pf.build_profile(make_ensemble(runs))
         assert prof.envelope(0.25)[0] == 75.0
         assert oracle_quantile(range(1, 101), 0.75) == 75
 
@@ -62,14 +62,14 @@ class TestQuantileEnvelope:
     def test_short_runs_do_not_contribute(self):
         # At t=1 only the two long runs are alive; support records that.
         runs = [[1.0], [1.0, 10.0], [1.0, 20.0]]
-        prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.5,))
+        prof = pf.build_profile(make_ensemble(runs))
         assert list(prof.support) == [3, 2]
         assert prof.envelope(0.5)[1] == oracle_quantile([10.0, 20.0], 0.5)
 
     def test_monotone_in_eps(self):
         rng = np.random.default_rng(7)
         runs = [rng.uniform(0, 100, size=rng.integers(3, 40)) for _ in range(30)]
-        prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.01, 0.1, 0.5))
+        prof = pf.build_profile(make_ensemble(runs))
         u_tight = prof.envelope(0.01)
         u_mid = prof.envelope(0.1)
         u_med = prof.envelope(0.5)
@@ -80,9 +80,9 @@ class TestQuantileEnvelope:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         runs = [rng.uniform(0, 50, size=rng.integers(2, 20)) for _ in range(12)]
-        a = pf.build_profile(make_ensemble(runs), eps_levels=(0.2,))
+        a = pf.build_profile(make_ensemble(runs))
         order = rng.permutation(len(runs))
-        b = pf.build_profile(make_ensemble([runs[i] for i in order]), eps_levels=(0.2,))
+        b = pf.build_profile(make_ensemble([runs[i] for i in order]))
         np.testing.assert_array_equal(a.envelope(0.2), b.envelope(0.2))
         np.testing.assert_array_equal(a.median_curve, b.median_curve)
         np.testing.assert_array_equal(a.runtime_samples, b.runtime_samples)
@@ -90,8 +90,8 @@ class TestQuantileEnvelope:
     def test_duplicating_every_run_leaves_quantiles_unchanged(self):
         rng = np.random.default_rng(11)
         runs = [rng.uniform(0, 50, size=rng.integers(2, 15)) for _ in range(9)]
-        a = pf.build_profile(make_ensemble(runs), eps_levels=(0.1, 0.37))
-        b = pf.build_profile(make_ensemble(runs + runs), eps_levels=(0.1, 0.37))
+        a = pf.build_profile(make_ensemble(runs))
+        b = pf.build_profile(make_ensemble(runs + runs))
         for eps in (0.1, 0.37):
             np.testing.assert_array_equal(a.envelope(eps), b.envelope(eps))
         np.testing.assert_array_equal(a.median_curve, b.median_curve)
@@ -119,9 +119,10 @@ class TestQuantileEnvelope:
 
     @pytest.mark.parametrize("eps", [0.05, 0.2, 0.01])
     def test_single_run_envelope_inflates_at_every_eps(self, eps):
-        # Only 0.05 is prefilled; the other levels are computed on demand.
+        # Every level is computed on demand, here after 0.05.
         run = np.array([100.0, 250.0, 40.0])
-        prof = pf.single_run_profile(run, 60.0, 1.10, (0.05,))
+        prof = pf.single_run_profile(run, 60.0, 1.10)
+        prof.envelope(0.05)
         np.testing.assert_array_equal(prof.envelope(eps), run * 1.10)
 
 
@@ -129,7 +130,7 @@ def step_profile(grid_step=60.0, low=4096.0, high=18432.0, n_runs=4):
     """All runs identical: low for the first 10 minutes, high for the next 10."""
     steps = int(600 / grid_step)
     run = np.concatenate([np.full(steps, low), np.full(steps, high)])
-    return pf.build_profile(make_ensemble([run] * n_runs, grid_step), eps_levels=(0.05,))
+    return pf.build_profile(make_ensemble([run] * n_runs, grid_step))
 
 
 class TestEnvelopePeak:
@@ -151,7 +152,7 @@ class TestMemoryAdmissible:
     def test_joint_counting_oracle_frozen(self):
         # 93 runs stay at 10, 7 spike to 50 inside the window: prob 0.93.
         runs = [[10.0, 10.0, 10.0] for _ in range(93)] + [[10.0, 50.0, 10.0] for _ in range(7)]
-        prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.05,))
+        prof = pf.build_profile(make_ensemble(runs))
         d = pf.memory_admissible(prof, 40.0, (0.0, 120.0), RISK)
         assert d.probability == 0.93 and not d.admissible
         d10 = pf.memory_admissible(prof, 40.0, (0.0, 120.0), pf.RiskParams(eps=0.10))
@@ -160,7 +161,7 @@ class TestMemoryAdmissible:
 
     def test_finished_runs_count_as_success(self):
         runs = [[10.0], [10.0, 99.0]]
-        prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.4,))
+        prof = pf.build_profile(make_ensemble(runs))
         d = pf.memory_admissible(prof, 50.0, (60.0, 60.0), pf.RiskParams(eps=0.4))
         assert d.probability == 0.5
 
@@ -169,7 +170,7 @@ class TestMemoryAdmissible:
         for _ in range(60):
             n = int(rng.integers(2, 40))
             runs = [rng.uniform(0, 100, size=rng.integers(1, 25)) for _ in range(n)]
-            prof = pf.build_profile(make_ensemble(runs, 30.0), eps_levels=(0.1,))
+            prof = pf.build_profile(make_ensemble(runs, 30.0))
             max_len = max(len(r) for r in runs)
             lo = int(rng.integers(0, max_len))
             hi = int(rng.integers(lo, max_len))
@@ -186,7 +187,7 @@ class TestMemoryAdmissible:
             r = np.full(length, 1000.0)
             r[i] = 11000.0
             runs.append(r)
-        prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.05,))
+        prof = pf.build_profile(make_ensemble(runs))
         window = (0.0, (length - 1) * 60.0)
         joint = pf.memory_admissible(prof, 10240.0, window, RISK)
         assert pf.envelope_peak(prof, 0.05, window) <= 10240.0
@@ -205,9 +206,9 @@ class TestRiskLevels:
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5])
     def test_a_bare_level_is_checked_on_its_way_into_a_cache(self, eps):
-        with pytest.raises(pf.ProfileError, match="eps must lie"):
-            pf.build_profile(make_ensemble([[1.0, 2.0], [3.0]]), eps_levels=(eps,))
         prof = pf.build_profile(make_ensemble([[1.0, 2.0], [3.0]]))
+        assert not prof.envelope_cache  # nothing is filled before a read
+        prof.envelope(0.05)
         with pytest.raises(pf.ProfileError, match="eps must lie"):
             prof.envelope(eps)
         assert list(prof.envelope_cache) == [0.05]
@@ -236,6 +237,69 @@ class TestDeadlineAdmissible:
         assert pf.deadline_admissible(prof, 0.0, 0.0, RISK).admissible
 
 
+def runtime_profile(lengths, grid_step):
+    """A profile whose runs last (length - 1) * grid_step each."""
+    runs = [np.zeros(n) for n in lengths]
+    if len(runs) == 1:
+        return pf.single_run_profile(runs[0], grid_step)
+    return pf.build_profile(make_ensemble(runs, grid_step))
+
+
+class TestRemainingRuntime:
+    """remaining_runtime is the exact threshold of deadline_admissible's
+    counting rule: a deadline fits it exactly when at least 1 - alpha_t of
+    the scaled runtime samples finish by that deadline."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=40),
+        grid_step=st.sampled_from([60.0, 7.3, 0.1]),
+        fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        alpha=st.one_of(
+            st.sampled_from([0.05, 0.1, 0.25, 0.5]),
+            st.floats(0.001, 0.999),
+            st.integers(1, 39),  # 1 - k / n for this k: a rank right at the level
+        ),
+        deadline=st.one_of(
+            st.sampled_from([-5.0, 0.0, math.inf]),
+            st.floats(-10.0, 900.0),
+            st.integers(0, 39),  # the scaled sample of this rank
+        ),
+    )
+    def test_threshold_equals_the_counting_rule(self, lengths, grid_step, fraction, alpha, deadline):
+        prof = runtime_profile(lengths, grid_step)
+        n = len(prof.runtime_samples)
+        if isinstance(deadline, int):
+            deadline = float(prof.runtime_samples[deadline % n] * fraction)
+        if isinstance(alpha, int):
+            alpha = 1.0 - (alpha % n) / n if alpha % n else 0.5
+        risk = pf.RiskParams(alpha_t=alpha)
+        count = int(np.count_nonzero(prof.runtime_samples * fraction <= deadline))
+        want = count / n >= 1.0 - alpha
+        assert (pf.remaining_runtime(prof, fraction, risk) <= deadline) == want
+        assert pf.deadline_admissible(prof, fraction, deadline, risk).admissible == want
+
+    def test_rank_exactly_at_one_minus_alpha(self):
+        # n = 20, alpha_t = 0.05: 19 / 20 == 1 - 0.05 in floats, so the
+        # 19th sample is the bound and a deadline one ulp short of it fails.
+        prof = runtime_profile(range(2, 22), 10.0)  # runtimes 10 .. 200
+        assert 19 / 20 == 1.0 - RISK.alpha_t
+        need = pf.remaining_runtime(prof, 0.5, RISK)
+        assert need == prof.runtime_samples[18] * 0.5 == 95.0
+        assert pf.deadline_admissible(prof, 0.5, need, RISK).admissible
+        short = float(np.nextafter(need, -np.inf))
+        assert not pf.deadline_admissible(prof, 0.5, short, RISK).admissible
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_fraction_outside_zero_one_is_refused(self, fraction):
+        prof = runtime_profile([3, 5], 10.0)
+        match = r"remaining_work_fraction must lie in \[0, 1\]"
+        with pytest.raises(pf.ProfileError, match=match):
+            pf.remaining_runtime(prof, fraction, RISK)
+        with pytest.raises(pf.ProfileError, match=match):
+            pf.deadline_admissible(prof, fraction, 100.0, RISK)
+
+
 class TestScreenProbabilityFormula:
     """Both screens count successes and divide by n. The old formula was
     float(np.mean(mask)); the results must be the same Python float."""
@@ -249,7 +313,7 @@ class TestScreenProbabilityFormula:
         capacity=st.integers(-1, 11),
     )
     def test_memory_admissible_equals_mean_of_mask(self, runs, lo, width, capacity):
-        prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.05,))
+        prof = pf.build_profile(make_ensemble(runs))
         hi = min(lo + width, prof.n_points - 1)
         lo = min(lo, hi)
         got = pf.memory_admissible(prof, float(capacity), (lo * 60.0, hi * 60.0), RISK)
@@ -284,7 +348,7 @@ class TestScreenProbabilityFormula:
         # The earlier formula: NaN (past a run's end) -> -inf, then each run's
         # max over the window against capacity. Runs are ragged, capacities
         # often equal a sample, and windows may reach past the horizon.
-        prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.05,))
+        prof = pf.build_profile(make_ensemble(runs))
         window = (lo * 60.0, (lo + width) * 60.0)
         a, b = pf.grid_indices(window, 60.0, prof.n_points)
         segment = prof.source.padded_matrix()[:, a : b + 1]
@@ -346,7 +410,7 @@ class TestExceedanceIndex:
 class TestRefresh:
     def test_adding_tenth_value_keeps_ninth_rank(self):
         runs = [[float(v)] for v in range(1, 10)]
-        prof = pf.build_profile(make_ensemble(runs), eps_levels=(0.1,))
+        prof = pf.build_profile(make_ensemble(runs))
         assert prof.envelope(0.1)[0] == 9.0  # ceil(0.9*9)=9th of 1..9
         refreshed = pf.refresh_profile(prof, np.array([10.0]))
         assert refreshed.envelope(0.1)[0] == 9.0  # ceil(0.9*10)=9th of 1..10
@@ -403,9 +467,11 @@ class TestRefreshEquivalence:
         levels = tuple(sorted(levels))
         runs = [np.asarray(r, float) for r in source_runs]
         if len(runs) == 1:
-            prof = pf.single_run_profile(runs[0], 60.0, 1.25, levels)
+            prof = pf.single_run_profile(runs[0], 60.0, 1.25)
         else:
-            prof = pf.build_profile(make_ensemble(runs), levels)
+            prof = pf.build_profile(make_ensemble(runs))
+        for eps in levels:
+            prof.envelope(eps)  # the levels read before the first refresh
         for delta, value, add_lazy in additions:
             longest = max(len(r) for r in runs)
             new = np.linspace(0.0, value, max(1, longest + delta))
@@ -417,7 +483,7 @@ class TestRefreshEquivalence:
             assert prof.source.n_runs == len(runs)
             assert np.array_equal(prof.source.padded_matrix(), before, equal_nan=True)
             runs.append(new)
-            want = pf.build_profile(make_ensemble(runs), ())
+            want = pf.build_profile(make_ensemble(runs))
             assert_same_profile(fresh, want, (*levels, lazy_eps))
             prof = fresh
 
@@ -426,7 +492,7 @@ class TestRefreshEquivalence:
         # the third is shorter than all of them.
         runs = [[1.0, 4.0, 2.0], [3.0, 3.0], [0.0, 5.0, 5.0, 1.0]]
         added = [[2.0, 2.0, 6.0], [1.0, 7.0, 3.0, 3.0, 9.0, 2.0], [8.0]]
-        chain = [pf.build_profile(make_ensemble(runs), ())]
+        chain = [pf.build_profile(make_ensemble(runs))]
         for run in added:
             chain.append(pf.refresh_profile(chain[-1], np.array(run)))
         assert [p.horizon for p in chain] == [180.0, 180.0, 300.0, 300.0]
@@ -442,17 +508,17 @@ class TestRefreshEquivalence:
     def test_unread_refresh_chain_equals_build(self, source_runs, added):
         # A whole chain first, then every profile in it is read: a later
         # refresh must not change what an earlier, unread profile shows.
-        chain = [pf.build_profile(make_ensemble(source_runs), ())]
+        chain = [pf.build_profile(make_ensemble(source_runs))]
         for run in added:
             chain.append(pf.refresh_profile(chain[-1], np.array(run)))
         for k, prof in enumerate(chain):
             merged = make_ensemble(source_runs + added[:k])
-            assert_same_profile(prof, pf.build_profile(merged, ()))
+            assert_same_profile(prof, pf.build_profile(merged))
 
     def test_single_run_source_refreshes_to_build(self):
-        prof = pf.single_run_profile(np.array([1.0, 2.0]), 60.0, 1.5, (0.1,))
+        prof = pf.single_run_profile(np.array([1.0, 2.0]), 60.0, 1.5)
         fresh = pf.refresh_profile(prof, np.array([3.0, 1.0, 5.0]))
-        want = pf.build_profile(make_ensemble([[1.0, 2.0], [3.0, 1.0, 5.0]]), (0.1,))
+        want = pf.build_profile(make_ensemble([[1.0, 2.0], [3.0, 1.0, 5.0]]))
         assert_same_profile(fresh, want)
         assert fresh.envelope(0.1)[0] == 3.0  # no inflation once there are two runs
 

@@ -36,7 +36,7 @@ SEG = SegmentationConfig(tau_min_s=300.0, tau_max_s=3600.0,
 def make_job(job_id="j1", level=8000.0, n=31, work=1800.0, declared=9000.0,
              atomizable=True, tenant="t0", deadline=None, position=0.0):
     runs = [np.full(n, level) for _ in range(4)]
-    prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(0.05,))
+    prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs))
     spec = JobSpec(job_id, tenant, 0.0, work, declared, atomizable=atomizable,
                    deadline_s=deadline)
     return JobRuntime(spec=spec, profile=prof, actual=runs[0], grid_step=H,
@@ -109,7 +109,7 @@ def staggered_profile():
     runs = [np.full(31, 8000.0) for _ in range(20)]
     for r, run in enumerate(runs):
         run[r + 5] = 12000.0
-    return build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(0.05,))
+    return build_profile(TrajectoryEnsemble(grid_step=H, runs=runs))
 
 
 # One waiting job: its profile (a flat level or "staggered"), whether it may
@@ -224,7 +224,7 @@ class TestMaterialize:
         # Profile spans 30 min but this run actually lasts 10: fragments at
         # or past 600 s never materialize.
         runs = [np.full(31, 8000.0) for _ in range(4)]
-        prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(0.05,))
+        prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs))
         spec = JobSpec("j1", "t0", 0.0, 1800.0, 9000.0)
         job = JobRuntime(spec=spec, profile=prof, actual=np.full(11, 8000.0), grid_step=H)
         win = ExecutionWindow("g0s0", 10240, 0.0, 1800.0)
@@ -239,7 +239,7 @@ class TestMaterialize:
         # a queued job's position, or a pipelined bidder's resume position.
         # The plan's first fragment starts there, so it is never dropped.
         runs = [np.full(31, 8000.0) for _ in range(4)]
-        prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(0.05,))
+        prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs))
         spec = JobSpec("j1", "t0", 0.0, 1800.0, 9000.0)
         job = JobRuntime(spec=spec, profile=prof, actual=np.full(11, 8000.0), grid_step=H,
                          position_s=position)
@@ -255,7 +255,7 @@ class TestMaterialize:
         # reads 12 GB from 600 s on and the fragments there take 20 GB.
         runs = [np.full(6, 8000.0) for _ in range(8)]
         runs += [np.full(31, 8000.0), np.array([8000.0] * 10 + [12000.0] * 21)]
-        prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(0.05,))
+        prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs))
         spec = JobSpec("j1", "t0", 0.0, 1800.0, 13000.0)
         # The actual run ends at 900 s, so the 900-1200 s fragment is dropped.
         job = JobRuntime(spec=spec, profile=prof, actual=np.full(16, 8000.0), grid_step=H)
@@ -300,7 +300,7 @@ class TestMaterialize:
         # Segmentation sizes each fragment on the risk.eps envelope (raised by
         # any demand floor), so no subjob that materialize mints peaks above
         # its capacity on that curve.
-        prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs), eps_levels=(eps,))
+        prof = build_profile(TrajectoryEnsemble(grid_step=H, runs=runs))
         spec = JobSpec("j1", "t0", 0.0, 1800.0, 40000.0)
         job = JobRuntime(spec=spec, profile=prof, actual=np.full(actual_len, 1000.0),
                          grid_step=H)

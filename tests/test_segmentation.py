@@ -174,10 +174,10 @@ class TestSmoothing:
 class TestConfigBounds:
     def test_step_conversions(self):
         c = cfg(0.1, tau_min=300.0, tau_max=900.0)
-        assert c.min_steps(60.0) == 5 and c.max_steps(60.0) == 15
-        assert c.min_steps(90.0) == 4  # ceil(300/90)
+        assert c.steps(60.0)[:2] == (5, 15)
+        assert c.steps(90.0)[:2] == (4, 10)  # ceil(300/90), floor(900/90)
         c2 = cfg(0.1, tau_min=50.0, tau_max=70.0)
-        assert c2.min_steps(60.0) == 1 and c2.max_steps(60.0) == 1
+        assert c2.steps(60.0)[:2] == (1, 1)
 
     def test_plan_key_holds_every_field(self):
         # plan_segments keys cached plans on plan_key: a field it missed
@@ -232,7 +232,7 @@ def random_instance(rng):
 def check_postconditions(env, offered, c, frags):
     """Tiling, tau bounds, smallest covering, no profitable merge."""
     sm = smooth_envelope(env, H, c.smoothing_window_s)
-    tmin, tmax = c.min_steps(H), c.max_steps(H)
+    tmin, tmax, _ = c.steps(H)
     # tiling: contiguous from 0
     assert frags[0].start_idx == 0
     for a, b in zip(frags, frags[1:]):
@@ -342,8 +342,7 @@ def numpy_segment_window(envelope, grid_step, catalog, offered_capacity_mb, seg)
     if offered_capacity_mb not in catalog:
         raise InfeasiblePlan(f"offered capacity {offered_capacity_mb} not in catalog")
     smoothed = numpy_smooth_envelope(u, grid_step, seg.smoothing_window_s)
-    tmin = seg.min_steps(grid_step)
-    tmax = seg.max_steps(grid_step)
+    tmin, tmax, _ = seg.steps(grid_step)
     feasible = smoothed <= offered_capacity_mb
     n = int(np.argmin(feasible)) if not feasible.all() else len(u)
     if n < tmin:
@@ -482,7 +481,7 @@ class TestNoReferenceCycles:
 
 def make_job(env_runs, declared=39000.0, atomizable=True, position=0.0, work=3600.0):
     ens = TrajectoryEnsemble(grid_step=H, runs=[np.asarray(r, float) for r in env_runs])
-    prof = build_profile(ens, eps_levels=(0.05,))
+    prof = build_profile(ens)
     spec = JobSpec("j", "t", 0.0, work, declared, atomizable=atomizable)
     return JobRuntime(spec=spec, profile=prof, actual=np.asarray(env_runs[0], float),
                       grid_step=H, position_s=position)
@@ -734,7 +733,7 @@ class TestFirstFragment:
                                smoothing_window_s=smooth, hysteresis_delta=delta)
         smoothed = smooth_envelope(values, grid_step, smooth)
         n = next((i for i, v in enumerate(smoothed) if v > offered), len(smoothed))
-        tmin, tmax = c.min_steps(grid_step), c.max_steps(grid_step)
+        tmin, tmax, _ = c.steps(grid_step)
         try:
             first = segment_window(values, grid_step, CAT, offered, c)[0]
         except InfeasiblePlan:
@@ -872,7 +871,7 @@ class TestInterestVerdict:
     ):
         ens = TrajectoryEnsemble(grid_step=grid_step, runs=[np.asarray(r, float) for r in runs])
         spec = JobSpec("j", "t", 0.0, 3600.0, 39000.0)
-        job = JobRuntime(spec=spec, profile=build_profile(ens, eps_levels=(eps,)),
+        job = JobRuntime(spec=spec, profile=build_profile(ens),
                          actual=np.asarray(runs[0], float), grid_step=grid_step,
                          position_s=position)
         if floor is not None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sjasim import profiles as pf
-from sjasim import segmentation, simcore
+from sjasim import policies, segmentation, simcore
 from sjasim.cli import events_text, metrics_csv_text
 from sjasim.policies import GrantPolicy
 from sjasim.simcore import (
@@ -483,29 +483,41 @@ class TestLazyProfiles:
         assert (events_text(log), metrics_csv_text(report)) == lazy
 
 
-class TestParkedVerdicts:
-    """The engine keeps unreachable edf verdicts across rounds, each with
-    the profile it was screened on. A refresh drops every verdict parked on
-    the profile it replaces, so no parked verdict keeps an old profile."""
+class TestBoundsOnLiveProfiles:
+    """edf keeps its remaining-runtime bounds on the profiles. After every
+    completion each job holds its ensemble's live profile, so each bound the
+    engine can still read sits on a live profile; a refresh starts a profile
+    with no bounds, and no bound is computed twice on one profile."""
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_a_refresh_drops_the_verdicts_parked_on_its_old_profile(self, seed, monkeypatch):
+    def test_every_bound_sits_on_a_live_profile(self, seed, monkeypatch):
         scenario, cfg = SCENARIO_BUILDERS["deadline"]()
         engine = _Engine(scenario, "sja", cfg, seed)
-        dropped = []
+        seen = {id(p): p for p in engine.profiles.values()}
+        computed = []
+        bound = policies.remaining_runtime
+        monkeypatch.setattr(
+            policies, "remaining_runtime", lambda *a: computed.append(1) or bound(*a)
+        )
         complete = _Engine._complete
 
         def checked(self, job):
-            before = len(self._parked)
+            before = dict(self.profiles)
             complete(self, job)
-            dropped.append(before - len(self._parked))
-            live = self.profiles.values()
-            assert all(any(p is q for q in live) for p in self._parked.values())
+            for key, live in self.profiles.items():
+                if live is not before[key]:
+                    assert not live.runtime_bounds
+                    seen[id(live)] = live
+                assert all(self.jobs[j].spec.ensemble_key == key for j, _, _ in live.runtime_bounds)
+            assert all(j.profile is self.profiles[j.spec.ensemble_key] for j in self._order)
 
         monkeypatch.setattr(_Engine, "_complete", checked)
         report, _ = engine.run()
-        assert len(dropped) == report.completed_jobs
-        assert sum(dropped) > 0 and engine._parked
+        assert report.completed_jobs > 0 and len(seen) > len(engine.profiles)
+        live = {id(p) for p in engine.profiles.values()}
+        retired = [p for i, p in seen.items() if i not in live]
+        assert any(p.runtime_bounds for p in retired)  # dropped with their profile
+        assert len(computed) == sum(len(p.runtime_bounds) for p in seen.values())
 
 
 class TestWinnerOnlyPlanning:
