@@ -23,7 +23,15 @@ from .workload import ScenarioError
 __all__ = ["main"]
 
 OUTPUT_ROOT_ENV = "SJASIM_OUTPUT_ROOT"
-_EVENT_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(sort_keys=True) builds one per call
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True)
+# JSONEncoder.encode builds a C encoder on every call; this one is built once,
+# with the arguments iterencode passes it. No circular-reference markers: the
+# engine's records are flat dicts. Without the _json accelerator it is None.
+_ENCODE_EVENT = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _EVENT_ENCODER.default, json.encoder.encode_basestring_ascii,
+    _EVENT_ENCODER.indent, _EVENT_ENCODER.key_separator, _EVENT_ENCODER.item_separator,
+    _EVENT_ENCODER.sort_keys, _EVENT_ENCODER.skipkeys, _EVENT_ENCODER.allow_nan,
+)
 
 SWEEP_AXES = {
     "eps": "risk.eps",
@@ -68,7 +76,10 @@ def _fmt(v: float) -> str:
 
 
 def events_text(log: list[dict]) -> str:
-    return "".join(_EVENT_ENCODER.encode(rec) + "\n" for rec in log)
+    """One json.dumps(rec, sort_keys=True) line per record."""
+    if _ENCODE_EVENT is None:
+        return "".join(_EVENT_ENCODER.encode(rec) + "\n" for rec in log)
+    return "".join("".join(_ENCODE_EVENT(rec, 0)) + "\n" for rec in log)
 
 
 def metrics_csv_text(report: MetricsReport) -> str:

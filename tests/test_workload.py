@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from sjasim import profiles as pf
+from sjasim import scenarios
+from sjasim.scenarios import SCENARIO_BUILDERS
 from sjasim.workload import (
     BURST,
     STEADY,
@@ -23,6 +25,37 @@ from sjasim.workload import (
 
 def flat(duration_s, base_mb, noise=0.0):
     return PhaseModel(phases=(Phase(STEADY, duration_s, base_mb, noise),))
+
+
+def mask_trajectory(model, duration_s, grid_step, seed):
+    """generate_trajectory's reference: one boolean mask per phase picks its
+    samples, the grid points in its half-open interval; the final grid
+    point belongs to the last phase."""
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s / grid_step)) + 1
+    t = np.arange(n) * grid_step
+    scale = duration_s / model.total_duration_s
+    bounds = np.cumsum([p.duration_s * scale for p in model.phases])
+    starts = np.concatenate([[0.0], bounds[:-1]])
+    out = np.empty(n)
+    phase_idx = np.minimum(np.searchsorted(bounds, t, side="right"), len(model.phases) - 1)
+    for k, phase in enumerate(model.phases):
+        mask = phase_idx == k
+        m = int(mask.sum())
+        if m == 0:
+            continue
+        tk = t[mask]
+        if phase.kind == WARMUP:
+            local = (tk - starts[k]) / (phase.duration_s * scale)
+            vals = phase.base_mb * local
+        else:
+            vals = np.full(m, phase.base_mb)
+            if phase.noise_sd_mb > 0:
+                vals = vals + rng.normal(0.0, phase.noise_sd_mb, size=m)
+            if phase.kind == BURST and phase.burst_amp_mb > 0:
+                vals = vals + phase.burst_amp_mb * (rng.random(m) < phase.burst_prob)
+        out[mask] = vals
+    return np.maximum(out, 0.0)
 
 
 class TestGenerateTrajectory:
@@ -67,6 +100,27 @@ class TestGenerateTrajectory:
     def test_demand_never_negative(self):
         run = generate_trajectory(flat(6000, 10.0, noise=500.0), 6000.0, 60.0, seed=5)
         assert np.all(run >= 0.0)
+
+    def test_phase_slices_equal_the_mask_reference(self, monkeypatch):
+        # Every bundled phase model, at 300 durations each, on the 60 s grid
+        # and on a 7 s one, whose points fall between phase bounds.
+        models, make = [], scenarios._model
+
+        def recorded(*phases):
+            models.append(make(*phases))
+            return models[-1]
+
+        monkeypatch.setattr(scenarios, "_model", recorded)
+        for build in SCENARIO_BUILDERS.values():
+            build()
+        models = list(dict.fromkeys(models))
+        assert len(models) == 21
+        for i, model in enumerate(models):
+            for duration in model.total_duration_s * np.linspace(0.25, 1.75, 300):
+                for step in (60.0, 7.0):
+                    seed = [i, int(duration)]
+                    assert np.array_equal(generate_trajectory(model, duration, step, seed),
+                                          mask_trajectory(model, duration, step, seed))
 
     def test_validation(self):
         with pytest.raises(ScenarioError):
